@@ -1,9 +1,12 @@
 """Dissipation sequence r_k, growth classification, Lyapunov estimates.
 
 The max over the contact-element space is discretized on a product grid of
-fiber directions and base points; conformal factors are accumulated along
-backward orbits through the cocycle identity, so r_k needs one directional
-derivative per grid point per step.
+fiber directions and base points.  Conformal factors are accumulated along
+backward orbits through the cocycle identity: the maps carry their
+round-form factors in closed form, and a general form F * alpha_0 enters only
+through the coboundary log F(x_k) - log F(x_0), so one orbit step is one map
+application and one profile evaluation.  The Lyapunov estimate chains chart
+Jacobians extracted with jets.
 """
 from __future__ import annotations
 
@@ -14,12 +17,7 @@ import numpy as np
 
 from . import algebra
 from .geometry import ContactForm, sphere_grid_array
-from .maps import (
-    ContactMap,
-    chart_jacobian_batch,
-    conformal_factor_batch,
-    homology_action,
-)
+from .maps import ContactMap, chart_jacobian_batch, homology_action
 
 
 class DissipationError(RuntimeError):
@@ -95,24 +93,47 @@ def r_sequence(
 ) -> np.ndarray:
     """Grid maximum of |accumulated log conformal factor| for k = 1..K.
 
-    Accumulation runs along backward orbits: with g = f^-1 the factor of the
-    k-th inverse pullback at x is the product of one-step factors of g along
-    x, g(x), ..., g^{k-1}(x).
+    Accumulation runs along backward orbits x_0, x_1 = g(x_0), ... with
+    g = f^-1.  For the form F * alpha_0 the factor of g^k at x_0 is the
+    product of the round-form factors c_0(x_j), j < k, times the coboundary
+    F(x_k) / F(x_0); ``apply_batch`` returns log c_0 in closed form.
     """
     if K < 1:
         raise DissipationError("need K >= 1")
     grid = grid or default_grid(f.n)
     g = f.inverse()
     u, q = grid_points(f.n, grid)
+    log_f0 = _log_profile(form, u, q)
     acc = np.zeros(u.shape[1])
     out = np.empty(K)
     for k in range(K):
-        c, u, q = conformal_factor_batch(g, form, u, q)
-        if np.min(c) <= 0.0:
-            raise DissipationError("conformal factor not positive; map reverses coorientation?")
-        acc += np.log(c)
-        out[k] = float(np.max(np.abs(acc)))
+        u, q, log_c = g.apply_batch(u, q)
+        acc += log_c
+        r = float(np.max(np.abs(acc + (_log_profile(form, u, q) - log_f0))))
+        if not np.isfinite(r):
+            raise DissipationError(
+                f"accumulated log conformal factor of the {_form_name(form)} "
+                f"is not finite at k = {k + 1}"
+            )
+        out[k] = r
     return out
+
+
+def _log_profile(form: ContactForm, u: np.ndarray, q: np.ndarray):
+    """log of the form's profile at (n, N) arrays; the profile must be
+    positive and finite there."""
+    prof = np.asarray(form.profile(list(u), list(q)), dtype=float)
+    low, high = float(np.min(prof)), float(np.max(prof))
+    if not (low > 0.0 and np.isfinite(high)):
+        raise DissipationError(
+            f"profile of the {_form_name(form)} is not positive and finite "
+            f"on the orbit (sampled min {low}, max {high})"
+        )
+    return np.log(prof)
+
+
+def _form_name(form: ContactForm) -> str:
+    return f"{form.spec()['kind']} form"
 
 
 def chi_estimate(r_series) -> ChiEstimate:

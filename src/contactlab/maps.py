@@ -2,8 +2,12 @@
 
 A map is an invertible composition of primitives; every primitive carries an
 exact inverse and declares its integer action on first cohomology in closed
-form.  Conformal factors are extracted with forward-mode jets through the
-fiber charts.
+form.  Every primitive also returns the log of its conformal factor for the
+round form in closed form, and ``ContactMap.apply_batch`` sums these along
+the composition; this is the factor the dissipation sequence accumulates.
+The jet-based extraction through the fiber charts (``conformal_factor*``,
+``chart_jacobian_batch``) stays as the checking oracle and feeds the
+Lyapunov estimate.
 """
 from __future__ import annotations
 
@@ -54,8 +58,14 @@ class Primitive:
     n: int
 
     def transform(self, u, q):
-        """Map fiber/base components; jet- and array-compatible; returns
-        (u', q') with u' not necessarily normalized and q' not wrapped."""
+        """Map fiber/base components; jet- and array-compatible.
+
+        Returns (u', q', log_c): u' is a unit vector when u is, q' is not
+        wrapped, and log_c is the log of the conformal factor for the round
+        form at (u, q).  log_c is computed from values only (a float or an
+        array, never a jet); chart-map callers differentiating through
+        jets ignore it.
+        """
         raise NotImplementedError
 
     def inverse(self) -> "Primitive":
@@ -108,7 +118,8 @@ class CanonicalLift(Primitive):
                 if c != 0.0:
                     acc = acc + c * q[j]
             q_new.append(acc)
-        return u_new, q_new
+        # (M^-T u / |M^-T u|) . d(Mq) = u . dq / |M^-T u|
+        return u_new, q_new, -np.log(jval(norm))
 
     def inverse(self):
         return CanonicalLift(algebra.mat_inverse(self.matrix))
@@ -153,7 +164,7 @@ class Shear(Primitive):
             d1 = jcos(angle4) * inv4pi
             d2 = theta + jsin(angle4) * inv4pi
         s = float(self.power)
-        return [u[0], u[1]], [q[0] + s * d1, q[1] + s * d2]
+        return [u[0], u[1]], [q[0] + s * d1, q[1] + s * d2], 0.0
 
     def inverse(self):
         return Shear(self.axis, -self.power)
@@ -178,7 +189,8 @@ class ReebTranslation(Primitive):
         self.n = n
 
     def transform(self, u, q):
-        return list(u), [qi + self.t * ui for qi, ui in zip(q, u)]
+        # u . d(q + t u) = u . dq + (t/2) d|u|^2, and |u| = 1 on the sphere.
+        return list(u), [qi + self.t * ui for qi, ui in zip(q, u)], 0.0
 
     def inverse(self):
         return ReebTranslation(-self.t, self.n)
@@ -275,7 +287,8 @@ class ContactFlow(Primitive):
 
     The covector is renormalized to the sphere bundle after every step; this
     is consistent because degree-1 homogeneity makes the flow commute with
-    fiber scaling.
+    fiber scaling.  The flow preserves p . dq, so the round-form factor is
+    1/|p(t)|, the product of the inverse renormalization norms.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, t: float, steps: int = 256):
@@ -292,6 +305,7 @@ class ContactFlow(Primitive):
         q = list(q)
         h = self.t / self.steps
         ham = self.hamiltonian
+        log_c = 0.0
         for _ in range(self.steps):
             k1p, k1q = _hamilton_rhs(ham, p, q)
             p1 = [pi + 0.5 * h * ki for pi, ki in zip(p, k1p)]
@@ -315,9 +329,10 @@ class ContactFlow(Primitive):
             vals = np.asarray(jval(norm2), dtype=float)
             if not np.all(np.isfinite(vals)) or np.any(vals < 0.25) or np.any(vals > 4.0):
                 raise MapError("contact flow integration diverged; increase steps")
+            log_c = log_c - 0.5 * np.log(vals)
             inv = 1.0 / jsqrt(norm2)
             p = [pi * inv for pi in p]
-        return p, q
+        return p, q, log_c
 
     def inverse(self):
         return ContactFlow(self.hamiltonian, -self.t, self.steps)
@@ -357,20 +372,27 @@ class ContactMap:
             raise MapError("point dimension mismatch")
         u, q = list(x.u.u), list(x.q.q)
         for prim in self.primitives:
-            u, q = prim.transform(u, q)
+            u, q, _ = prim.transform(u, q)
         return CEPoint(Direction([float(c) for c in u]), wrap([float(c) for c in q]))
 
     def apply_batch(self, u_arr: np.ndarray, q_arr: np.ndarray):
-        """Vectorized apply on (n, N) component arrays."""
+        """Vectorized apply on (n, N) component arrays.
+
+        Returns (u, q, log_c): the image with u normalized and q wrapped,
+        and the log round-form conformal factor of the map at each point,
+        summed over the primitives (the cocycle rule).
+        """
         shape = u_arr.shape[1:]
         u = [u_arr[i] for i in range(self.n)]
         q = [q_arr[i] for i in range(self.n)]
+        log_c = np.zeros(shape)
         for prim in self.primitives:
-            u, q = prim.transform(u, q)
+            u, q, step = prim.transform(u, q)
+            log_c += step
         u = np.stack([np.broadcast_to(np.asarray(c, float), shape) for c in u])
         q = np.stack([np.broadcast_to(np.asarray(c, float), shape) for c in q])
         u = u / np.sqrt((u * u).sum(axis=0))
-        return u, np.mod(q, 1.0)
+        return u, np.mod(q, 1.0), log_c
 
     def inverse(self) -> "ContactMap":
         prims = tuple(p.inverse() for p in reversed(self.primitives))
@@ -419,7 +441,7 @@ def _composite_chart_phi(f: ContactMap, chart_in: int, chart_out: int):
     def phi(coords):
         u, q = chart_decode(f.n, chart_in, coords)
         for prim in f.primitives:
-            u, q = prim.transform(u, q)
+            u, q, _ = prim.transform(u, q)
         return chart_encode(f.n, chart_out, u, q)
 
     return phi
@@ -447,15 +469,15 @@ def conformal_factor(f: ContactMap, form: ContactForm, x: CEPoint) -> float:
 def conformal_factor_batch(
     f: ContactMap, form: ContactForm, u_arr: np.ndarray, q_arr: np.ndarray
 ):
-    """Conformal factors at (n, N) component arrays.
+    """Conformal factors at (n, N) component arrays, extracted with jets.
 
-    Returns (c, u_image, q_image) so orbit loops get the image for free.
-    Uses a single directional jet per point (the chart direction on which the
-    form coefficient is largest).
+    Returns (c, u_image, q_image).  Uses a single directional jet per point
+    (the chart direction on which the form coefficient is largest).  This is
+    the oracle for the closed-form factors that ``apply_batch`` returns.
     """
     n, d = f.n, chart_dim(f.n)
     npts = u_arr.shape[1]
-    u2, q2 = f.apply_batch(u_arr, q_arr)
+    u2, q2, _ = f.apply_batch(u_arr, q_arr)
 
     lam_x = _form_rows(form, u_arr, q_arr, n, npts)
     lam_y = _form_rows(form, u2, q2, n, npts)
@@ -468,29 +490,12 @@ def conformal_factor_batch(
     seed[jsel, np.arange(npts)] = 1.0
 
     c = np.empty(npts)
-    if n == 2:
-        groups = [(0, 0, np.arange(npts))]
-    else:
-        cin = select_chart_batch(u_arr[2])
-        cout = select_chart_batch(u2[2])
-        groups = [
-            (a, b, np.nonzero((cin == a) & (cout == b))[0])
-            for a in (0, 1)
-            for b in (0, 1)
-        ]
-    for chart_in, chart_out, idx in groups:
-        if idx.size == 0:
-            continue
-        coords = chart_encode(
-            n, chart_in, [u_arr[i, idx] for i in range(n)], [q_arr[i, idx] for i in range(n)]
-        )
+    for idx, coords, phi in _chart_groups(f, u_arr, q_arr, u2):
         jets = [Jet(np.asarray(coords[i], float), seed[i, idx][None, :]) for i in range(d)]
-        phi = _composite_chart_phi(f, chart_in, chart_out)
-        outs = phi(jets)
         deriv = np.stack(
             [
                 o.partials[0] if isinstance(o, Jet) else np.zeros(idx.size)
-                for o in outs
+                for o in phi(jets)
             ]
         )
         c[idx] = (lam_y[:, idx] * deriv).sum(axis=0) / denom[idx]
@@ -502,37 +507,47 @@ def chart_jacobian_batch(f: ContactMap, u_arr: np.ndarray, q_arr: np.ndarray):
 
     J has shape (d, d, N); entry [i, j] is d out_i / d x_j at each point.
     """
-    n, d = f.n, chart_dim(f.n)
-    npts = u_arr.shape[1]
-    u2, q2 = f.apply_batch(u_arr, q_arr)
-    jac = np.empty((d, d, npts))
-    if n == 2:
-        groups = [(0, 0, np.arange(npts))]
-    else:
-        cin = select_chart_batch(u_arr[2])
-        cout = select_chart_batch(u2[2])
-        groups = [
-            (a, b, np.nonzero((cin == a) & (cout == b))[0])
-            for a in (0, 1)
-            for b in (0, 1)
-        ]
-    for chart_in, chart_out, idx in groups:
-        if idx.size == 0:
-            continue
-        coords = chart_encode(
-            n, chart_in, [u_arr[i, idx] for i in range(n)], [q_arr[i, idx] for i in range(n)]
-        )
+    d = chart_dim(f.n)
+    u2, q2, _ = f.apply_batch(u_arr, q_arr)
+    jac = np.empty((d, d, u_arr.shape[1]))
+    for idx, coords, phi in _chart_groups(f, u_arr, q_arr, u2):
         seeds = np.zeros((d, d, idx.size))
         for i in range(d):
             seeds[i, i, :] = 1.0
         jets = [Jet(np.asarray(coords[i], float), seeds[:, i, :]) for i in range(d)]
-        outs = _composite_chart_phi(f, chart_in, chart_out)(jets)
-        for i, o in enumerate(outs):
+        for i, o in enumerate(phi(jets)):
             if isinstance(o, Jet):
                 jac[i, :, idx] = o.partials.T
             else:
                 jac[i, :, idx] = 0.0
     return jac, u2, q2
+
+
+def _chart_groups(f: ContactMap, u_arr, q_arr, u_image):
+    """Points grouped by (input chart, output chart).
+
+    Yields (idx, coords, phi) per nonempty group: the point indices, their
+    input chart coordinates, and the composite in those two charts.
+    """
+    n = f.n
+    npts = u_arr.shape[1]
+    if n == 2:
+        pairs = [(0, 0, np.arange(npts))]
+    else:
+        cin = select_chart_batch(u_arr[2])
+        cout = select_chart_batch(u_image[2])
+        pairs = [
+            (a, b, np.nonzero((cin == a) & (cout == b))[0])
+            for a in (0, 1)
+            for b in (0, 1)
+        ]
+    for chart_in, chart_out, idx in pairs:
+        if idx.size == 0:
+            continue
+        coords = chart_encode(
+            n, chart_in, [u_arr[i, idx] for i in range(n)], [q_arr[i, idx] for i in range(n)]
+        )
+        yield idx, coords, _composite_chart_phi(f, chart_in, chart_out)
 
 
 def _form_rows(form: ContactForm, u_arr, q_arr, n: int, npts: int) -> np.ndarray:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,6 +41,11 @@ TASK_NAMES = (
     "duality",
     "verify_bound",
 )
+
+# Orbit tasks and their default K; chi_estimate and lyapunov_estimate need
+# at least MIN_K steps.
+ORBIT_TASK_K = {"r_sequence": 30, "verify_bound": 30, "lyapunov": 20}
+MIN_K = 8
 
 
 class ConfigError(ValueError):
@@ -105,15 +111,32 @@ class ExperimentConfig:
         return build_form(self.form_spec)
 
 
+def _is_int(value) -> bool:
+    """An integer JSON number (8 or 8.0), not a bool or a string."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _parse_grid(data, errors, label) -> GridSpec | None:
     if data is None:
         return None
-    q_res = int(data.get("q_res", 0))
-    fiber_res = int(data.get("fiber_res", 0))
-    if q_res <= 0 or fiber_res <= 0:
-        errors.append(f"{label}: grid sizes must be positive")
+    if not isinstance(data, dict):
+        errors.append(f"{label}: must be an object with q_res and fiber_res")
         return None
-    return GridSpec(q_res, fiber_res)
+    q_res = data.get("q_res", 0)
+    fiber_res = data.get("fiber_res", 0)
+    if not (_is_int(q_res) and _is_int(fiber_res) and q_res > 0 and fiber_res > 0):
+        errors.append(
+            f"{label}: grid sizes must be positive integers, "
+            f"got q_res={q_res!r}, fiber_res={fiber_res!r}"
+        )
+        return None
+    return GridSpec(int(q_res), int(fiber_res))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -129,23 +152,31 @@ def load_config(path) -> ExperimentConfig:
 
 
 def validate_config(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ConfigError([f"config must be a JSON object, got {type(data).__name__}"])
     errors: list[str] = []
     n = data.get("dimension", 2)
-    if n not in (2, 3):
+    if not (_is_int(n) and n in (2, 3)):
         errors.append(f"dimension must be 2 or 3, got {n!r}")
         n = 2
+    n = int(n)
 
     form_spec = data.get("form", {"kind": "round"})
     try:
         build_form(form_spec)
-    except (GeometryError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, GeometryError, KeyError, TypeError, ValueError) as exc:
         errors.append(f"form: {exc}")
 
-    map_spec = list(data.get("map", []))
+    map_spec = data.get("map", [])
+    if not isinstance(map_spec, list):
+        errors.append("map: must be a list of primitive descriptors")
+        map_spec = []
     for i, prim_spec in enumerate(map_spec):
         try:
             prim = build_primitive(prim_spec, n)
-        except (MapError, algebra.AlgebraError, KeyError, TypeError) as exc:
+        except (
+            AttributeError, MapError, algebra.AlgebraError, KeyError, TypeError, ValueError
+        ) as exc:
             errors.append(f"map[{i}]: {exc}")
             continue
         if prim.n != n:
@@ -158,43 +189,61 @@ def validate_config(data: dict) -> ExperimentConfig:
     if form_dim is not None and form_dim != n:
         errors.append(f"form: dimension {form_dim} does not match configured {n}")
 
-    tasks = list(data.get("tasks", []))
-    if not tasks:
-        errors.append("tasks: need at least one task")
+    tasks = data.get("tasks", [])
+    if not isinstance(tasks, list) or not tasks:
+        errors.append("tasks: need a non-empty list of tasks")
+        tasks = []
     for i, task in enumerate(tasks):
         name = task.get("task") if isinstance(task, dict) else None
         if name not in TASK_NAMES:
             errors.append(f"tasks[{i}]: unknown task {name!r}")
+        elif name in ORBIT_TASK_K:
+            k = task.get("K", ORBIT_TASK_K[name])
+            if not (_is_int(k) and k >= MIN_K):
+                errors.append(f"tasks[{i}]: {name} needs an integer K >= {MIN_K}, got {k!r}")
 
     grid = _parse_grid(data.get("grid"), errors, "grid")
     lyap_grid = _parse_grid(data.get("lyapunov_grid"), errors, "lyapunov_grid")
 
     thr = data.get("thresholds", {})
-    thresholds = Thresholds(
-        hyperbolic_floor=float(thr.get("hyperbolic_floor", 0.05)),
-        bounded_ceiling=float(thr.get("bounded_ceiling", 0.5)),
-        increment_tol=float(thr.get("increment_tol", 1e-3)),
-        residual_frac=float(thr.get("residual_frac", 0.10)),
-    )
+    if not isinstance(thr, dict):
+        errors.append("thresholds: must be an object")
+        thr = {}
+    values = {}
+    for fld in fields(Thresholds):
+        value = thr.get(fld.name, fld.default)
+        if _is_real(value):
+            values[fld.name] = float(value)
+        else:
+            errors.append(f"thresholds.{fld.name}: must be a finite number, got {value!r}")
+
+    seed = data.get("seed", 0)
+    if not _is_int(seed):
+        errors.append(f"seed: must be an integer, got {seed!r}")
+    conservative = data.get("conservative", False)
+    if not isinstance(conservative, bool):
+        errors.append(f"conservative: must be true or false, got {conservative!r}")
 
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(
         n=n,
-        seed=int(data.get("seed", 0)),
+        seed=int(seed),
         form_spec=form_spec,
         map_spec=map_spec,
         tasks=tasks,
-        conservative=bool(data.get("conservative", False)),
+        conservative=conservative,
         grid=grid,
         lyap_grid=lyap_grid,
-        thresholds=thresholds,
+        thresholds=Thresholds(**values),
         out_dir=str(data.get("out_dir", "out")),
         raw=data,
     )
 
 
 def _form_dimension(spec: dict) -> int | None:
+    if not isinstance(spec, dict):
+        return None
     kind = spec.get("kind")
     if kind == "metric":
         return len(spec.get("g", []))
@@ -272,7 +321,7 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
 
 def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
     if name == "r_sequence":
-        K = int(task.get("K", 30))
+        K = int(task.get("K", ORBIT_TASK_K[name]))
         r = dissipation.r_sequence(f, form, K, grid)
         est = dissipation.chi_estimate(r)
         verdict = dissipation.classify(r, config.thresholds)
@@ -288,7 +337,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
         }
 
     if name == "lyapunov":
-        K = int(task.get("K", 20))
+        K = int(task.get("K", ORBIT_TASK_K[name]))
         value = dissipation.lyapunov_estimate(f, K, lyap_grid)
         return {"K": K, "lyap_hat": value}
 
@@ -362,8 +411,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
             else:
                 k = len(i_mat)
                 classes = [
-                    tuple(int(c) for c in rng.integers(-3, 4, size=k)) or (1,) * k
-                    for _ in range(5)
+                    tuple(int(c) for c in rng.integers(-3, 4, size=k)) for _ in range(5)
                 ]
                 classes = [g if any(g) else (1,) + (0,) * (k - 1) for g in classes]
             rate = algebra.abelian_bar_s(i_mat, classes, N)
@@ -371,7 +419,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
             series = []
             for step in range(N + 1):
                 length = sum(abs(c) for c in v)
-                series.append([step, length, float(np.log(length))])
+                series.append([step, length, math.log(length)])
                 v = algebra.mat_vec(i_mat, v)
             _write_csv(out / "growth.csv", ["n", "length", "log_length"], series)
             return {
@@ -386,10 +434,10 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
             cap = int(task.get("cap", 10**6))
             rate = algebra.free_growth(sigma, word, N, cap)
             w = algebra.cyclic_reduce(word)
-            series = [[0, len(w), float(np.log(len(w)))]]
+            series = [[0, len(w), math.log(len(w))]]
             for step in range(1, N + 1):
                 w = algebra.cyclic_reduce(sigma.apply(w))
-                series.append([step, len(w), float(np.log(len(w)))])
+                series.append([step, len(w), math.log(len(w))])
                 if len(w) > cap:
                     break
             _write_csv(out / "growth.csv", ["n", "length", "log_length"], series)
@@ -416,7 +464,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
         return res
 
     if name == "verify_bound":
-        K = int(task.get("K", 30))
+        K = int(task.get("K", ORBIT_TASK_K[name]))
         r_series = None
         if cached_r is not None and cached_r[0] == K:
             r_series = np.asarray(cached_r[1])

@@ -5,13 +5,24 @@ import pytest
 
 from contactlab import algebra as A
 from contactlab import dissipation as D
-from contactlab.geometry import ConstantForm, RoundForm, TrigForm, TrigTerm
+from contactlab.geometry import (
+    ConstantForm,
+    ContactForm,
+    MetricForm,
+    PullbackForm,
+    RoundForm,
+    TrigForm,
+    TrigTerm,
+)
 from contactlab.maps import (
     CanonicalLift,
     ContactFlow,
+    ModulatedNormHamiltonian,
     MomentumHamiltonian,
+    Primitive,
     ReebTranslation,
     Shear,
+    conformal_factor_batch,
     identity_map,
     make_composite,
 )
@@ -100,6 +111,127 @@ def test_monotone_refinement_does_not_decrease():
 def test_r_sequence_validation():
     with pytest.raises(D.DissipationError):
         D.r_sequence(identity_map(2), RoundForm(), 0, FAST)
+
+
+# -- closed-form cocycle plus coboundary against the jet factors ------------
+
+TRIG = TrigForm(1.0, [TrigTerm(0.3, (1, 0), (1, 0)), TrigTerm(0.2, (0, 1), use_sin=True)])
+COBOUNDARY_FORMS = {
+    "trig": TRIG,
+    "metric": MetricForm(np.array([[2.0, 0.5], [0.5, 1.0]])),
+    "pullback": PullbackForm([[1, 1], [0, 1]], TRIG),
+}
+
+
+def jet_r_sequence(f, form, K, grid):
+    """r_k from jet factors of the given form at every orbit step (the oracle)."""
+    g = f.inverse()
+    u, q = D.grid_points(f.n, grid)
+    acc = np.zeros(u.shape[1])
+    out = np.empty(K)
+    for k in range(K):
+        c, u, q = conformal_factor_batch(g, form, u, q)
+        acc += np.log(c)
+        out[k] = np.max(np.abs(acc))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(COBOUNDARY_FORMS))
+def test_coboundary_identity_along_an_orbit(rng, name):
+    # log of the product of jet factors of the form along x_0..x_{k-1}
+    # = sum of closed-form round factors + log F(x_k) - log F(x_0).
+    form = COBOUNDARY_FORMS[name]
+    g = make_composite([CanonicalLift(CAT), Shear(0), ReebTranslation(0.2)]).inverse()
+    u = rng.normal(size=(2, 300))
+    u /= np.linalg.norm(u, axis=0)
+    q = rng.random((2, 300))
+    log_f0 = np.log(form.profile(list(u), list(q)))
+    jet_acc = np.zeros(300)
+    closed_acc = np.zeros(300)
+    for _ in range(6):
+        c, _, _ = conformal_factor_batch(g, form, u, q)
+        u, q, log_c = g.apply_batch(u, q)
+        jet_acc += np.log(c)
+        closed_acc += log_c
+        closed = closed_acc + np.log(form.profile(list(u), list(q))) - log_f0
+        assert np.max(np.abs(closed - jet_acc)) < 1e-11
+
+
+@pytest.mark.parametrize("name", sorted(COBOUNDARY_FORMS))
+def test_r_sequence_matches_jet_oracle_on_lifts(name):
+    form = COBOUNDARY_FORMS[name]
+    f = make_composite([CanonicalLift(CAT), Shear(1)])
+    grid = D.GridSpec(6, 32)
+    r = D.r_sequence(f, form, 10, grid)
+    ref = jet_r_sequence(f, form, 10, grid)
+    assert np.all(np.abs(r - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_r_sequence_matches_jet_oracle_on_flows():
+    # RK4 gap of the closed form: well inside k * 2e-8 at 64 steps.
+    f = make_composite([Shear(0), ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=64)])
+    grid = D.GridSpec(6, 32)
+    r = D.r_sequence(f, TRIG, 8, grid)
+    ref = jet_r_sequence(f, TRIG, 8, grid)
+    assert np.all(np.abs(r - ref) <= 2e-8 * np.arange(1, 9))
+
+
+def test_r_sequence_n3_metric_lift_matches_jet_oracle():
+    g = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    f = make_composite([CanonicalLift([[1, 1, 0], [1, 2, 1], [0, 1, 2]])])
+    grid = D.GridSpec(3, 48)
+    r = D.r_sequence(f, MetricForm(g), 8, grid)
+    ref = jet_r_sequence(f, MetricForm(g), 8, grid)
+    assert np.all(np.abs(r - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+# -- rejected factors --------------------------------------------------------
+
+SIGN_CHANGING = TrigForm(0.1, [TrigTerm(1.0, (1, 0))])  # 0.1 + cos 2 pi q1
+
+
+@pytest.mark.parametrize("f", [identity_map(2), cat_map()], ids=["identity", "cat"])
+def test_sign_changing_profile_rejected(f):
+    with pytest.raises(D.DissipationError, match="trig form"):
+        D.r_sequence(f, SIGN_CHANGING, 10, FAST)
+
+
+class HoleForm(ContactForm):
+    """Profile that is NaN on half of the base."""
+
+    def profile(self, u, q):
+        return np.where(np.asarray(q[0]) < 0.5, 1.0, np.nan)
+
+    def spec(self):
+        return {"kind": "hole"}
+
+
+def test_nan_profile_rejected():
+    with pytest.raises(D.DissipationError, match="hole form"):
+        D.r_sequence(identity_map(2), HoleForm(), 10, FAST)
+
+
+class BlowUp(Primitive):
+    """Identity on points with an infinite log factor."""
+
+    n = 2
+
+    def transform(self, u, q):
+        return list(u), list(q), np.inf
+
+    def inverse(self):
+        return self
+
+    def homology(self):
+        return A.identity_matrix(3)
+
+    def describe(self):
+        return {"kind": "blow_up"}
+
+
+def test_non_finite_accumulated_factor_rejected():
+    with pytest.raises(D.DissipationError, match="round form is not finite"):
+        D.r_sequence(make_composite([BlowUp()]), RoundForm(), 10, FAST)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,73 @@ def test_cocycle_identity(rng):
 
 
 # ---------------------------------------------------------------------------
+# Closed-form round-form factors against the jet oracle
+# ---------------------------------------------------------------------------
+
+def random_batch(rng, n, npts=200):
+    u = rng.normal(size=(n, npts))
+    return u / np.linalg.norm(u, axis=0), rng.random((n, npts))
+
+
+def closed_form_gap(f, u, q):
+    """max |closed-form log factor - log of the jet factor| for the round form."""
+    _, _, log_c = f.apply_batch(u, q)
+    c, _, _ = conformal_factor_batch(f, RoundForm(), u, q)
+    return float(np.max(np.abs(log_c - np.log(c))))
+
+
+EXACT_PRIMITIVES = {
+    "lift2": CanonicalLift(CAT),
+    "lift2_inverse": CanonicalLift(CAT).inverse(),
+    "lift3": CanonicalLift([[2, 1, 0], [1, 1, 0], [0, 0, 1]]),
+    "lift3_full": CanonicalLift([[1, 1, 0], [1, 2, 1], [0, 1, 2]]),
+    "shear_a": Shear(0),
+    "shear_a_inverse": Shear(0, -1),
+    "shear_b": Shear(1),
+    "shear_b_inverse": Shear(1, -1),
+    "reeb2": ReebTranslation(0.37),
+    "reeb3": ReebTranslation(0.37, n=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PRIMITIVES))
+def test_closed_form_factor_matches_jets(rng, name):
+    prim = EXACT_PRIMITIVES[name]
+    u, q = random_batch(rng, prim.n)
+    assert closed_form_gap(make_composite([prim]), u, q) < 1e-12
+
+
+def test_closed_form_factor_sums_over_a_composite(rng):
+    f = make_composite([CanonicalLift(CAT), Shear(0), ReebTranslation(0.2), Shear(1, -1)])
+    u, q = random_batch(rng, 2)
+    assert closed_form_gap(f, u, q) < 1e-12
+    assert closed_form_gap(f.inverse(), u, q) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "ham",
+    [
+        MomentumHamiltonian([0.2, 0.5]),
+        MetricHamiltonian([[4.0, 1.0], [1.0, 1.0]]),
+        ModulatedNormHamiltonian(0.3),
+        ModulatedNormHamiltonian(0.25, axis=1, n=3),
+    ],
+    ids=["momentum", "metric", "modulated", "modulated3"],
+)
+def test_contact_flow_closed_form_converges_to_jets(rng, ham):
+    # The closed form is the exact factor 1/|p(t)| of the continuous flow;
+    # the jets differentiate the RK4 map, so the two differ by O(h^4).
+    u, q = random_batch(rng, ham.n)
+    gaps = [
+        closed_form_gap(make_composite([ContactFlow(ham, 0.5, steps=s)]), u, q)
+        for s in (16, 64, 256)
+    ]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert fine <= max(coarse / 50.0, 1e-12)
+    assert gaps[-1] < 1e-9
+
+
+# ---------------------------------------------------------------------------
 # AD vs finite differences through the charts
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -227,3 +228,71 @@ def test_cli_refine_flag(tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path / "out"), "--refine", "2"]) == 0
     doc = json.loads((tmp_path / "out" / "document.json").read_text())
     assert doc["provenance"]["grid"] == {"q_res": 8, "fiber_res": 32}
+
+
+# ---------------------------------------------------------------------------
+# Config hardening and run-time rejections
+# ---------------------------------------------------------------------------
+
+BAD_CONFIGS = {
+    "top_level_list": [MINIMAL],
+    "top_level_string": "config",
+    "grid_not_integer": dict(MINIMAL, grid={"q_res": "abc", "fiber_res": 16}),
+    "grid_fractional": dict(MINIMAL, grid={"q_res": 4, "fiber_res": 16.5}),
+    "lyapunov_grid_not_object": dict(MINIMAL, lyapunov_grid=[4, 16]),
+    "threshold_not_numeric": dict(MINIMAL, thresholds={"hyperbolic_floor": "abc"}),
+    "threshold_null": dict(MINIMAL, thresholds={"residual_frac": None}),
+    "r_sequence_short_K": dict(MINIMAL, tasks=[{"task": "r_sequence", "K": 5}]),
+    "verify_bound_text_K": dict(MINIMAL, tasks=[{"task": "verify_bound", "K": "abc"}]),
+    "lyapunov_fractional_K": dict(MINIMAL, tasks=[{"task": "lyapunov", "K": 9.5}]),
+    "seed_not_integer": dict(MINIMAL, seed="abc"),
+    "dimension_fractional": dict(MINIMAL, dimension=2.5),
+    "conservative_string": dict(MINIMAL, conservative="false"),
+    "map_not_list": dict(MINIMAL, map={"kind": "shear_a"}),
+    "form_not_object": dict(MINIMAL, form="round"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2(tmp_path, capsys, name):
+    path = write_config(tmp_path, BAD_CONFIGS[name])
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_integral_float_sizes_accepted():
+    cfg = validate_config(
+        dict(MINIMAL, dimension=2.0, grid={"q_res": 4.0, "fiber_res": 16}, seed=3.0)
+    )
+    assert cfg.n == 2 and cfg.grid.q_res == 4 and cfg.seed == 3
+
+
+def test_abelian_growth_with_large_lengths_exits_0(tmp_path):
+    # Word lengths pass 2^63 long before N = 100; the logs must still work.
+    data = dict(
+        MINIMAL,
+        tasks=[{"task": "growth", "mode": "abelian", "matrix": [[2, 1], [1, 1]], "N": 100}],
+    )
+    path = write_config(tmp_path, data)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "document.json").read_text())
+    res = doc["results"]["growth"]
+    assert res["rate"] == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=1e-6)
+    assert res["series"][-1][1] > 90.0
+
+
+@pytest.mark.parametrize(
+    "map_spec", [[], [{"kind": "canonical_lift", "matrix": [[2, 1], [1, 1]]}]],
+    ids=["identity", "cat"],
+)
+def test_sign_changing_profile_exits_3(tmp_path, capsys, map_spec):
+    data = dict(
+        MINIMAL,
+        form={"kind": "trig", "c0": 0.1, "terms": [{"amp": 1.0, "q_freq": [1, 0]}]},
+        map=map_spec,
+    )
+    path = write_config(tmp_path, data)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "trig form" in capsys.readouterr().err
