@@ -16,12 +16,10 @@ from .algebra import (
     s_value,
 )
 from .dissipation import (
-    DissipationReport,
     GridSpec,
     Thresholds,
     chi_estimate,
     classify,
-    compute_report,
     lyapunov_estimate,
     r_sequence,
     verify_bound,

@@ -17,7 +17,6 @@ import numpy as np
 IntMatrix = tuple[tuple[int, ...], ...]
 
 ROOT_TOL = 1e-10
-HYPERBOLIC_EPS = 1e-8
 
 
 class AlgebraError(ValueError):
@@ -273,10 +272,6 @@ def s_value(m: IntMatrix) -> float:
     return max(abs(math.log(r)) for r in eigen_moduli(m))
 
 
-def is_hyperbolic(m: IntMatrix) -> bool:
-    return s_value(m) > HYPERBOLIC_EPS
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> tuple[int, ...]:
     """Coefficients of the d-th cyclotomic polynomial."""
@@ -354,10 +349,6 @@ def a_block(i_mat: IntMatrix) -> tuple[IntMatrix, int, int]:
 # Growth rates
 # ---------------------------------------------------------------------------
 
-def _log_big(x: int) -> float:
-    return math.log(x)  # math.log handles arbitrary-precision ints
-
-
 def growth_slope(log_values: Sequence[float], tail: float = 0.5) -> float:
     """Least-squares slope over the trailing part of a series."""
     n = len(log_values)
@@ -376,15 +367,22 @@ def abelian_bar_s(m: IntMatrix, sample_classes: Sequence[Sequence[int]], n_steps
         raise AlgebraError("need at least one sample class")
     best = 0.0
     for gamma in sample_classes:
-        v = tuple(int(c) for c in gamma)
-        if all(c == 0 for c in v):
+        if not any(int(c) for c in gamma):
             raise AlgebraError("trivial class")
-        logs = []
-        for _ in range(n_steps + 1):
-            logs.append(_log_big(sum(abs(c) for c in v)))
-            v = mat_vec(m, v)
+        # math.log takes the arbitrary-precision lengths directly.
+        logs = [math.log(x) for x in abelian_lengths(m, gamma, n_steps)]
         best = max(best, growth_slope(logs))
     return max(best, 0.0)
+
+
+def abelian_lengths(m: IntMatrix, gamma: Sequence[int], n_steps: int) -> list[int]:
+    """L1 word lengths of gamma, m gamma, ..., m^n_steps gamma (exact)."""
+    v = tuple(int(c) for c in gamma)
+    lengths = []
+    for _ in range(n_steps + 1):
+        lengths.append(sum(abs(c) for c in v))
+        v = mat_vec(m, v)
+    return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -462,20 +460,26 @@ def free_growth(
     """Growth rate of the cyclically reduced length under iteration."""
     if n_steps < 5:
         raise AlgebraError("need at least 5 iterations")
+    logs = [math.log(x) for x in free_lengths(sigma, w, n_steps, cap)]
+    if len(logs) < 3:
+        return 0.0
+    return max(growth_slope(logs), 0.0)
+
+
+def free_lengths(sigma: FreeAutomorphism, w: Sequence[int], n_steps: int, cap: int) -> list[int]:
+    """Cyclically reduced lengths of w, sigma(w), ...; stops once past cap."""
     word = cyclic_reduce(w)
     if not word:
         raise AlgebraError("trivial class")
-    logs = [math.log(len(word))]
+    lengths = [len(word)]
     for _ in range(n_steps):
         word = cyclic_reduce(sigma.apply(word))
         if not word:
             raise AlgebraError("trivial class reached under iteration")
-        logs.append(math.log(len(word)))
+        lengths.append(len(word))
         if len(word) > cap:
             break
-    if len(logs) < 3:
-        return 0.0
-    return max(growth_slope(logs), 0.0)
+    return lengths
 
 
 # ---------------------------------------------------------------------------

@@ -9,27 +9,9 @@ import json
 import sys
 from pathlib import Path
 
-from .report import ConfigError, TaskError, emit_plot_data, load_config, run
-
-FORM_KINDS = ("round", "constant", "trig", "metric", "linear_pullback")
-PRIMITIVE_KINDS = (
-    "canonical_lift",
-    "shear_a",
-    "shear_b",
-    "reeb_translation",
-    "contact_flow",
-)
-HAMILTONIAN_KINDS = ("momentum", "metric_norm", "modulated_norm")
-TASK_KINDS = (
-    "r_sequence",
-    "lyapunov",
-    "homology",
-    "shape",
-    "displacement",
-    "growth",
-    "duality",
-    "verify_bound",
-)
+from .geometry import FORMS
+from .maps import HAMILTONIANS, PRIMITIVES
+from .report import TASK_NAMES, ConfigError, TaskError, emit_plot_data, load_config, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check a config without running it")
     p_val.add_argument("config", type=Path)
 
-    sub.add_parser("catalog", help="list available primitives, forms and tasks")
+    sub.add_parser(
+        "catalog", help="list available primitives, Hamiltonians, forms and tasks"
+    )
 
     p_plot = sub.add_parser("plot", help="extract two-column plot data for a task")
     p_plot.add_argument("report", type=Path, help="document.json from a run")
@@ -69,10 +53,10 @@ def main(argv=None) -> int:
             print(f"config ok: {args.config}")
             return 0
         if args.command == "catalog":
-            print("primitives: " + ", ".join(PRIMITIVE_KINDS))
-            print("hamiltonians: " + ", ".join(HAMILTONIAN_KINDS))
-            print("forms: " + ", ".join(FORM_KINDS))
-            print("tasks: " + ", ".join(TASK_KINDS))
+            print("primitives: " + ", ".join(PRIMITIVES))
+            print("hamiltonians: " + ", ".join(HAMILTONIANS))
+            print("forms: " + ", ".join(FORMS))
+            print("tasks: " + ", ".join(TASK_NAMES))
             return 0
         if args.command == "run":
             config = load_config(args.config)

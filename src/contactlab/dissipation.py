@@ -10,13 +10,13 @@ Jacobians extracted with jets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import algebra
-from .geometry import ContactForm, sphere_grid_array
+from .geometry import ContactForm, q_lattice, sphere_grid_array
 from .maps import ContactMap, chart_jacobian_batch, homology_action
 
 
@@ -48,9 +48,7 @@ def default_lyapunov_grid(n: int) -> GridSpec:
 def grid_points(n: int, grid: GridSpec):
     """Product grid as (n, N) fiber-direction and base-point arrays."""
     dirs = sphere_grid_array(n, grid.fiber_res)
-    axes = [np.arange(grid.q_res) / grid.q_res for _ in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    qs = np.stack([m.ravel() for m in mesh], axis=1)
+    qs = q_lattice(n, grid.q_res)
     nd, nq = dirs.shape[0], qs.shape[0]
     u = np.repeat(dirs, nq, axis=0).T.copy()
     q = np.tile(qs, (nd, 1)).T.copy()
@@ -72,16 +70,6 @@ class ChiEstimate(NamedTuple):
     chi_hat: float  # least-squares slope over the last half (authoritative)
     chi_last: float  # terminal ratio r_K / K
     residual: float  # rms fit residual relative to the fitted level
-
-
-@dataclass
-class DissipationReport:
-    r_series: list[float]
-    chi_hat: float
-    chi_last: float
-    lyap_hat: float | None
-    verdict: str
-    grid: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +178,7 @@ def lyapunov_estimate(
 
 
 # ---------------------------------------------------------------------------
-# Spectral lower bound and report assembly
+# Spectral lower bound and grid refinement
 # ---------------------------------------------------------------------------
 
 def verify_bound(
@@ -208,18 +196,8 @@ def verify_bound(
     For maps over the 2-torus the bound is taken on the base block of the
     3x3 action; for the 3-torus on the full action.
     """
-    i_mat = homology_action(f)
-    if f.n == 2:
-        block, shear_l, shear_m = algebra.a_block(i_mat)
-        s_target = algebra.s_value(block)
-        block_info = {
-            "a_block": [list(r) for r in block],
-            "l": shear_l,
-            "m": shear_m,
-        }
-    else:
-        s_target = algebra.s_value(i_mat)
-        block_info = {}
+    block, block_info = base_action(f)
+    s_target = algebra.s_value(block)
     if r_series is None:
         r_series = r_sequence(f, form, K, grid)
     est = chi_estimate(r_series)
@@ -242,27 +220,17 @@ def verify_bound(
     }
 
 
-def compute_report(
-    f: ContactMap,
-    form: ContactForm,
-    K: int,
-    grid: GridSpec | None = None,
-    lyap_K: int | None = None,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> DissipationReport:
-    grid = grid or default_grid(f.n)
-    r = r_sequence(f, form, K, grid)
-    est = chi_estimate(r)
-    verdict = classify(r, thresholds)
-    lyap = lyapunov_estimate(f, lyap_K) if lyap_K else None
-    return DissipationReport(
-        r_series=[float(v) for v in r],
-        chi_hat=est.chi_hat,
-        chi_last=est.chi_last,
-        lyap_hat=lyap,
-        verdict=verdict,
-        grid={"q_res": grid.q_res, "fiber_res": grid.fiber_res, "K": K},
-    )
+def base_action(f: ContactMap) -> tuple[algebra.IntMatrix, dict]:
+    """The map's action on the first cohomology of the base torus.
+
+    For n = 2 it is the base block of the 3x3 action, returned with the
+    JSON fields of the split (the block and the fiber shears l, m); for
+    n = 3 it is the full action, with no fields.
+    """
+    if f.n == 3:
+        return homology_action(f), {}
+    block, shear_l, shear_m = algebra.a_block(homology_action(f))
+    return block, {"a_block": [list(r) for r in block], "l": shear_l, "m": shear_m}
 
 
 def refinement_delta(

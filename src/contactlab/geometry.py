@@ -16,11 +16,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Centralized tolerances: geometric identities / AD-vs-FD checks.
-GEOM_TOL = 1e-9
-AD_FD_TOL = 1e-5
-UNIT_TOL = 1e-12
-
 # n=3 fiber charts hand over when the direction comes this close to the
 # projection pole of the active chart.
 CHART_SWITCH = 0.1
@@ -136,6 +131,23 @@ def jmod1(x):
     if isinstance(x, Jet):
         return Jet(np.mod(x.value, 1.0), x.partials)
     return np.mod(x, 1.0)
+
+
+def jmatvec(m, v) -> list:
+    """m @ v for a list v of jet-compatible components.
+
+    Zero coefficients are skipped and each row is summed left to right, so a
+    lift, pullback or metric flow gives the same bits as the written-out
+    product.
+    """
+    out = []
+    for row in np.asarray(m, dtype=float):
+        acc = 0.0
+        for c, vj in zip(row, v):
+            if c != 0.0:
+                acc = acc + c * vj
+        out.append(acc)
+    return out
 
 
 def seed_jets(values: Sequence) -> list[Jet]:
@@ -269,8 +281,11 @@ class ContactForm:
 
     Subclasses implement ``profile(u, q)`` where ``u`` and ``q`` are sequences
     of jet-compatible scalars; the result must be positive everywhere and
-    periodic in the base and fiber variables.
+    periodic in the base and fiber variables.  ``n`` is the torus dimension
+    the form is tied to, or None when it fits both.
     """
+
+    n: int | None = None
 
     def profile(self, u, q):
         raise NotImplementedError
@@ -371,16 +386,11 @@ class MetricForm(ContactForm):
             raise GeometryError("metric must be positive definite")
         self.g = g
         self.g_inv = np.linalg.inv(g)
+        self.n = g.shape[0]
 
     def profile(self, u, q):
-        quad = 0.0
-        k = self.g_inv.shape[0]
-        for i in range(k):
-            for j in range(k):
-                c = self.g_inv[i, j]
-                if c != 0.0:
-                    quad = quad + c * (u[i] * u[j])
-        return 1.0 / jsqrt(quad)
+        w = jmatvec(self.g_inv, u)
+        return 1.0 / jsqrt(sum(ui * wi for ui, wi in zip(u, w)))
 
     def spec(self):
         return {"kind": "metric", "g": self.g.tolist()}
@@ -400,28 +410,12 @@ class PullbackForm(ContactForm):
         self.matrix = np.asarray(matrix, dtype=int)
         self.m_inv_t = np.linalg.inv(m).T
         self.base = base
+        self.n = m.shape[0]
 
     def profile(self, u, q):
-        k = self.m_inv_t.shape[0]
-        w = []
-        for i in range(k):
-            acc = 0.0
-            for j in range(k):
-                c = self.m_inv_t[i, j]
-                if c != 0.0:
-                    acc = acc + c * u[j]
-            w.append(acc)
+        w = jmatvec(self.m_inv_t, u)
         norm = jsqrt(sum(wi * wi for wi in w))
-        w_hat = [wi / norm for wi in w]
-        mq = []
-        for i in range(k):
-            acc = 0.0
-            for j in range(k):
-                c = self.matrix[i, j]
-                if c != 0:
-                    acc = acc + float(c) * q[j]
-            mq.append(acc)
-        return self.base.profile(w_hat, mq) / norm
+        return self.base.profile([wi / norm for wi in w], jmatvec(self.matrix, q)) / norm
 
     def spec(self):
         return {
@@ -431,10 +425,42 @@ class PullbackForm(ContactForm):
         }
 
 
+def _trig_form(spec: dict) -> TrigForm:
+    terms = [
+        TrigTerm(
+            t["amp"],
+            tuple(t["q_freq"]),
+            tuple(t.get("u_powers", ())),
+            bool(t.get("use_sin", False)),
+        )
+        for t in spec.get("terms", [])
+    ]
+    return TrigForm(spec.get("c0", 1.0), terms)
+
+
+# Form kind -> builder from a spec dict; ``spec()`` of the result round-trips.
+FORMS = {
+    "round": lambda spec: RoundForm(),
+    "constant": lambda spec: ConstantForm(spec["value"]),
+    "trig": _trig_form,
+    "metric": lambda spec: MetricForm(spec["g"]),
+    "linear_pullback": lambda spec: PullbackForm(spec["matrix"], build_form(spec["base"])),
+}
+
+
+def build_form(spec: dict) -> ContactForm:
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in FORMS:
+        raise GeometryError(f"unknown form kind {kind!r}")
+    return FORMS[kind](spec)
+
+
 def check_positive(form: ContactForm, n: int, q_res: int = 64, fiber_res: int = 256):
     """Sampled positivity check over a q grid x fiber grid; raises on failure."""
-    u, q = _product_grid(n, q_res, fiber_res)
-    vals = np.asarray(form.profile(list(u), list(q)), dtype=float)
+    dirs, qs = sphere_grid_array(n, fiber_res), q_lattice(n, q_res)
+    vals = np.asarray(
+        form.profile([c[:, None] for c in dirs.T], [c[None, :] for c in qs.T]), dtype=float
+    )
     low = float(np.min(vals))
     if not low > 0.0:
         raise GeometryError(f"contact form profile not positive (sampled min {low})")
@@ -470,7 +496,7 @@ def eval_form_components(form: ContactForm, u, q, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Sphere grids
+# Grids
 # ---------------------------------------------------------------------------
 
 def sphere_grid_array(n: int, resolution: int) -> np.ndarray:
@@ -489,20 +515,11 @@ def sphere_grid_array(n: int, resolution: int) -> np.ndarray:
     raise GeometryError(f"unsupported dimension {n}")
 
 
-def sphere_grid(n: int, resolution: int) -> list[Direction]:
-    return [Direction(row) for row in sphere_grid_array(n, resolution)]
-
-
-def _product_grid(n: int, q_res: int, fiber_res: int):
-    """Flattened fiber x base product grid as component arrays."""
-    dirs = sphere_grid_array(n, fiber_res)
-    axes = [np.arange(q_res) / q_res for _ in range(n)]
+def q_lattice(n: int, res: int) -> np.ndarray:
+    """(res**n, n) uniform lattice of base points, last coordinate fastest."""
+    axes = [np.arange(res) / res for _ in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    qs = np.stack([m.ravel() for m in mesh], axis=1)
-    nd, nq = dirs.shape[0], qs.shape[0]
-    u = [np.repeat(dirs[:, i], nq) for i in range(n)]
-    q = [np.tile(qs[:, i], nd) for i in range(n)]
-    return u, q
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .geometry import (
     jacobian,
     jatan2,
     jcos,
+    jmatvec,
     jmod1,
     jsin,
     jsqrt,
@@ -74,9 +75,10 @@ class Primitive:
     def homology(self) -> IntMatrix:
         """Inverse of the induced automorphism of first cohomology.
 
-        Basis ([dtheta], [dq1], [dq2]) for n=2; [dq1..dqn] for n=3.
+        Basis ([dtheta], [dq1], [dq2]) for n=2; [dq1..dqn] for n=3.  The
+        default, the identity, holds for every primitive isotopic to it.
         """
-        raise NotImplementedError
+        return algebra.identity_matrix(3 if self.n == 2 else self.n)
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -99,27 +101,10 @@ class CanonicalLift(Primitive):
         )
 
     def transform(self, u, q):
-        n = self.n
-        w = []
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                c = self._minv_t[i, j]
-                if c != 0.0:
-                    acc = acc + c * u[j]
-            w.append(acc)
+        w = jmatvec(self._minv_t, u)
         norm = jsqrt(sum(wi * wi for wi in w))
-        u_new = [wi / norm for wi in w]
-        q_new = []
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                c = self._m_float[i, j]
-                if c != 0.0:
-                    acc = acc + c * q[j]
-            q_new.append(acc)
         # (M^-T u / |M^-T u|) . d(Mq) = u . dq / |M^-T u|
-        return u_new, q_new, -np.log(jval(norm))
+        return [wi / norm for wi in w], jmatvec(self._m_float, q), -np.log(jval(norm))
 
     def inverse(self):
         return CanonicalLift(algebra.mat_inverse(self.matrix))
@@ -195,9 +180,6 @@ class ReebTranslation(Primitive):
     def inverse(self):
         return ReebTranslation(-self.t, self.n)
 
-    def homology(self):
-        return algebra.identity_matrix(3 if self.n == 2 else self.n)
-
     def describe(self):
         return {"kind": "reeb_translation", "t": self.t, "n": self.n}
 
@@ -243,14 +225,7 @@ class MetricHamiltonian(Hamiltonian):
             raise MapError("metric must be symmetric")
 
     def gradients(self, p, q):
-        gp = []
-        for i in range(self.n):
-            acc = 0.0
-            for j in range(self.n):
-                c = self.g[i, j]
-                if c != 0.0:
-                    acc = acc + c * p[j]
-            gp.append(acc)
+        gp = jmatvec(self.g, p)
         h = jsqrt(sum(pi * gi for pi, gi in zip(p, gp)))
         return [gi / h for gi in gp], [0.0] * self.n
 
@@ -336,10 +311,6 @@ class ContactFlow(Primitive):
 
     def inverse(self):
         return ContactFlow(self.hamiltonian, -self.t, self.steps)
-
-    def homology(self):
-        # A Hamiltonian flow is isotopic to the identity.
-        return algebra.identity_matrix(3 if self.n == 2 else self.n)
 
     def describe(self):
         return {
@@ -471,35 +442,20 @@ def conformal_factor_batch(
 ):
     """Conformal factors at (n, N) component arrays, extracted with jets.
 
-    Returns (c, u_image, q_image).  Uses a single directional jet per point
-    (the chart direction on which the form coefficient is largest).  This is
-    the oracle for the closed-form factors that ``apply_batch`` returns.
+    Returns (c, u_image, q_image).  Each factor is read off the chart
+    Jacobian's column on which the form coefficient is largest.  This is the
+    oracle for the closed-form factors that ``apply_batch`` returns.
     """
-    n, d = f.n, chart_dim(f.n)
     npts = u_arr.shape[1]
-    u2, q2, _ = f.apply_batch(u_arr, q_arr)
-
-    lam_x = _form_rows(form, u_arr, q_arr, n, npts)
-    lam_y = _form_rows(form, u2, q2, n, npts)
+    jac, u2, q2 = chart_jacobian_batch(f, u_arr, q_arr)
+    lam_x = _form_rows(form, u_arr, q_arr, f.n, npts)
+    lam_y = _form_rows(form, u2, q2, f.n, npts)
     jsel = np.argmax(np.abs(lam_x), axis=0)
-    denom = lam_x[jsel, np.arange(npts)]
+    points = np.arange(npts)
+    denom = lam_x[jsel, points]
     if np.min(np.abs(denom)) < 1e-12:
         raise MapError("degenerate transversal: form vanishes on chart basis")
-
-    seed = np.zeros((d, npts))
-    seed[jsel, np.arange(npts)] = 1.0
-
-    c = np.empty(npts)
-    for idx, coords, phi in _chart_groups(f, u_arr, q_arr, u2):
-        jets = [Jet(np.asarray(coords[i], float), seed[i, idx][None, :]) for i in range(d)]
-        deriv = np.stack(
-            [
-                o.partials[0] if isinstance(o, Jet) else np.zeros(idx.size)
-                for o in phi(jets)
-            ]
-        )
-        c[idx] = (lam_y[:, idx] * deriv).sum(axis=0) / denom[idx]
-    return c, u2, q2
+    return (lam_y * jac[:, jsel, points]).sum(axis=0) / denom, u2, q2
 
 
 def chart_jacobian_batch(f: ContactMap, u_arr: np.ndarray, q_arr: np.ndarray):
@@ -561,33 +517,35 @@ def _form_rows(form: ContactForm, u_arr, q_arr, n: int, npts: int) -> np.ndarray
 # Catalog construction from descriptors
 # ---------------------------------------------------------------------------
 
+# Kind -> builder from a descriptor; ``describe()`` of the result round-trips.
+HAMILTONIANS = {
+    "momentum": lambda spec: MomentumHamiltonian(spec["c"]),
+    "metric_norm": lambda spec: MetricHamiltonian(spec["g"]),
+    "modulated_norm": lambda spec: ModulatedNormHamiltonian(
+        spec["eps"], spec.get("axis", 0), spec.get("n", 2)
+    ),
+}
+
+PRIMITIVES = {
+    "canonical_lift": lambda spec, n: CanonicalLift(spec["matrix"]),
+    "shear_a": lambda spec, n: Shear(0, spec.get("power", 1)),
+    "shear_b": lambda spec, n: Shear(1, spec.get("power", 1)),
+    "reeb_translation": lambda spec, n: ReebTranslation(spec["t"], spec.get("n", n)),
+    "contact_flow": lambda spec, n: ContactFlow(
+        build_hamiltonian(spec["hamiltonian"]), spec["t"], spec.get("steps", 256)
+    ),
+}
+
+
 def build_hamiltonian(spec: dict) -> Hamiltonian:
     kind = spec.get("kind")
-    if kind == "momentum":
-        return MomentumHamiltonian(spec["c"])
-    if kind == "metric_norm":
-        return MetricHamiltonian(spec["g"])
-    if kind == "modulated_norm":
-        return ModulatedNormHamiltonian(
-            spec["eps"], spec.get("axis", 0), spec.get("n", 2)
-        )
-    raise MapError(f"unknown hamiltonian kind {kind!r}")
+    if not isinstance(kind, str) or kind not in HAMILTONIANS:
+        raise MapError(f"unknown hamiltonian kind {kind!r}")
+    return HAMILTONIANS[kind](spec)
 
 
 def build_primitive(spec: dict, n: int) -> Primitive:
     kind = spec.get("kind")
-    if kind == "canonical_lift":
-        return CanonicalLift(spec["matrix"])
-    if kind == "shear_a":
-        return Shear(0, spec.get("power", 1))
-    if kind == "shear_b":
-        return Shear(1, spec.get("power", 1))
-    if kind == "reeb_translation":
-        return ReebTranslation(spec["t"], spec.get("n", n))
-    if kind == "contact_flow":
-        return ContactFlow(
-            build_hamiltonian(spec["hamiltonian"]),
-            spec["t"],
-            spec.get("steps", 256),
-        )
-    raise MapError(f"unknown primitive kind {kind!r}")
+    if not isinstance(kind, str) or kind not in PRIMITIVES:
+        raise MapError(f"unknown primitive kind {kind!r}")
+    return PRIMITIVES[kind](spec, n)

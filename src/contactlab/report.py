@@ -19,33 +19,28 @@ import numpy as np
 
 from . import algebra, dissipation, shapes
 from .dissipation import GridSpec, Thresholds
-from .geometry import (
-    ConstantForm,
-    ContactForm,
-    GeometryError,
-    MetricForm,
-    PullbackForm,
-    RoundForm,
-    TrigForm,
-    TrigTerm,
-)
+from .geometry import ContactForm, MetricForm, build_form
 from .maps import ContactMap, MapError, build_primitive, make_composite
 
-TASK_NAMES = (
-    "r_sequence",
-    "lyapunov",
-    "homology",
-    "shape",
-    "displacement",
-    "growth",
-    "duality",
-    "verify_bound",
-)
+# Numeric task parameters: name -> (default, minimum).  A minimum of None
+# admits any finite number; otherwise the value must be an integer at least
+# the minimum, which is the guard of the library function the task calls.  A
+# default of None leaves the choice to the library.  Growth has one table per
+# mode.
+TASK_PARAMS = {
+    "r_sequence": {"K": (30, 8)},
+    "lyapunov": {"K": (20, 8)},
+    "homology": {},
+    "shape": {"q_res": (64, 1), "dir_res": (None, 4)},
+    "displacement": {"k_max": (20, 8), "dir_res": (None, 4)},
+    "growth": {"abelian": {"N": (40, 10)}, "free": {"N": (40, 5), "cap": (10**6, 1)}},
+    "duality": {"q_res": (16, 1), "dir_res": (None, 4)},
+    "verify_bound": {"K": (30, 8), "tol": (0.05, None)},
+}
+TASK_NAMES = tuple(TASK_PARAMS)
 
-# Orbit tasks and their default K; chi_estimate and lyapunov_estimate need
-# at least MIN_K steps.
-ORBIT_TASK_K = {"r_sequence": 30, "verify_bound": 30, "lyapunov": 20}
-MIN_K = 8
+# What building a form, primitive or task object can raise on a bad JSON value.
+SPEC_ERRORS = (ArithmeticError, AttributeError, LookupError, MapError, TypeError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -65,37 +60,13 @@ class TaskError(RuntimeError):
         super().__init__(f"task {task_id!r} failed: {cause}")
 
 
-def build_form(spec: dict) -> ContactForm:
-    kind = spec.get("kind")
-    if kind == "round":
-        return RoundForm()
-    if kind == "constant":
-        return ConstantForm(spec["value"])
-    if kind == "trig":
-        terms = [
-            TrigTerm(
-                t["amp"],
-                tuple(t["q_freq"]),
-                tuple(t.get("u_powers", ())),
-                bool(t.get("use_sin", False)),
-            )
-            for t in spec.get("terms", [])
-        ]
-        return TrigForm(spec.get("c0", 1.0), terms)
-    if kind == "metric":
-        return MetricForm(np.asarray(spec["g"], dtype=float))
-    if kind == "linear_pullback":
-        return PullbackForm(spec["matrix"], build_form(spec["base"]))
-    raise GeometryError(f"unknown form kind {spec.get('kind')!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int
     seed: int
     form_spec: dict
     map_spec: list
-    tasks: list
+    tasks: list  # normalised by validate_config; ``raw`` keeps the input
     conservative: bool = False
     grid: GridSpec | None = None
     lyap_grid: GridSpec | None = None
@@ -163,9 +134,12 @@ def validate_config(data: dict) -> ExperimentConfig:
 
     form_spec = data.get("form", {"kind": "round"})
     try:
-        build_form(form_spec)
-    except (AttributeError, GeometryError, KeyError, TypeError, ValueError) as exc:
+        form = build_form(form_spec)
+    except SPEC_ERRORS as exc:
         errors.append(f"form: {exc}")
+    else:
+        if form.n not in (None, n):
+            errors.append(f"form: dimension {form.n} does not match configured {n}")
 
     map_spec = data.get("map", [])
     if not isinstance(map_spec, list):
@@ -174,9 +148,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     for i, prim_spec in enumerate(map_spec):
         try:
             prim = build_primitive(prim_spec, n)
-        except (
-            AttributeError, MapError, algebra.AlgebraError, KeyError, TypeError, ValueError
-        ) as exc:
+        except SPEC_ERRORS as exc:
             errors.append(f"map[{i}]: {exc}")
             continue
         if prim.n != n:
@@ -184,23 +156,11 @@ def validate_config(data: dict) -> ExperimentConfig:
                 f"map[{i}]: primitive has dimension {prim.n}, config declares {n}"
             )
 
-    # Dimension consistency between the form and the configured torus.
-    form_dim = _form_dimension(form_spec)
-    if form_dim is not None and form_dim != n:
-        errors.append(f"form: dimension {form_dim} does not match configured {n}")
-
     tasks = data.get("tasks", [])
     if not isinstance(tasks, list) or not tasks:
         errors.append("tasks: need a non-empty list of tasks")
         tasks = []
-    for i, task in enumerate(tasks):
-        name = task.get("task") if isinstance(task, dict) else None
-        if name not in TASK_NAMES:
-            errors.append(f"tasks[{i}]: unknown task {name!r}")
-        elif name in ORBIT_TASK_K:
-            k = task.get("K", ORBIT_TASK_K[name])
-            if not (_is_int(k) and k >= MIN_K):
-                errors.append(f"tasks[{i}]: {name} needs an integer K >= {MIN_K}, got {k!r}")
+    tasks = [_normalise_task(task, n, errors, f"tasks[{i}]") for i, task in enumerate(tasks)]
 
     grid = _parse_grid(data.get("grid"), errors, "grid")
     lyap_grid = _parse_grid(data.get("lyapunov_grid"), errors, "lyapunov_grid")
@@ -241,25 +201,79 @@ def validate_config(data: dict) -> ExperimentConfig:
     )
 
 
-def _form_dimension(spec: dict) -> int | None:
-    if not isinstance(spec, dict):
+def _normalise_task(task, n: int, errors: list, label: str) -> dict:
+    """A new dict with the task's parameters checked against TASK_PARAMS,
+    defaults filled in, and its matrix, classes, metric, rules and word
+    built; problems are appended to ``errors``."""
+    name = task.get("task") if isinstance(task, dict) else None
+    if not isinstance(name, str) or name not in TASK_PARAMS:
+        errors.append(f"{label}: unknown task {name!r}")
+        return {}
+    out = {"task": name}
+    table = TASK_PARAMS[name]
+    if name == "growth":
+        mode = out["mode"] = task.get("mode", "abelian")
+        if not isinstance(mode, str) or mode not in table:
+            errors.append(f"{label}: growth mode must be one of {', '.join(table)}, got {mode!r}")
+            return out
+        table = table[mode]
+    for key, (default, low) in table.items():
+        value = task.get(key, default)
+        if value is None and default is None:
+            out[key] = None
+        elif low is None and _is_real(value):
+            out[key] = float(value)
+        elif low is not None and _is_int(value) and value >= low:
+            out[key] = int(value)
+        else:
+            need = "a finite number" if low is None else f"an integer >= {low}"
+            errors.append(f"{label}: {name} {key} must be {need}, got {value!r}")
+    try:
+        _build_task_objects(name, task, out, n)
+    except KeyError as exc:
+        errors.append(f"{label}: {name} needs a {exc.args[0]!r} parameter")
+    except SPEC_ERRORS as exc:
+        errors.append(f"{label}: {name}: {exc}")
+    return out
+
+
+def _build_task_objects(name: str, task: dict, out: dict, n: int) -> None:
+    """Build with the constructors the runner uses; raises on a bad value."""
+    if name == "displacement" or out.get("mode") == "abelian":
+        matrix = task.get("matrix")
+        out["matrix"] = None if matrix is None else algebra.as_matrix(matrix)
+        k = n if matrix is None else len(out["matrix"])
+        if name == "growth":
+            out["classes"] = _parse_classes(task.get("classes"), k)
+        elif matrix is not None:
+            if k not in (2, 3):
+                raise ValueError("matrix must be 2x2 or 3x3")
+            algebra.mat_inverse(out["matrix"])  # shapes.act inverts it
+    elif name == "duality":
+        out["metric"] = np.asarray(task["metric"], dtype=float)
+        if MetricForm(out["metric"]).n not in (2, 3):
+            raise ValueError("metric must be 2x2 or 3x3")
+        out["classes"] = _parse_classes(task.get("classes"), out["metric"].shape[0])
+    elif name == "growth":
+        sigma = out["rules"] = algebra.FreeAutomorphism.from_strings(task["rules"])
+        out["word"] = algebra.parse_word(task["word"])
+        if any(abs(g) > len(sigma.images) for w in sigma.images + (out["word"],) for g in w):
+            raise ValueError("rules and word may only use generators that have a rule")
+
+
+def _parse_classes(value, k: int):
+    """Integer classes of length k, or None to have the runner sample them."""
+    if value is None:
         return None
-    kind = spec.get("kind")
-    if kind == "metric":
-        return len(spec.get("g", []))
-    if kind == "linear_pullback":
-        return len(spec.get("matrix", []))
-    return None
+    classes = [tuple(int(c) for c in g) for g in value]
+    if any(len(g) != k for g in classes):
+        raise ValueError(f"classes must have length {k}")
+    return classes
 
 
 # ---------------------------------------------------------------------------
 # Running
 # ---------------------------------------------------------------------------
-
-def _scaled(grid: GridSpec | None, n: int, refine: int, fallback) -> GridSpec:
-    base = grid or fallback(n)
-    return base if refine == 1 else GridSpec(base.q_res * refine, base.fiber_res * refine)
-
 
 def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
     """Execute the task list in order and write CSV/JSON artifacts.
@@ -273,10 +287,10 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
 
     f = config.build_map()
     form = config.build_form()
-    grid = _scaled(config.grid, config.n, refine, dissipation.default_grid)
-    lyap_grid = _scaled(
-        config.lyap_grid, config.n, refine, dissipation.default_lyapunov_grid
-    )
+    grid = (config.grid or dissipation.default_grid(config.n)).refined(refine)
+    lyap_grid = (
+        config.lyap_grid or dissipation.default_lyapunov_grid(config.n)
+    ).refined(refine)
     rng = np.random.default_rng(config.seed)
 
     results: dict[str, dict] = {}
@@ -290,8 +304,6 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
             res = _run_task(
                 name, task, config, f, form, grid, lyap_grid, rng, out, cached_r
             )
-        except (ConfigError, TaskError):
-            raise
         except Exception as exc:
             raise TaskError(task_id, exc) from exc
         if name == "r_sequence":
@@ -321,7 +333,7 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
 
 def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
     if name == "r_sequence":
-        K = int(task.get("K", ORBIT_TASK_K[name]))
+        K = task["K"]
         r = dissipation.r_sequence(f, form, K, grid)
         est = dissipation.chi_estimate(r)
         verdict = dissipation.classify(r, config.thresholds)
@@ -337,30 +349,27 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
         }
 
     if name == "lyapunov":
-        K = int(task.get("K", ORBIT_TASK_K[name]))
-        value = dissipation.lyapunov_estimate(f, K, lyap_grid)
-        return {"K": K, "lyap_hat": value}
+        value = dissipation.lyapunov_estimate(f, task["K"], lyap_grid)
+        return {"K": task["K"], "lyap_hat": value}
 
     if name == "homology":
         i_mat = f.homology_matrix
         periodic, order = algebra.is_periodic(i_mat)
+        block, block_info = dissipation.base_action(f)
         res = {
             "matrix": [list(r) for r in i_mat],
             "s_value": algebra.s_value(i_mat),
             "periodic": periodic,
             "order": order,
+            **block_info,
         }
-        if config.n == 2:
-            block, l, m = algebra.a_block(i_mat)
-            res["a_block"] = [list(r) for r in block]
-            res["l"] = l
-            res["m"] = m
+        if block_info:
             res["a_block_s_value"] = algebra.s_value(block)
         return res
 
     if name == "shape":
-        dirs = shapes.direction_grid(config.n, task.get("dir_res"))
-        q_grid = shapes.q_lattice(config.n, int(task.get("q_res", 64)))
+        dirs = shapes.direction_grid(config.n, task["dir_res"])
+        q_grid = shapes.q_lattice(config.n, task["q_res"])
         dom = shapes.flat_shape(form, dirs, q_grid)
         header = [f"u{i+1}" for i in range(config.n)] + ["rho"]
         rows = [list(map(float, d)) + [float(r)] for d, r in zip(dom.dirs, dom.rho)]
@@ -372,99 +381,46 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
         }
 
     if name == "displacement":
-        i_mat = algebra.as_matrix(task["matrix"]) if "matrix" in task else (
-            algebra.a_block(f.homology_matrix)[0]
-            if config.n == 2
-            else f.homology_matrix
-        )
-        dirs = shapes.direction_grid(len(i_mat), task.get("dir_res"))
-        dom = shapes.ball(dirs)
-        k_max = int(task.get("k_max", 20))
-        power = algebra.identity_matrix(len(i_mat))
-        deltas = []
-        for _ in range(k_max):
-            power = algebra.mat_mul(i_mat, power)
-            deltas.append(shapes.delta(dom, shapes.act(power, dom)))
-        slope = max(algebra.growth_slope(deltas), 0.0)
+        i_mat = task["matrix"] or dissipation.base_action(f)[0]
+        dom = shapes.ball(shapes.direction_grid(len(i_mat), task["dir_res"]))
+        deltas = shapes.displacement_series(i_mat, dom, task["k_max"])
         series = [[k + 1, float(d)] for k, d in enumerate(deltas)]
         _write_csv(out / "displacement.csv", ["k", "delta_k"], series)
         return {
             "matrix": [list(r) for r in i_mat],
-            "k_max": k_max,
-            "displacement": slope,
+            "k_max": task["k_max"],
+            "displacement": max(algebra.growth_slope(deltas), 0.0),
             "series": series,
         }
 
     if name == "growth":
-        mode = task.get("mode", "abelian")
-        N = int(task.get("N", 40))
-        if mode == "abelian":
-            i_mat = algebra.as_matrix(task["matrix"]) if "matrix" in task else (
-                algebra.a_block(f.homology_matrix)[0]
-                if config.n == 2
-                else f.homology_matrix
-            )
-            if any(len(g) != len(i_mat) for g in task.get("classes", [])):
-                raise ConfigError(["growth: class length does not match the matrix"])
-            if "classes" in task:
-                classes = [tuple(int(c) for c in g) for g in task["classes"]]
-            else:
-                k = len(i_mat)
-                classes = [
-                    tuple(int(c) for c in rng.integers(-3, 4, size=k)) for _ in range(5)
-                ]
-                classes = [g if any(g) else (1,) + (0,) * (k - 1) for g in classes]
-            rate = algebra.abelian_bar_s(i_mat, classes, N)
-            v = classes[0]
-            series = []
-            for step in range(N + 1):
-                length = sum(abs(c) for c in v)
-                series.append([step, length, math.log(length)])
-                v = algebra.mat_vec(i_mat, v)
-            _write_csv(out / "growth.csv", ["n", "length", "log_length"], series)
-            return {
-                "mode": mode,
-                "rate": rate,
-                "classes": [list(g) for g in classes],
-                "series": [[row[0], row[2]] for row in series],
-            }
-        if mode == "free":
-            sigma = algebra.FreeAutomorphism.from_strings(task["rules"])
-            word = algebra.parse_word(task["word"])
-            cap = int(task.get("cap", 10**6))
-            rate = algebra.free_growth(sigma, word, N, cap)
-            w = algebra.cyclic_reduce(word)
-            series = [[0, len(w), math.log(len(w))]]
-            for step in range(1, N + 1):
-                w = algebra.cyclic_reduce(sigma.apply(w))
-                series.append([step, len(w), math.log(len(w))])
-                if len(w) > cap:
-                    break
-            _write_csv(out / "growth.csv", ["n", "length", "log_length"], series)
-            return {
-                "mode": mode,
-                "rate": rate,
-                "series": [[row[0], row[2]] for row in series],
-            }
-        raise ConfigError([f"growth: unknown mode {mode!r}"])
+        res = {"mode": task["mode"]}
+        if task["mode"] == "abelian":
+            i_mat = task["matrix"] or dissipation.base_action(f)[0]
+            classes = _sampled_classes(task, len(i_mat), 5, rng)
+            res["rate"] = algebra.abelian_bar_s(i_mat, classes, task["N"])
+            res["classes"] = [list(g) for g in classes]
+            lengths = algebra.abelian_lengths(i_mat, classes[0], task["N"])
+        else:
+            args = (task["rules"], task["word"], task["N"], task["cap"])
+            res["rate"] = algebra.free_growth(*args)
+            lengths = algebra.free_lengths(*args)
+        series = [[step, x, math.log(x)] for step, x in enumerate(lengths)]
+        _write_csv(out / "growth.csv", ["n", "length", "log_length"], series)
+        res["series"] = [[row[0], row[2]] for row in series]
+        return res
 
     if name == "duality":
-        g = np.asarray(task["metric"], dtype=float)
-        classes = [tuple(int(c) for c in v) for v in task.get("classes", [])]
-        if not classes:
-            k = g.shape[0]
-            classes = [
-                tuple(int(c) for c in rng.integers(-3, 4, size=k)) for _ in range(8)
-            ]
-            classes = [v if any(v) else (1,) + (0,) * (k - 1) for v in classes]
-        dirs = shapes.direction_grid(g.shape[0], task.get("dir_res"))
-        q_grid = shapes.q_lattice(g.shape[0], int(task.get("q_res", 16)))
+        g = task["metric"]
+        classes = _sampled_classes(task, g.shape[0], 8, rng)
+        dirs = shapes.direction_grid(g.shape[0], task["dir_res"])
+        q_grid = shapes.q_lattice(g.shape[0], task["q_res"])
         res = shapes.duality_check(g, classes, dirs, q_grid)
         _write_json(out / "duality.json", res)
         return res
 
     if name == "verify_bound":
-        K = int(task.get("K", ORBIT_TASK_K[name]))
+        K = task["K"]
         r_series = None
         if cached_r is not None and cached_r[0] == K:
             r_series = np.asarray(cached_r[1])
@@ -474,12 +430,20 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
             K,
             grid,
             declared_conservative=config.conservative,
-            tol=float(task.get("tol", 0.05)),
+            tol=task["tol"],
             thresholds=config.thresholds,
             r_series=r_series,
         )
 
-    raise ConfigError([f"unknown task {name!r}"])
+    raise ValueError(f"unknown task {name!r}")
+
+
+def _sampled_classes(task: dict, k: int, count: int, rng):
+    """The task's classes, or ``count`` nonzero classes of length k from rng."""
+    if task["classes"]:
+        return task["classes"]
+    classes = [tuple(int(c) for c in rng.integers(-3, 4, size=k)) for _ in range(count)]
+    return [g if any(g) else (1,) + (0,) * (k - 1) for g in classes]
 
 
 def _write_report_json(out, config, f, results, grid):

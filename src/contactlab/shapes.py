@@ -13,7 +13,9 @@ import numpy as np
 
 from . import algebra
 from .algebra import IntMatrix
-from .geometry import ContactForm, GeometryError, sphere_grid_array
+# q_lattice is re-exported: the base lattice is built in geometry with the
+# other grids.
+from .geometry import ContactForm, q_lattice, sphere_grid_array  # noqa: F401
 
 
 class ShapeError(ValueError):
@@ -72,12 +74,6 @@ def direction_grid(n: int, resolution: int | None = None) -> np.ndarray:
     if resolution is None:
         resolution = 256 if n == 2 else 1024
     return sphere_grid_array(n, resolution)
-
-
-def q_lattice(n: int, res: int = 64) -> np.ndarray:
-    axes = [np.arange(res) / res for _ in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def ball(dirs: np.ndarray, radius: float = 1.0) -> StarDomain:
@@ -171,13 +167,18 @@ def displacement_estimate(i_mat: IntMatrix, a: StarDomain, k_max: int) -> float:
     """Growth rate of delta(A, I^k A): a lower bound for the displacement."""
     if k_max < 8:
         raise ShapeError("need k_max >= 8")
+    return max(algebra.growth_slope(displacement_series(i_mat, a, k_max)), 0.0)
+
+
+def displacement_series(i_mat: IntMatrix, a: StarDomain, k_max: int) -> list[float]:
+    """delta(A, I^k A) for k = 1..k_max."""
     i_mat = algebra.as_matrix(i_mat)
     power = algebra.identity_matrix(len(i_mat))
     deltas = []
     for _ in range(k_max):
         power = algebra.mat_mul(i_mat, power)  # exact; big ints are fine
         deltas.append(delta(a, act(power, a)))
-    return max(algebra.growth_slope(deltas), 0.0)
+    return deltas
 
 
 # ---------------------------------------------------------------------------

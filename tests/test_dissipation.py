@@ -339,15 +339,6 @@ def test_verify_bound_conservative_contradiction_flag():
     assert "conservative" in res["note"]
 
 
-def test_compute_report_fields():
-    rep = D.compute_report(cat_map(), RoundForm(), 12, FAST, lyap_K=10)
-    assert len(rep.r_series) == 12
-    assert all(v >= 0 for v in rep.r_series)
-    assert rep.verdict == "Hyperbolic"
-    assert rep.lyap_hat == pytest.approx(CAT_S, abs=0.05)
-    assert rep.grid["K"] == 12
-
-
 def test_refinement_delta_small_for_lift():
     coarse, fine, rel = D.refinement_delta(cat_map(), RoundForm(), 8, D.GridSpec(4, 64))
     assert rel < 0.01

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactlab.geometry import (
+    FORMS,
     CEPoint,
     ConstantForm,
     CotangentPoint,
@@ -18,6 +19,7 @@ from contactlab.geometry import (
     TorusPoint,
     TrigForm,
     TrigTerm,
+    build_form,
     chart_decode,
     chart_encode,
     chart_to_point,
@@ -26,6 +28,7 @@ from contactlab.geometry import (
     jacobian,
     jatan2,
     jcos,
+    jmatvec,
     jmod1,
     jsin,
     jsqrt,
@@ -158,6 +161,41 @@ def test_trig_form_positivity_check():
     bad = TrigForm(1.0, [TrigTerm(1.5, (1, 0))])
     with pytest.raises(GeometryError, match="not positive"):
         check_positive(bad, 2, q_res=32, fiber_res=8)
+
+
+FORM_SPECS = [
+    {"kind": "round"},
+    {"kind": "constant", "value": 2.5},
+    {
+        "kind": "trig",
+        "c0": 1.0,
+        "terms": [{"amp": 0.2, "q_freq": [1, 0], "u_powers": [0, 2], "use_sin": True}],
+    },
+    {"kind": "metric", "g": [[2.0, 0.5], [0.5, 1.0]]},
+    {"kind": "linear_pullback", "matrix": [[1, 1], [0, 1]], "base": {"kind": "constant", "value": 2.0}},
+]
+
+
+def test_form_registry_roundtrip():
+    assert [spec["kind"] for spec in FORM_SPECS] == list(FORMS)
+    for spec in FORM_SPECS:
+        assert build_form(spec).spec() == spec
+    for bad in ({"kind": "foo"}, {"kind": ["round"]}, {}):
+        with pytest.raises(GeometryError, match="unknown form kind"):
+            build_form(bad)
+
+
+def test_jmatvec_matches_matmul_in_values_and_partials():
+    # Zero coefficients, including a zero row, sit among the nonzero ones.
+    m = np.array([[2.0, 0.0, -1.5], [0.0, 0.0, 0.0], [1.0, 4.0, 0.0], [0.0, 3.0, 0.5]])
+    v = np.array([[0.3, -2.0], [-1.2, 0.7], [2.5, 1.1]])
+    out = jmatvec(m, seed_jets(list(v)))
+    np.testing.assert_allclose([np.broadcast_to(jval(o), (2,)) for o in out], m @ v, rtol=1e-15)
+    for i, o in enumerate(out):
+        partials = o.partials if isinstance(o, Jet) else np.zeros((3, 2))
+        np.testing.assert_array_equal(partials, np.broadcast_to(m[i][:, None], (3, 2)))
+    # Plain floats go through the same path.
+    assert jmatvec(m, [1.0, 2.0, 3.0]) == pytest.approx(list(m @ [1.0, 2.0, 3.0]), rel=1e-15)
 
 
 def test_pullback_form_round_is_stretch():

@@ -17,6 +17,8 @@ from contactlab.geometry import (
     wrap,
 )
 from contactlab.maps import (
+    HAMILTONIANS,
+    PRIMITIVES,
     CanonicalLift,
     ContactFlow,
     ContactMap,
@@ -27,6 +29,7 @@ from contactlab.maps import (
     ReebTranslation,
     Shear,
     _composite_chart_phi,
+    build_hamiltonian,
     build_primitive,
     chart_jacobian_batch,
     conformal_factor,
@@ -307,3 +310,16 @@ def test_build_primitive_roundtrip():
     assert [p.describe() for p in rebuilt] == specs
     with pytest.raises(MapError, match="unknown primitive"):
         build_primitive({"kind": "foo"}, 2)
+
+
+def test_primitive_and_hamiltonian_registries_roundtrip():
+    catalog = [(p, n) for n in (2, 3) for p in primitive_catalog(n)]
+    assert {p.describe()["kind"] for p, _ in catalog} == set(PRIMITIVES)
+    hamiltonians = [p.hamiltonian for p, _ in catalog if isinstance(p, ContactFlow)]
+    assert {h.describe()["kind"] for h in hamiltonians} == set(HAMILTONIANS)
+    for prim, n in catalog:
+        assert build_primitive(prim.describe(), n).describe() == prim.describe()
+    for ham in hamiltonians:
+        assert build_hamiltonian(ham.describe()).describe() == ham.describe()
+    with pytest.raises(MapError, match="unknown hamiltonian"):
+        build_hamiltonian({"kind": "foo"})

@@ -1,11 +1,17 @@
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactlab.cli import main
+from contactlab.geometry import FORMS
+from contactlab.maps import HAMILTONIANS, PRIMITIVES
 from contactlab.report import (
+    TASK_NAMES,
     ConfigError,
     TaskError,
     emit_plot_data,
@@ -250,6 +256,26 @@ BAD_CONFIGS = {
     "conservative_string": dict(MINIMAL, conservative="false"),
     "map_not_list": dict(MINIMAL, map={"kind": "shear_a"}),
     "form_not_object": dict(MINIMAL, form="round"),
+    "growth_text_N": dict(MINIMAL, tasks=[{"task": "growth", "N": "abc"}]),
+    "growth_free_short_N": dict(
+        MINIMAL, tasks=[{"task": "growth", "mode": "free", "rules": ["ab", "a"], "word": "a", "N": 4}]
+    ),
+    "growth_unknown_mode": dict(MINIMAL, tasks=[{"task": "growth", "mode": "xyz"}]),
+    "growth_class_length": dict(MINIMAL, tasks=[{"task": "growth", "classes": [[1, 0, 0]]}]),
+    "growth_free_missing_rules": dict(MINIMAL, tasks=[{"task": "growth", "mode": "free", "word": "a"}]),
+    "growth_free_unknown_generator": dict(
+        MINIMAL, tasks=[{"task": "growth", "mode": "free", "rules": ["ab", "a"], "word": "c"}]
+    ),
+    "displacement_short_k_max": dict(MINIMAL, tasks=[{"task": "displacement", "k_max": 1}]),
+    "displacement_singular_matrix": dict(
+        MINIMAL, tasks=[{"task": "displacement", "matrix": [[2, 0], [0, 1]]}]
+    ),
+    "shape_small_dir_res": dict(MINIMAL, tasks=[{"task": "shape", "dir_res": 2}]),
+    "duality_indefinite_metric": dict(MINIMAL, tasks=[{"task": "duality", "metric": [[1, 2], [2, 1]]}]),
+    "duality_zero_q_res": dict(
+        MINIMAL, tasks=[{"task": "duality", "metric": [[1, 0], [0, 1]], "q_res": 0}]
+    ),
+    "verify_bound_text_tol": dict(MINIMAL, tasks=[{"task": "verify_bound", "tol": "abc"}]),
 }
 
 
@@ -296,3 +322,85 @@ def test_sign_changing_profile_exits_3(tmp_path, capsys, map_spec):
     path = write_config(tmp_path, data)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "trig form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ({"task": "growth", "N": "abc"}, "growth N must be an integer >= 10"),
+        ({"task": "displacement", "k_max": 1}, "displacement k_max must be an integer >= 8"),
+        ({"task": "growth", "mode": "xyz"}, "growth mode must be one of abelian, free"),
+    ],
+)
+def test_bad_task_parameter_is_named(tmp_path, capsys, task, message):
+    path = write_config(tmp_path, dict(MINIMAL, tasks=[task]))
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_tasks_are_normalised_and_config_stays_raw(tmp_path):
+    tasks = [{"task": "growth"}, {"task": "verify_bound", "K": 10.0}]
+    data = dict(MINIMAL, tasks=tasks)
+    cfg = validate_config(data)
+    assert cfg.tasks == [
+        {"task": "growth", "mode": "abelian", "N": 40, "matrix": None, "classes": None},
+        {"task": "verify_bound", "K": 10, "tol": 0.05},
+    ]
+    assert data["tasks"] == [{"task": "growth"}, {"task": "verify_bound", "K": 10.0}]
+    doc = run(cfg, out_dir=tmp_path)
+    assert doc["config"] == data
+    assert json.loads((tmp_path / "document.json").read_text())["config"]["tasks"] == tasks
+
+
+def test_cli_catalog_lists_the_registries(capsys):
+    assert main(["catalog"]) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert {key: value.split(", ") for key, value in lines.items()} == {
+        "primitives": list(PRIMITIVES),
+        "hamiltonians": list(HAMILTONIANS),
+        "forms": list(FORMS),
+        "tasks": list(TASK_NAMES),
+    }
+
+
+# ---------------------------------------------------------------------------
+# validate never raises: any JSON value exits 0 or 2
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+TASK_KEYS = [
+    "K", "N", "cap", "classes", "dir_res", "k_max", "matrix", "metric", "mode",
+    "q_res", "rules", "tol", "word",
+]
+
+
+def validate_exit(data) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        return main(["validate", str(path)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_validate_any_json_exits_0_or_2(data):
+    assert validate_exit(data) in (0, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    config=st.sampled_from(BUNDLED),
+    index=st.integers(0, 9),
+    name=st.sampled_from(TASK_NAMES),
+    params=st.dictionaries(st.sampled_from(TASK_KEYS), JSON_VALUES, max_size=3),
+)
+def test_validate_mutated_bundled_task_exits_0_or_2(config, index, name, params):
+    data = json.loads(config.read_text())
+    task = data["tasks"][index % len(data["tasks"])]
+    task.update(task=name, **params)
+    assert validate_exit(data) in (0, 2)
