@@ -365,19 +365,23 @@ def abelian_bar_s(m: IntMatrix, sample_classes: Sequence[Sequence[int]], n_steps
         raise AlgebraError("need at least 10 iterations")
     if not sample_classes:
         raise AlgebraError("need at least one sample class")
-    best = 0.0
-    for gamma in sample_classes:
-        if not any(int(c) for c in gamma):
-            raise AlgebraError("trivial class")
-        # math.log takes the arbitrary-precision lengths directly.
-        logs = [math.log(x) for x in abelian_lengths(m, gamma, n_steps)]
-        best = max(best, growth_slope(logs))
-    return max(best, 0.0)
+    return length_growth_rate(*(abelian_lengths(m, g, n_steps) for g in sample_classes))
+
+
+def length_growth_rate(*series: Sequence[int]) -> float:
+    """Largest exponential growth rate among length series: the tail slope
+    of their logs, floored at 0; a series of fewer than three lengths
+    counts as 0."""
+    # math.log takes the arbitrary-precision lengths directly.
+    slopes = [growth_slope([math.log(x) for x in s]) for s in series if len(s) >= 3]
+    return max([0.0, *slopes])
 
 
 def abelian_lengths(m: IntMatrix, gamma: Sequence[int], n_steps: int) -> list[int]:
     """L1 word lengths of gamma, m gamma, ..., m^n_steps gamma (exact)."""
     v = tuple(int(c) for c in gamma)
+    if not any(v):
+        raise AlgebraError("trivial class")
     lengths = []
     for _ in range(n_steps + 1):
         lengths.append(sum(abs(c) for c in v))
@@ -394,6 +398,8 @@ GroupWord = tuple[int, ...]  # signed generator indices, 1-based
 
 def parse_word(text: str) -> GroupWord:
     """Letters a..z are generators, capitals their inverses."""
+    if not isinstance(text, str):
+        raise AlgebraError(f"a word must be a string, got {text!r}")
     out = []
     for ch in text:
         if ch.islower():
@@ -441,6 +447,8 @@ class FreeAutomorphism:
 
     @classmethod
     def from_strings(cls, rules: Sequence[str]) -> "FreeAutomorphism":
+        if not isinstance(rules, (list, tuple)):
+            raise AlgebraError(f"rules must be a list of words, got {rules!r}")
         return cls(tuple(parse_word(r) for r in rules))
 
     def apply(self, w: Sequence[int]) -> GroupWord:
@@ -460,10 +468,7 @@ def free_growth(
     """Growth rate of the cyclically reduced length under iteration."""
     if n_steps < 5:
         raise AlgebraError("need at least 5 iterations")
-    logs = [math.log(x) for x in free_lengths(sigma, w, n_steps, cap)]
-    if len(logs) < 3:
-        return 0.0
-    return max(growth_slope(logs), 0.0)
+    return length_growth_rate(free_lengths(sigma, w, n_steps, cap))
 
 
 def free_lengths(sigma: FreeAutomorphism, w: Sequence[int], n_steps: int, cap: int) -> list[int]:

@@ -5,8 +5,13 @@ fiber directions and base points.  Conformal factors are accumulated along
 backward orbits through the cocycle identity: the maps carry their
 round-form factors in closed form, and a general form F * alpha_0 enters only
 through the coboundary log F(x_k) - log F(x_0), so one orbit step is one map
-application and one profile evaluation.  The Lyapunov estimate chains chart
-Jacobians extracted with jets.
+application and one profile evaluation.
+
+When the form and every primitive are ``q_free`` (the fiber image, the
+round-form factor and the profile read only the fiber direction), each base
+point of the grid repeats the numbers of every other, so the orbit runs on
+one base point and the fiber directions alone.  The Lyapunov estimate
+chains chart Jacobians extracted with jets.
 """
 from __future__ import annotations
 
@@ -85,11 +90,14 @@ def r_sequence(
     g = f^-1.  For the form F * alpha_0 the factor of g^k at x_0 is the
     product of the round-form factors c_0(x_j), j < k, times the coboundary
     F(x_k) / F(x_0); ``apply_batch`` returns log c_0 in closed form.
+    When neither g nor the form reads q, the grid keeps one base point.
     """
     if K < 1:
         raise DissipationError("need K >= 1")
     grid = grid or default_grid(f.n)
     g = f.inverse()
+    if form.q_free and all(p.q_free for p in g.primitives):
+        grid = GridSpec(1, grid.fiber_res)
     u, q = grid_points(f.n, grid)
     log_f0 = _log_profile(form, u, q)
     acc = np.zeros(u.shape[1])

@@ -9,6 +9,7 @@ arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,6 +24,25 @@ CHART_SWITCH = 0.1
 
 class GeometryError(ValueError):
     """Invalid geometric data (zero covector, bad dimension, ...)."""
+
+
+def is_int(value) -> bool:
+    """An integer number (8 or 8.0), not a bool or a string."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+
+
+def is_real(value) -> bool:
+    """A number that converts to a finite float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +303,14 @@ class ContactForm:
     of jet-compatible scalars; the result must be positive everywhere and
     periodic in the base and fiber variables.  ``n`` is the torus dimension
     the form is tied to, or None when it fits both.
+
+    ``q_free`` declares that the profile reads only u, never q.  It stays
+    False unless that holds provably for every input;
+    ``dissipation.r_sequence`` relies on it to sample a single base point.
     """
 
     n: int | None = None
+    q_free = False
 
     def profile(self, u, q):
         raise NotImplementedError
@@ -297,6 +322,8 @@ class ContactForm:
 class RoundForm(ContactForm):
     """The round form: profile identically 1."""
 
+    q_free = True
+
     def profile(self, u, q):
         return 1.0
 
@@ -305,6 +332,8 @@ class RoundForm(ContactForm):
 
 
 class ConstantForm(ContactForm):
+    q_free = True
+
     def __init__(self, c: float):
         if not (c > 0.0):
             raise GeometryError("constant profile must be positive")
@@ -331,12 +360,28 @@ class TrigForm(ContactForm):
     """Constant plus a trigonometric polynomial in q and the fiber direction.
 
     Fiber dependence enters through monomials in the components of u, which
-    keeps the profile automatically periodic in the fiber angle.
+    keeps the profile automatically periodic in the fiber angle.  A term
+    with a frequency or power vector of length 3 ties the form to n = 3.
     """
 
     def __init__(self, c0: float, terms: Sequence[TrigTerm]):
+        if not is_real(c0):
+            raise GeometryError(f"trig c0 must be a finite number, got {c0!r}")
+        for t in terms:
+            if not is_real(t.amp):
+                raise GeometryError(f"trig amp must be a finite number, got {t.amp!r}")
+            if not isinstance(t.use_sin, bool):
+                raise GeometryError(f"trig use_sin must be true or false, got {t.use_sin!r}")
+            for name, low in (("q_freq", None), ("u_powers", 0)):
+                ks = getattr(t, name)
+                if not (len(ks) <= 3 and all(is_int(k) and (low is None or k >= low) for k in ks)):
+                    need = "integers" if low is None else "non-negative integers"
+                    raise GeometryError(f"trig {name} must be at most 3 {need}, got {ks!r}")
         self.c0 = float(c0)
         self.terms = tuple(terms)
+        if any(len(t.q_freq) == 3 or len(t.u_powers) == 3 for t in self.terms):
+            self.n = 3
+        self.q_free = not any(k for t in self.terms for k in t.q_freq)
 
     def profile(self, u, q):
         total = self.c0
@@ -376,6 +421,8 @@ class MetricForm(ContactForm):
     direction u is 1/sqrt(u . G^{-1} u); the profile does not depend on q.
     """
 
+    q_free = True
+
     def __init__(self, g: np.ndarray):
         g = np.asarray(g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -411,6 +458,7 @@ class PullbackForm(ContactForm):
         self.m_inv_t = np.linalg.inv(m).T
         self.base = base
         self.n = m.shape[0]
+        self.q_free = base.q_free
 
     def profile(self, u, q):
         w = jmatvec(self.m_inv_t, u)
@@ -426,14 +474,14 @@ class PullbackForm(ContactForm):
 
 
 def _trig_form(spec: dict) -> TrigForm:
+    terms = spec.get("terms", [])
+    if not isinstance(terms, list):
+        raise GeometryError(f"trig terms must be a list, got {terms!r}")
     terms = [
         TrigTerm(
-            t["amp"],
-            tuple(t["q_freq"]),
-            tuple(t.get("u_powers", ())),
-            bool(t.get("use_sin", False)),
+            t["amp"], tuple(t["q_freq"]), tuple(t.get("u_powers", ())), t.get("use_sin", False)
         )
-        for t in spec.get("terms", [])
+        for t in terms
     ]
     return TrigForm(spec.get("c0", 1.0), terms)
 

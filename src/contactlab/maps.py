@@ -54,9 +54,16 @@ class MapError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class Primitive:
-    """A basic contactomorphism with exact inverse and homology matrix."""
+    """A basic contactomorphism with exact inverse and homology matrix.
+
+    ``q_free`` declares that ``transform``'s u' and log_c read only u, never
+    q (q' may read both).  It stays False unless that holds provably for
+    every input; ``dissipation.r_sequence`` relies on it to sample a single
+    base point.
+    """
 
     n: int
+    q_free = False
 
     def transform(self, u, q):
         """Map fiber/base components; jet- and array-compatible.
@@ -86,6 +93,8 @@ class Primitive:
 
 class CanonicalLift(Primitive):
     """Lift of the torus automorphism q -> Mq: (u, q) -> (M^-T u / |.|, Mq)."""
+
+    q_free = True
 
     def __init__(self, matrix):
         m = algebra.as_matrix(matrix)
@@ -129,6 +138,7 @@ class Shear(Primitive):
     """
 
     n = 2
+    q_free = True
 
     def __init__(self, axis: int, power: int = 1):
         if axis not in (0, 1):
@@ -167,6 +177,8 @@ class Shear(Primitive):
 class ReebTranslation(Primitive):
     """Time-t Reeb flow of the round form: (u, q) -> (u, q + t u)."""
 
+    q_free = True
+
     def __init__(self, t: float, n: int = 2):
         if n not in (2, 3):
             raise MapError("dimension must be 2 or 3")
@@ -187,7 +199,10 @@ class ReebTranslation(Primitive):
 # -- degree-1 homogeneous Hamiltonians for ContactFlow ----------------------
 
 class Hamiltonian:
+    """``q_free`` declares that dH/dp reads only p and dH/dq is zero."""
+
     n: int
+    q_free = False
 
     def gradients(self, p, q):
         """Returns (dH/dp, dH/dq) as component lists; jet-compatible."""
@@ -200,7 +215,11 @@ class Hamiltonian:
 class MomentumHamiltonian(Hamiltonian):
     """H = <c, p>: the flow translates the base at constant speed c."""
 
+    q_free = True
+
     def __init__(self, c: Sequence[float]):
+        if not isinstance(c, (list, tuple)):
+            raise MapError(f"momentum c must be a list of numbers, got {c!r}")
         self.c = tuple(float(x) for x in c)
         self.n = len(self.c)
         if self.n not in (2, 3):
@@ -215,6 +234,8 @@ class MomentumHamiltonian(Hamiltonian):
 
 class MetricHamiltonian(Hamiltonian):
     """H = sqrt(p^T G p): geodesic flow of a flat metric on the base."""
+
+    q_free = True
 
     def __init__(self, g):
         self.g = np.asarray(g, dtype=float)
@@ -273,6 +294,7 @@ class ContactFlow(Primitive):
         self.t = float(t)
         self.steps = int(steps)
         self.n = hamiltonian.n
+        self.q_free = hamiltonian.q_free
 
     def transform(self, u, q):
         # Hamilton's equations: qdot = dH/dp, pdot = -dH/dq.

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algebra, dissipation, shapes
 from .dissipation import GridSpec, Thresholds
-from .geometry import ContactForm, MetricForm, build_form
+from .geometry import ContactForm, MetricForm, build_form, is_int, is_real
 from .maps import ContactMap, MapError, build_primitive, make_composite
 
 # Numeric task parameters: name -> (default, minimum).  A minimum of None
@@ -82,17 +82,6 @@ class ExperimentConfig:
         return build_form(self.form_spec)
 
 
-def _is_int(value) -> bool:
-    """An integer JSON number (8 or 8.0), not a bool or a string."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _parse_grid(data, errors, label) -> GridSpec | None:
     if data is None:
         return None
@@ -101,7 +90,7 @@ def _parse_grid(data, errors, label) -> GridSpec | None:
         return None
     q_res = data.get("q_res", 0)
     fiber_res = data.get("fiber_res", 0)
-    if not (_is_int(q_res) and _is_int(fiber_res) and q_res > 0 and fiber_res > 0):
+    if not (is_int(q_res) and is_int(fiber_res) and q_res > 0 and fiber_res > 0):
         errors.append(
             f"{label}: grid sizes must be positive integers, "
             f"got q_res={q_res!r}, fiber_res={fiber_res!r}"
@@ -127,7 +116,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         raise ConfigError([f"config must be a JSON object, got {type(data).__name__}"])
     errors: list[str] = []
     n = data.get("dimension", 2)
-    if not (_is_int(n) and n in (2, 3)):
+    if not (is_int(n) and n in (2, 3)):
         errors.append(f"dimension must be 2 or 3, got {n!r}")
         n = 2
     n = int(n)
@@ -172,13 +161,13 @@ def validate_config(data: dict) -> ExperimentConfig:
     values = {}
     for fld in fields(Thresholds):
         value = thr.get(fld.name, fld.default)
-        if _is_real(value):
+        if is_real(value):
             values[fld.name] = float(value)
         else:
             errors.append(f"thresholds.{fld.name}: must be a finite number, got {value!r}")
 
     seed = data.get("seed", 0)
-    if not _is_int(seed):
+    if not is_int(seed):
         errors.append(f"seed: must be an integer, got {seed!r}")
     conservative = data.get("conservative", False)
     if not isinstance(conservative, bool):
@@ -221,9 +210,9 @@ def _normalise_task(task, n: int, errors: list, label: str) -> dict:
         value = task.get(key, default)
         if value is None and default is None:
             out[key] = None
-        elif low is None and _is_real(value):
+        elif low is None and is_real(value):
             out[key] = float(value)
-        elif low is not None and _is_int(value) and value >= low:
+        elif low is not None and is_int(value) and value >= low:
             out[key] = int(value)
         else:
             need = "a finite number" if low is None else f"an integer >= {low}"
@@ -398,13 +387,13 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
         if task["mode"] == "abelian":
             i_mat = task["matrix"] or dissipation.base_action(f)[0]
             classes = _sampled_classes(task, len(i_mat), 5, rng)
-            res["rate"] = algebra.abelian_bar_s(i_mat, classes, task["N"])
+            per_class = [algebra.abelian_lengths(i_mat, g, task["N"]) for g in classes]
+            res["rate"] = algebra.length_growth_rate(*per_class)
             res["classes"] = [list(g) for g in classes]
-            lengths = algebra.abelian_lengths(i_mat, classes[0], task["N"])
+            lengths = per_class[0]
         else:
-            args = (task["rules"], task["word"], task["N"], task["cap"])
-            res["rate"] = algebra.free_growth(*args)
-            lengths = algebra.free_lengths(*args)
+            lengths = algebra.free_lengths(task["rules"], task["word"], task["N"], task["cap"])
+            res["rate"] = algebra.length_growth_rate(lengths)
         series = [[step, x, math.log(x)] for step, x in enumerate(lengths)]
         _write_csv(out / "growth.csv", ["n", "length", "log_length"], series)
         res["series"] = [[row[0], row[2]] for row in series]

@@ -184,6 +184,24 @@ def test_free_growth_trivial_class_error():
         A.free_growth(sigma, A.parse_word("abBA"), 10)
 
 
+def test_free_rules_and_words_must_be_strings_in_a_list():
+    with pytest.raises(A.AlgebraError, match="list"):
+        A.FreeAutomorphism.from_strings("ab")
+    with pytest.raises(A.AlgebraError, match="string"):
+        A.FreeAutomorphism.from_strings([["a"], "b"])
+    with pytest.raises(A.AlgebraError, match="string"):
+        A.parse_word(["a"])
+
+
+def test_length_growth_rate_floors_at_zero():
+    assert A.length_growth_rate([1, 2]) == 0.0
+    assert A.length_growth_rate([8, 4, 2, 1]) == 0.0
+    assert A.length_growth_rate([2**k for k in range(12)]) == pytest.approx(math.log(2))
+    assert A.length_growth_rate([8, 4, 2, 1], [3**k for k in range(12)], [1, 2]) == pytest.approx(
+        math.log(3)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Random hyperbolic sampling
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from contactlab.geometry import (
 from contactlab.maps import (
     CanonicalLift,
     ContactFlow,
+    ContactMap,
+    MetricHamiltonian,
     ModulatedNormHamiltonian,
     MomentumHamiltonian,
     Primitive,
@@ -232,6 +234,72 @@ class BlowUp(Primitive):
 def test_non_finite_accumulated_factor_rejected():
     with pytest.raises(D.DissipationError, match="round form is not finite"):
         D.r_sequence(make_composite([BlowUp()]), RoundForm(), 10, FAST)
+
+
+# -- the q-free reduction ----------------------------------------------------
+
+class QBound(ContactForm):
+    """The wrapped form with q_free left False, so r_sequence keeps the full grid."""
+
+    def __init__(self, form):
+        self.form = form
+        self.n = form.n
+
+    def profile(self, u, q):
+        return self.form.profile(u, q)
+
+    def spec(self):
+        return self.form.spec()
+
+
+Q_FREE_MAPS = {
+    "lift": [CanonicalLift(CAT)],
+    "shear": [Shear(0), Shear(1, -1)],
+    "reeb": [ReebTranslation(0.37)],
+    "momentum_flow": [ContactFlow(MomentumHamiltonian([0.2, 0.5]), 1.0, steps=16)],
+    "metric_flow": [ContactFlow(MetricHamiltonian(np.diag([4.0, 1.0])), 0.4, steps=16)],
+}
+METRIC_2 = MetricForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
+Q_FREE_FORMS = {
+    "round": RoundForm(),
+    "metric": METRIC_2,
+    "pullback_metric": PullbackForm(CAT, METRIC_2),
+}
+
+
+@pytest.fixture
+def apply_sizes(monkeypatch):
+    """Number of points in each apply_batch call made during the test."""
+    sizes = []
+    apply_batch = ContactMap.apply_batch
+
+    def spy(self, u, q):
+        sizes.append(u.shape[1])
+        return apply_batch(self, u, q)
+
+    monkeypatch.setattr(ContactMap, "apply_batch", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("form_name", sorted(Q_FREE_FORMS))
+@pytest.mark.parametrize("map_name", sorted(Q_FREE_MAPS))
+def test_q_free_reduction_equals_the_full_grid(apply_sizes, map_name, form_name):
+    f = make_composite(Q_FREE_MAPS[map_name])
+    form = Q_FREE_FORMS[form_name]
+    grid = D.GridSpec(4, 32)
+    reduced = D.r_sequence(f, form, 8, grid)
+    assert apply_sizes == [32] * 8  # one base point, the fiber directions alone
+    full = D.r_sequence(f, QBound(form), 8, grid)
+    assert apply_sizes[8:] == [16 * 32] * 8
+    np.testing.assert_array_equal(reduced, full)
+
+
+def test_q_dependent_inputs_keep_the_full_grid(apply_sizes):
+    grid = D.GridSpec(4, 32)
+    D.r_sequence(cat_map(), TRIG, 8, grid)
+    flow = ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=8)
+    D.r_sequence(make_composite([flow]), RoundForm(), 8, grid)
+    assert apply_sizes == [16 * 32] * 16
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,69 @@ def test_form_registry_roundtrip():
             build_form(bad)
 
 
+# (spec, q_free): every form kind, the trig and pullback kinds both ways.
+Q_FREE_FORMS = [
+    ({"kind": "round"}, True),
+    ({"kind": "constant", "value": 2.5}, True),
+    (FORM_SPECS[2], False),
+    ({"kind": "trig", "terms": [{"amp": 0.2, "q_freq": [0, 0], "u_powers": [1, 1]}]}, True),
+    ({"kind": "trig", "terms": [{"amp": 0.2, "q_freq": [0, 0, 1]}]}, False),
+    ({"kind": "metric", "g": [[2.0, 0.5], [0.5, 1.0]]}, True),
+    ({"kind": "metric", "g": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]}, True),
+    ({"kind": "linear_pullback", "matrix": [[2, 1], [1, 1]], "base": FORM_SPECS[3]}, True),
+    ({"kind": "linear_pullback", "matrix": [[2, 1], [1, 1]], "base": FORM_SPECS[2]}, False),
+]
+
+
+@pytest.mark.parametrize("spec, q_free", Q_FREE_FORMS)
+def test_q_free_form_profiles_ignore_q(rng, spec, q_free):
+    form = build_form(spec)
+    assert form.q_free is q_free
+    n = form.n or 2
+    u = rng.normal(size=(n, 200))
+    u /= np.linalg.norm(u, axis=0)
+    q = rng.random((n, 200))
+
+    def profile_at(q):
+        return np.broadcast_to(form.profile(list(u), list(q)), (200,))
+
+    ref = profile_at(q)
+    if q_free:
+        for _ in range(3):
+            np.testing.assert_array_equal(profile_at(rng.uniform(-3.0, 3.0, (n, 200))), ref)
+    else:
+        # A False declaration must be needed: some q shift changes the profile.
+        assert not np.array_equal(profile_at(q + 0.25), ref)
+
+
+def test_q_free_forms_cover_the_registry():
+    assert {spec["kind"] for spec, _ in Q_FREE_FORMS} == set(FORMS)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"amp": "x", "q_freq": [1, 0]},
+        {"amp": float("nan"), "q_freq": [1, 0]},
+        {"amp": 0.1, "q_freq": "10"},
+        {"amp": 0.1, "q_freq": [0.5, 0]},
+        {"amp": 0.1, "q_freq": [1, 0, 0, 0]},
+        {"amp": 0.1, "q_freq": [1, 0], "u_powers": [-1, 0]},
+        {"amp": 0.1, "q_freq": [1, 0], "use_sin": "false"},
+    ],
+)
+def test_trig_form_rejects_bad_terms(term):
+    with pytest.raises(GeometryError, match="trig"):
+        build_form({"kind": "trig", "terms": [term]})
+
+
+def test_trig_form_dimension_follows_its_vectors():
+    assert build_form({"kind": "trig", "terms": [{"amp": 0.1, "q_freq": [1, 0]}]}).n is None
+    assert build_form({"kind": "trig", "terms": [{"amp": 0.1, "q_freq": [1, 0, 0]}]}).n == 3
+    with pytest.raises(GeometryError, match="c0"):
+        build_form({"kind": "trig", "c0": "1", "terms": []})
+
+
 def test_jmatvec_matches_matmul_in_values_and_partials():
     # Zero coefficients, including a zero row, sit among the nonzero ones.
     m = np.array([[2.0, 0.0, -1.5], [0.0, 0.0, 0.0], [1.0, 4.0, 0.0], [0.0, 3.0, 0.5]])

@@ -323,3 +323,76 @@ def test_primitive_and_hamiltonian_registries_roundtrip():
         assert build_hamiltonian(ham.describe()).describe() == ham.describe()
     with pytest.raises(MapError, match="unknown hamiltonian"):
         build_hamiltonian({"kind": "foo"})
+
+
+# ---------------------------------------------------------------------------
+# q-free declarations: u' and log c read only u
+# ---------------------------------------------------------------------------
+
+def _stacked(components, shape):
+    return np.stack([np.broadcast_to(c, shape) for c in components])
+
+
+def _fiber_part(prim, u, q):
+    u2, _, log_c = prim.transform(list(u), list(q))
+    return _stacked(u2, u.shape[1:]), np.broadcast_to(log_c, u.shape[1:])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_q_free_primitives_ignore_q(rng, n):
+    u = rng.normal(size=(n, 200))
+    u /= np.linalg.norm(u, axis=0)
+    q = rng.random((n, 200))
+    for prim in primitive_catalog(n):
+        u_ref, log_c_ref = _fiber_part(prim, u, q)
+        if prim.q_free:
+            for _ in range(3):
+                u2, log_c = _fiber_part(prim, u, rng.uniform(-3.0, 3.0, (n, 200)))
+                np.testing.assert_array_equal(u2, u_ref, err_msg=str(prim.describe()))
+                np.testing.assert_array_equal(log_c, log_c_ref, err_msg=str(prim.describe()))
+        else:
+            # A False declaration must be needed: some q shift changes the output.
+            u2, log_c = _fiber_part(prim, u, q + 0.25)
+            assert not (np.array_equal(u2, u_ref) and np.array_equal(log_c, log_c_ref))
+
+
+def test_q_free_hamiltonians_ignore_q(rng):
+    p = rng.normal(size=(2, 100))
+    q = rng.random((2, 100))
+    for ham in (
+        MomentumHamiltonian([0.2, 0.5]),
+        MetricHamiltonian(np.diag([4.0, 1.0])),
+        ModulatedNormHamiltonian(0.3),
+    ):
+        dp_ref, dq_ref = (_stacked(c, (100,)) for c in ham.gradients(list(p), list(q)))
+        dp, dq = (_stacked(c, (100,)) for c in ham.gradients(list(p), list(q + 0.3)))
+        if ham.q_free:
+            np.testing.assert_array_equal(dp, dp_ref)
+            assert not np.any(dq) and not np.any(dq_ref)
+        else:
+            assert not (np.array_equal(dp, dp_ref) and np.array_equal(dq, dq_ref))
+
+
+def test_q_free_declarations_of_the_catalog():
+    flags = {
+        (p.describe()["kind"], p.describe().get("hamiltonian", {}).get("kind")): p.q_free
+        for n in (2, 3)
+        for p in primitive_catalog(n)
+    }
+    assert flags == {
+        ("canonical_lift", None): True,
+        ("shear_a", None): True,
+        ("shear_b", None): True,
+        ("reeb_translation", None): True,
+        ("contact_flow", "momentum"): True,
+        ("contact_flow", "metric_norm"): True,
+        ("contact_flow", "modulated_norm"): False,
+    }
+    # A flow's inverse integrates the same Hamiltonian.
+    assert not ContactFlow(ModulatedNormHamiltonian(0.3), 0.5).inverse().q_free
+    assert ContactFlow(MomentumHamiltonian([0.2, 0.5]), 0.5).inverse().q_free
+
+
+def test_momentum_hamiltonian_rejects_a_string():
+    with pytest.raises(MapError, match="list"):
+        build_hamiltonian({"kind": "momentum", "c": "12"})

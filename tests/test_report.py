@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactlab import algebra as A
 from contactlab.cli import main
 from contactlab.geometry import FORMS
 from contactlab.maps import HAMILTONIANS, PRIMITIVES
@@ -276,6 +277,22 @@ BAD_CONFIGS = {
         MINIMAL, tasks=[{"task": "duality", "metric": [[1, 0], [0, 1]], "q_res": 0}]
     ),
     "verify_bound_text_tol": dict(MINIMAL, tasks=[{"task": "verify_bound", "tol": "abc"}]),
+    "verify_bound_huge_tol": dict(MINIMAL, tasks=[{"task": "verify_bound", "tol": 10**400}]),
+    "trig_text_amp": dict(
+        MINIMAL, form={"kind": "trig", "terms": [{"amp": "x", "q_freq": [1, 0]}]}
+    ),
+    "trig_long_q_freq": dict(
+        MINIMAL, form={"kind": "trig", "terms": [{"amp": 0.1, "q_freq": [1, 0, 0]}]}
+    ),
+    "momentum_text_c": dict(
+        MINIMAL,
+        map=[
+            {"kind": "contact_flow", "hamiltonian": {"kind": "momentum", "c": "12"}, "t": 0.5}
+        ],
+    ),
+    "growth_free_text_rules": dict(
+        MINIMAL, tasks=[{"task": "growth", "mode": "free", "rules": "ab", "word": "a"}]
+    ),
 }
 
 
@@ -307,6 +324,22 @@ def test_abelian_growth_with_large_lengths_exits_0(tmp_path):
     res = doc["results"]["growth"]
     assert res["rate"] == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=1e-6)
     assert res["series"][-1][1] > 90.0
+
+
+def test_growth_rates_match_the_library(tmp_path):
+    cat = [[2, 1], [1, 1]]
+    sigma = {"rules": ["ab", "a"], "word": "a", "N": 25}
+    tasks = [
+        {"task": "growth", "mode": "abelian", "matrix": cat, "classes": [[1, 0], [1, 1]]},
+        dict(sigma, task="growth", mode="free"),
+    ]
+    doc = run(validate_config(dict(MINIMAL, tasks=tasks)), out_dir=tmp_path)
+    abelian, free = doc["results"]["growth"], doc["results"]["growth_1"]
+    assert abelian["rate"] == A.abelian_bar_s(cat, [(1, 0), (1, 1)], 40)
+    fib = A.FreeAutomorphism.from_strings(sigma["rules"])
+    assert free["rate"] == A.free_growth(fib, A.parse_word("a"), 25)
+    lengths = A.free_lengths(fib, A.parse_word("a"), 25, 10**6)
+    assert free["series"] == [[k, math.log(x)] for k, x in enumerate(lengths)]
 
 
 @pytest.mark.parametrize(
