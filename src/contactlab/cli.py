@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     except TaskError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     return 0

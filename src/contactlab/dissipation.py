@@ -7,11 +7,21 @@ round-form factors in closed form, and a general form F * alpha_0 enters only
 through the coboundary log F(x_k) - log F(x_0), so one orbit step is one map
 application and one profile evaluation.
 
+Base translations along an axis j act on the space of contact elements.
+Every primitive declares in ``shift_axes`` the axes along which it commutes
+with them: transform(u, q + t e_j) = (u', q' + t e_j, log_c) for every t.
+Along the axes that every primitive of g = f^-1 declares (all axes when g
+is empty), the orbit of (u, q + o) is the orbit of (u, q) shifted by o, with
+the same accumulated round-form factor.  So the orbits run only from the
+lattice rows whose coordinates on those axes are 0, and the profile, with
+its positivity and finiteness check, is evaluated at every shift o of each
+orbit point: r_k still reads every grid point.
+
 When the form and every primitive are ``q_free`` (the fiber image, the
 round-form factor and the profile read only the fiber direction), each base
 point of the grid repeats the numbers of every other, so the orbit runs on
-one base point and the fiber directions alone.  The Lyapunov estimate
-chains chart Jacobians extracted with jets.
+one base point and the fiber directions alone, and the profile needs no
+shifts.  The Lyapunov estimate chains chart Jacobians extracted with jets.
 """
 from __future__ import annotations
 
@@ -50,10 +60,14 @@ def default_lyapunov_grid(n: int) -> GridSpec:
     return GridSpec(8, 64) if n == 2 else GridSpec(6, 96)
 
 
-def grid_points(n: int, grid: GridSpec):
-    """Product grid as (n, N) fiber-direction and base-point arrays."""
+def grid_points(n: int, grid: GridSpec, qs: np.ndarray | None = None):
+    """Product grid as (n, N) fiber-direction and base-point arrays.
+
+    The base points are the rows of ``qs``, by default the whole lattice.
+    """
     dirs = sphere_grid_array(n, grid.fiber_res)
-    qs = q_lattice(n, grid.q_res)
+    if qs is None:
+        qs = q_lattice(n, grid.q_res)
     nd, nq = dirs.shape[0], qs.shape[0]
     u = np.repeat(dirs, nq, axis=0).T.copy()
     q = np.tile(qs, (nd, 1)).T.copy()
@@ -90,22 +104,31 @@ def r_sequence(
     g = f^-1.  For the form F * alpha_0 the factor of g^k at x_0 is the
     product of the round-form factors c_0(x_j), j < k, times the coboundary
     F(x_k) / F(x_0); ``apply_batch`` returns log c_0 in closed form.
-    When neither g nor the form reads q, the grid keeps one base point.
+    Orbits start only from the base points that are 0 on the axes g
+    commutes with; the profile is read at every shift of them along those
+    axes.  When neither g nor the form reads q, one base point is enough.
     """
     if K < 1:
         raise DissipationError("need K >= 1")
     grid = grid or default_grid(f.n)
     g = f.inverse()
-    if form.q_free and all(p.q_free for p in g.primitives):
-        grid = GridSpec(1, grid.fiber_res)
-    u, q = grid_points(f.n, grid)
-    log_f0 = _log_profile(form, u, q)
+    base, shifts = _split_lattice(g, form, grid.q_res)
+    u, q = grid_points(f.n, grid, base)
+
+    def log_profile(u, q):
+        if shifts is None:
+            return _log_profile(form, u, q)
+        # (n, shifts, N): every grid point, with the shifts as leading axis
+        # so the (N,) accumulated factor broadcasts over them.
+        return _log_profile(form, u[:, None, :], np.mod(q[:, None, :] + shifts, 1.0))
+
+    log_f0 = log_profile(u, q)
     acc = np.zeros(u.shape[1])
     out = np.empty(K)
     for k in range(K):
         u, q, log_c = g.apply_batch(u, q)
         acc += log_c
-        r = float(np.max(np.abs(acc + (_log_profile(form, u, q) - log_f0))))
+        r = float(np.max(np.abs(acc + (log_profile(u, q) - log_f0))))
         if not np.isfinite(r):
             raise DissipationError(
                 f"accumulated log conformal factor of the {_form_name(form)} "
@@ -113,6 +136,33 @@ def r_sequence(
             )
         out[k] = r
     return out
+
+
+def _split_lattice(g: ContactMap, form: ContactForm, q_res: int):
+    """Orbit base points and the profile's shifts for ``r_sequence``.
+
+    The axes reduced are those every primitive of g commutes with, and all
+    axes when neither g nor the form reads q.  Returns the lattice rows that
+    are 0 on the reduced axes, and as an (n, M, 1) array the rows that are 0
+    on the other axes, or None when the profile needs no shifts (the form
+    does not read q, or no axis is reduced).
+    """
+    n = g.n
+    reduced = frozenset(range(n))
+    if not (form.q_free and all(p.q_free for p in g.primitives)):
+        reduced = reduced.intersection(*(p.shift_axes for p in g.primitives))
+    base = _sublattice(n, q_res, frozenset(range(n)) - reduced)
+    if form.q_free or not reduced:
+        return base, None
+    return base, _sublattice(n, q_res, reduced).T[:, :, None]
+
+
+def _sublattice(n: int, q_res: int, axes: frozenset):
+    """The rows of ``q_lattice(n, q_res)`` that are 0 off ``axes``, in order."""
+    rows = np.zeros((q_res ** len(axes), n))
+    if axes:
+        rows[:, sorted(axes)] = q_lattice(len(axes), q_res)
+    return rows
 
 
 def _log_profile(form: ContactForm, u: np.ndarray, q: np.ndarray):
@@ -167,7 +217,12 @@ def classify(r_series, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> str:
 def lyapunov_estimate(
     f: ContactMap, K: int, grid: GridSpec | None = None
 ) -> float:
-    """(1/K) max over seeds of |log operator norm| of the chained Jacobians."""
+    """(1/K) max over seeds of |log operator norm| of the chained Jacobians.
+
+    The chained product is rescaled by its Frobenius norm after each step
+    and its operator norm is taken once, after the last: the logs of the
+    scales telescope to log |J_K ... J_1|.
+    """
     if K < 8:
         raise DissipationError("need K >= 8")
     grid = grid or default_lyapunov_grid(f.n)
@@ -176,10 +231,13 @@ def lyapunov_estimate(
     d = 2 * f.n - 1
     basis = np.broadcast_to(np.eye(d), (npts, d, d)).copy()
     acc = np.zeros(npts)
-    for _ in range(K):
+    for k in range(K):
         jac, u, q = chart_jacobian_batch(f, u, q)
         basis = np.matmul(np.moveaxis(jac, 2, 0), basis)
-        norms = np.linalg.svd(basis, compute_uv=False)[:, 0]
+        if k < K - 1:
+            norms = np.sqrt(np.einsum("pij,pij->p", basis, basis))
+        else:
+            norms = np.linalg.svd(basis, compute_uv=False)[:, 0]
         acc += np.log(norms)
         basis /= norms[:, None, None]
     return float(np.max(np.abs(acc)) / K)

@@ -60,10 +60,17 @@ class Primitive:
     q (q' may read both).  It stays False unless that holds provably for
     every input; ``dissipation.r_sequence`` relies on it to sample a single
     base point.
+
+    ``shift_axes`` lists the base axes j along which the primitive commutes
+    with translation: ``transform(u, q + t e_j)`` is ``(u', q' + t e_j,
+    log_c)`` for every real t.  It stays empty unless that holds provably
+    for every input; ``dissipation.r_sequence`` relies on it to run orbits
+    only from the base points whose coordinates on those axes are 0.
     """
 
     n: int
     q_free = False
+    shift_axes: frozenset = frozenset()
 
     def transform(self, u, q):
         """Map fiber/base components; jet- and array-compatible.
@@ -139,6 +146,7 @@ class Shear(Primitive):
 
     n = 2
     q_free = True
+    shift_axes = frozenset((0, 1))
 
     def __init__(self, axis: int, power: int = 1):
         if axis not in (0, 1):
@@ -184,6 +192,7 @@ class ReebTranslation(Primitive):
             raise MapError("dimension must be 2 or 3")
         self.t = float(t)
         self.n = n
+        self.shift_axes = frozenset(range(n))
 
     def transform(self, u, q):
         # u . d(q + t u) = u . dq + (t/2) d|u|^2, and |u| = 1 on the sphere.
@@ -199,10 +208,16 @@ class ReebTranslation(Primitive):
 # -- degree-1 homogeneous Hamiltonians for ContactFlow ----------------------
 
 class Hamiltonian:
-    """``q_free`` declares that dH/dp reads only p and dH/dq is zero."""
+    """``q_free`` declares that dH/dp reads only p and dH/dq is zero.
+
+    ``shift_axes`` lists the base axes along which both gradients are
+    invariant under translation of q, so the flow commutes with translation
+    along them (the ``Primitive.shift_axes`` contract).
+    """
 
     n: int
     q_free = False
+    shift_axes: frozenset = frozenset()
 
     def gradients(self, p, q):
         """Returns (dH/dp, dH/dq) as component lists; jet-compatible."""
@@ -224,6 +239,7 @@ class MomentumHamiltonian(Hamiltonian):
         self.n = len(self.c)
         if self.n not in (2, 3):
             raise MapError("dimension must be 2 or 3")
+        self.shift_axes = frozenset(range(self.n))
 
     def gradients(self, p, q):
         return list(self.c), [0.0] * self.n
@@ -244,6 +260,7 @@ class MetricHamiltonian(Hamiltonian):
             raise MapError("metric must be 2x2 or 3x3")
         if not np.allclose(self.g, self.g.T):
             raise MapError("metric must be symmetric")
+        self.shift_axes = frozenset(range(self.n))
 
     def gradients(self, p, q):
         gp = jmatvec(self.g, p)
@@ -265,6 +282,7 @@ class ModulatedNormHamiltonian(Hamiltonian):
         self.eps = float(eps)
         self.axis = axis
         self.n = n
+        self.shift_axes = frozenset(range(n)) - {axis}
 
     def gradients(self, p, q):
         norm = jsqrt(sum(pi * pi for pi in p))
@@ -295,6 +313,7 @@ class ContactFlow(Primitive):
         self.steps = int(steps)
         self.n = hamiltonian.n
         self.q_free = hamiltonian.q_free
+        self.shift_axes = hamiltonian.shift_axes
 
     def transform(self, u, q):
         # Hamilton's equations: qdot = dH/dp, pdot = -dH/dq.

@@ -104,8 +104,12 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
+    if path.is_dir():
+        raise ConfigError([f"config path is a directory: {path}"])
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config file is not UTF-8 text: {exc}"])
     except json.JSONDecodeError as exc:
         raise ConfigError([f"malformed JSON: {exc}"])
     return validate_config(data)
@@ -456,13 +460,26 @@ def _write_report_json(out, config, f, results, grid):
 
 
 def emit_plot_data(document: dict, task_id: str, path) -> Path:
-    """Two-column whitespace-separated file for a task that produced a series."""
-    results = document.get("results", {})
+    """Two-column whitespace-separated file for a task that produced a series.
+
+    A document that is not shaped like ``run``'s raises TaskError.
+    """
+    results = document.get("results") if isinstance(document, dict) else None
+    if not isinstance(results, dict):
+        raise TaskError(task_id, ValueError("not a contactlab document: no results object"))
     if task_id not in results:
         raise TaskError(task_id, KeyError("no such task in the report"))
-    series = results[task_id].get("series")
+    res = results[task_id]
+    if not isinstance(res, dict):
+        raise TaskError(task_id, ValueError("task result is not an object"))
+    series = res.get("series")
     if not series:
         raise TaskError(task_id, ValueError("no series"))
+    if not (
+        isinstance(series, list)
+        and all(isinstance(row, list) and len(row) == 2 for row in series)
+    ):
+        raise TaskError(task_id, ValueError("series is not a list of pairs"))
     path = Path(path)
     with path.open("w") as fh:
         for row in series:

@@ -24,6 +24,7 @@ from contactlab.maps import (
     Primitive,
     ReebTranslation,
     Shear,
+    chart_jacobian_batch,
     conformal_factor_batch,
     identity_map,
     make_composite,
@@ -236,20 +237,32 @@ def test_non_finite_accumulated_factor_rejected():
         D.r_sequence(make_composite([BlowUp()]), RoundForm(), 10, FAST)
 
 
-# -- the q-free reduction ----------------------------------------------------
+# -- the q-free and shift reductions -----------------------------------------
 
-class QBound(ContactForm):
-    """The wrapped form with q_free left False, so r_sequence keeps the full grid."""
+class Pinned(Primitive):
+    """The wrapped primitive with q_free and shift_axes left at their
+    defaults, so r_sequence keeps the full grid."""
 
-    def __init__(self, form):
-        self.form = form
-        self.n = form.n
+    def __init__(self, prim):
+        self.prim = prim
+        self.n = prim.n
 
-    def profile(self, u, q):
-        return self.form.profile(u, q)
+    def transform(self, u, q):
+        return self.prim.transform(u, q)
 
-    def spec(self):
-        return self.form.spec()
+    def inverse(self):
+        return Pinned(self.prim.inverse())
+
+    def homology(self):
+        return self.prim.homology()
+
+    def describe(self):
+        return self.prim.describe()
+
+
+def full_grid_r_sequence(f, form, K, grid):
+    pinned = make_composite([Pinned(p) for p in f.primitives], n=f.n)
+    return D.r_sequence(pinned, form, K, grid)
 
 
 Q_FREE_MAPS = {
@@ -289,7 +302,7 @@ def test_q_free_reduction_equals_the_full_grid(apply_sizes, map_name, form_name)
     grid = D.GridSpec(4, 32)
     reduced = D.r_sequence(f, form, 8, grid)
     assert apply_sizes == [32] * 8  # one base point, the fiber directions alone
-    full = D.r_sequence(f, QBound(form), 8, grid)
+    full = full_grid_r_sequence(f, form, 8, grid)
     assert apply_sizes[8:] == [16 * 32] * 8
     np.testing.assert_array_equal(reduced, full)
 
@@ -297,9 +310,64 @@ def test_q_free_reduction_equals_the_full_grid(apply_sizes, map_name, form_name)
 def test_q_dependent_inputs_keep_the_full_grid(apply_sizes):
     grid = D.GridSpec(4, 32)
     D.r_sequence(cat_map(), TRIG, 8, grid)
+    assert apply_sizes == [16 * 32] * 8
+    # The modulated flow reads q1 alone, so orbits start only where q2 = 0.
     flow = ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=8)
     D.r_sequence(make_composite([flow]), RoundForm(), 8, grid)
-    assert apply_sizes == [16 * 32] * 16
+    assert apply_sizes[8:] == [4 * 32] * 8
+
+
+# map name -> (primitives, points per apply_batch call on GridSpec(4, 32))
+SHIFT_MAPS = {
+    "shear": ([Shear(0), Shear(1, -1)], 32),
+    "modulated_flow": ([ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=16)], 4 * 32),
+    "shear_flow": (
+        [Shear(0), ContactFlow(ModulatedNormHamiltonian(0.3, axis=1), 0.5, steps=16)],
+        4 * 32,
+    ),
+}
+SHIFT_FORMS = {
+    "trig": TRIG,
+    "round": RoundForm(),
+    "pullback": COBOUNDARY_FORMS["pullback"],
+}
+
+
+@pytest.mark.parametrize("form_name", sorted(SHIFT_FORMS))
+@pytest.mark.parametrize("map_name", sorted(SHIFT_MAPS))
+def test_shift_reduction_matches_the_full_grid(apply_sizes, map_name, form_name):
+    prims, points = SHIFT_MAPS[map_name]
+    f = make_composite(prims)
+    grid = D.GridSpec(4, 32)
+    reduced = D.r_sequence(f, SHIFT_FORMS[form_name], 6, grid)
+    assert apply_sizes == [points] * 6
+    full = full_grid_r_sequence(f, SHIFT_FORMS[form_name], 6, grid)
+    assert apply_sizes[6:] == [16 * 32] * 6
+    np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-13)
+
+
+TRIG_3 = TrigForm(1.0, [TrigTerm(0.3, (1, 0, 0), (1, 0, 0)), TrigTerm(0.2, (0, 1, 1), use_sin=True)])
+
+
+@pytest.mark.parametrize("form", [TRIG_3, RoundForm()], ids=["trig", "round"])
+def test_n3_modulated_flow_runs_only_the_axis_it_reads(apply_sizes, form):
+    flow = ContactFlow(ModulatedNormHamiltonian(0.3, axis=0, n=3), 0.5, steps=8)
+    f = make_composite([flow])
+    grid = D.GridSpec(4, 32)
+    reduced = D.r_sequence(f, form, 4, grid)
+    assert apply_sizes == [4 * 32] * 4  # q2 = q3 = 0
+    full = full_grid_r_sequence(f, form, 4, grid)
+    assert apply_sizes[4:] == [64 * 32] * 4
+    np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-13)
+
+
+def test_shifted_profile_check_sees_every_grid_point():
+    # 0.1 + cos 2 pi q2 is negative only for |q2 - 1/2| < 0.23.  The flow's
+    # orbits start at q2 = 0 and move q2 by less than 0.15 in two steps, so
+    # only the shifts reach the grid points where the profile is negative.
+    flow = ContactFlow(ModulatedNormHamiltonian(0.3), 0.05, steps=4)
+    with pytest.raises(D.DissipationError, match="trig form"):
+        D.r_sequence(make_composite([flow]), TrigForm(0.1, [TrigTerm(1.0, (0, 1))]), 2, FAST)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +439,36 @@ def test_lyapunov_shear_decays():
     long = D.lyapunov_estimate(make_composite([Shear(0)]), 60, D.GridSpec(4, 16))
     assert long < short
     assert long < 0.1
+
+
+def per_step_svd_lyapunov(f, K, grid):
+    """The Lyapunov chain renormalised by its operator norm at every step."""
+    u, q = D.grid_points(f.n, grid)
+    d = 2 * f.n - 1
+    basis = np.broadcast_to(np.eye(d), (u.shape[1], d, d)).copy()
+    acc = np.zeros(u.shape[1])
+    for _ in range(K):
+        jac, u, q = chart_jacobian_batch(f, u, q)
+        basis = np.matmul(np.moveaxis(jac, 2, 0), basis)
+        norms = np.linalg.svd(basis, compute_uv=False)[:, 0]
+        acc += np.log(norms)
+        basis /= norms[:, None, None]
+    return float(np.max(np.abs(acc)) / K)
+
+
+@pytest.mark.parametrize(
+    "prims, grid",
+    [
+        ([CanonicalLift(CAT)], D.GridSpec(4, 32)),
+        ([Shear(0), ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=16)], D.GridSpec(3, 16)),
+        ([CanonicalLift([[1, 1, 0], [1, 2, 1], [0, 1, 2]])], D.GridSpec(2, 24)),
+    ],
+    ids=["cat", "shear_flow", "n3_lift"],
+)
+def test_lyapunov_matches_the_per_step_svd_chain(prims, grid):
+    f = make_composite(prims)
+    got = D.lyapunov_estimate(f, 12, grid)
+    assert got == pytest.approx(per_step_svd_lyapunov(f, 12, grid), rel=1e-12, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,113 @@ def test_q_free_declarations_of_the_catalog():
     assert ContactFlow(MomentumHamiltonian([0.2, 0.5]), 0.5).inverse().q_free
 
 
+# -- shift equivariance ------------------------------------------------------
+
+N3_LIFT = [[1, 1, 0], [1, 2, 1], [0, 1, 2]]  # fixes no base axis
+
+
+def shift_catalog(n):
+    """The primitive catalog plus an n=3 metric flow and an n=3 lift."""
+    if n == 2:
+        return primitive_catalog(2)
+    return primitive_catalog(3) + [
+        CanonicalLift(N3_LIFT),
+        ContactFlow(MetricHamiltonian(np.diag([4.0, 1.0, 2.0])), 0.4, steps=32),
+    ]
+
+
+def _shifted(prim, u, q, axis, t):
+    """transform at q + t e_axis, with t subtracted again from q'."""
+    e = np.zeros((u.shape[0], 1))
+    e[axis] = t
+    u2, q2, log_c = prim.transform(list(u), list(q + e))
+    shape = u.shape[1:]
+    return _stacked(u2, shape), _stacked(q2, shape) - e, np.broadcast_to(log_c, shape)
+
+
+def _unit_points(rng, n, npts=200):
+    u = rng.normal(size=(n, npts))
+    return u / np.linalg.norm(u, axis=0), rng.random((n, npts))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_declared_shift_axes_commute_with_base_translation(rng, n):
+    u, q = _unit_points(rng, n)
+    for prim in shift_catalog(n):
+        ref = _shifted(prim, u, q, 0, 0.0)
+        for axis in sorted(prim.shift_axes):
+            for t in rng.uniform(-3.0, 3.0, 2):
+                for got, want in zip(_shifted(prim, u, q, axis, t), ref):
+                    np.testing.assert_allclose(
+                        got, want, rtol=0, atol=1e-12, err_msg=f"{prim.describe()} axis {axis}"
+                    )
+
+
+@pytest.mark.parametrize(
+    "prim",
+    [
+        CanonicalLift(CAT),
+        CanonicalLift(N3_LIFT),
+        ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=16),
+        ContactFlow(ModulatedNormHamiltonian(0.25, axis=1, n=3), 0.4, steps=16),
+    ],
+    ids=["lift2", "lift3", "modulated2", "modulated3"],
+)
+def test_undeclared_shift_axes_change_the_output(rng, prim):
+    # An empty or partial declaration must be needed: a shift along each
+    # undeclared axis moves the output off the translated image.
+    u, q = _unit_points(rng, prim.n)
+    ref = _shifted(prim, u, q, 0, 0.0)
+    undeclared = set(range(prim.n)) - prim.shift_axes
+    assert undeclared
+    for axis in undeclared:
+        got = _shifted(prim, u, q, axis, 0.25)
+        assert not all(np.allclose(a, b, rtol=0, atol=1e-6) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hamiltonian_gradients_are_invariant_along_declared_axes(rng, n):
+    p, q = _unit_points(rng, n, 100)
+    hams = [
+        MomentumHamiltonian([0.2, 0.5, -0.1][:n]),
+        MetricHamiltonian(np.diag([4.0, 1.0, 2.0][:n])),
+    ] + [ModulatedNormHamiltonian(0.3, axis=a, n=n) for a in range(n)]
+    for ham in hams:
+        ref = [_stacked(c, (100,)) for c in ham.gradients(list(p), list(q))]
+        for axis in range(n):
+            e = np.zeros((n, 1))
+            e[axis] = rng.uniform(0.1, 0.9)  # a whole-period shift would leave any H alone
+            got = [_stacked(c, (100,)) for c in ham.gradients(list(p), list(q + e))]
+            same = all(np.allclose(a, b, rtol=0, atol=1e-12) for a, b in zip(got, ref))
+            assert same is (axis in ham.shift_axes), (ham.describe(), axis)
+
+
+def test_shift_axes_of_the_catalog():
+    axes = {
+        (n, p.describe()["kind"], p.describe().get("hamiltonian", {}).get("kind")): p.shift_axes
+        for n in (2, 3)
+        for p in primitive_catalog(n)
+    }
+    assert axes == {
+        (2, "canonical_lift", None): frozenset(),
+        (2, "shear_a", None): {0, 1},
+        (2, "shear_b", None): {0, 1},
+        (2, "reeb_translation", None): {0, 1},
+        (2, "contact_flow", "momentum"): {0, 1},
+        (2, "contact_flow", "metric_norm"): {0, 1},
+        (2, "contact_flow", "modulated_norm"): {1},
+        (3, "canonical_lift", None): frozenset(),
+        (3, "reeb_translation", None): {0, 1, 2},
+        (3, "contact_flow", "momentum"): {0, 1, 2},
+        (3, "contact_flow", "modulated_norm"): {0, 2},
+    }
+    assert MetricHamiltonian(np.eye(3)).shift_axes == {0, 1, 2}
+    # Inverses translate the same way.
+    for n in (2, 3):
+        for p in primitive_catalog(n):
+            assert p.inverse().shift_axes == p.shift_axes
+
+
 def test_momentum_hamiltonian_rejects_a_string():
     with pytest.raises(MapError, match="list"):
         build_hamiltonian({"kind": "momentum", "c": "12"})

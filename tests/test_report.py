@@ -230,6 +230,46 @@ def test_cli_catalog_and_plot(tmp_path, capsys):
     assert main(["plot", str(tmp_path / "out" / "document.json"), "nope"]) == 3
 
 
+@pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    if kind == "not_utf8":
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+    else:
+        path = tmp_path / "configs.json"
+        path.mkdir()
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+NOT_DOCUMENTS = {
+    "top_level_list": [{"results": {}}],
+    "results_not_object": {"results": 5},
+    "result_not_object": {"results": {"t": 5}},
+    "series_rows_not_pairs": {"results": {"t": {"series": [1, 2, 3]}}},
+    "series_rows_too_short": {"results": {"t": {"series": [[1]]}}},
+    "series_not_list": {"results": {"t": {"series": "ab"}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_DOCUMENTS))
+def test_plot_on_a_foreign_document_exits_3(tmp_path, capsys, name):
+    path = write_config(tmp_path, NOT_DOCUMENTS[name], name="document.json")
+    assert main(["plot", str(path), "t", "--out", str(tmp_path / "t.dat")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "Traceback" not in err
+    assert not (tmp_path / "t.dat").exists()
+
+
+def test_plot_on_a_non_utf8_document_exits_3(tmp_path, capsys):
+    path = tmp_path / "document.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["plot", str(path), "t"]) == 3
+    assert capsys.readouterr().err.startswith("runtime error:")
+
+
 def test_cli_refine_flag(tmp_path):
     path = write_config(tmp_path, MINIMAL)
     assert main(["run", str(path), "--out", str(tmp_path / "out"), "--refine", "2"]) == 0
