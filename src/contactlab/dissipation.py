@@ -116,11 +116,9 @@ def r_sequence(
     u, q = grid_points(f.n, grid, base)
 
     def log_profile(u, q):
-        if shifts is None:
-            return _log_profile(form, u, q)
         # (n, shifts, N): every grid point, with the shifts as leading axis
         # so the (N,) accumulated factor broadcasts over them.
-        return _log_profile(form, u[:, None, :], np.mod(q[:, None, :] + shifts, 1.0))
+        return _log_profile(form, u[:, None, :], q[:, None, :] + shifts)
 
     log_f0 = log_profile(u, q)
     acc = np.zeros(u.shape[1])
@@ -144,17 +142,15 @@ def _split_lattice(g: ContactMap, form: ContactForm, q_res: int):
     The axes reduced are those every primitive of g commutes with, and all
     axes when neither g nor the form reads q.  Returns the lattice rows that
     are 0 on the reduced axes, and as an (n, M, 1) array the rows that are 0
-    on the other axes, or None when the profile needs no shifts (the form
-    does not read q, or no axis is reduced).
+    on the other axes; a form that does not read q needs only the zero shift.
     """
     n = g.n
     reduced = frozenset(range(n))
     if not (form.q_free and all(p.q_free for p in g.primitives)):
         reduced = reduced.intersection(*(p.shift_axes for p in g.primitives))
     base = _sublattice(n, q_res, frozenset(range(n)) - reduced)
-    if form.q_free or not reduced:
-        return base, None
-    return base, _sublattice(n, q_res, reduced).T[:, :, None]
+    shifts = _sublattice(n, q_res, frozenset() if form.q_free else reduced)
+    return base, shifts.T[:, :, None]
 
 
 def _sublattice(n: int, q_res: int, axes: frozenset):
