@@ -7,21 +7,17 @@ round-form factors in closed form, and a general form F * alpha_0 enters only
 through the coboundary log F(x_k) - log F(x_0), so one orbit step is one map
 application and one profile evaluation.
 
-Base translations along an axis j act on the space of contact elements.
-Every primitive declares in ``shift_axes`` the axes along which it commutes
-with them: transform(u, q + t e_j) = (u', q' + t e_j, log_c) for every t.
-Along the axes that every primitive of g = f^-1 declares (all axes when g
-is empty), the orbit of (u, q + o) is the orbit of (u, q) shifted by o, with
-the same accumulated round-form factor.  So the orbits run only from the
-lattice rows whose coordinates on those axes are 0, and the profile, with
-its positivity and finiteness check, is evaluated at every shift o of each
-orbit point: r_k still reads every grid point.
-
-When the form and every primitive are ``q_free`` (the fiber image, the
-round-form factor and the profile read only the fiber direction), each base
-point of the grid repeats the numbers of every other, so the orbit runs on
-one base point and the fiber directions alone, and the profile needs no
-shifts.  The Lyapunov estimate chains chart Jacobians extracted with jets.
+Every map declares how it meets translations of the base (``base_action``
+in ``maps``): g(u, q + t) = (u', q' + B t, log c) for every real t supported
+on its axes, with B integer.  So the orbit of (u, q + t) is the orbit of
+(u, q) moved by B^k t at step k, with the same accumulated round-form
+factor, and the orbits run only from the lattice rows that are 0 on those
+axes: one base point when g covers every axis.  The profile, with its
+positivity and finiteness check, is read at every shift t of each orbit
+point, which the loop carries as integer lattice indices (B^k t mod 1), so
+r_k still reads every grid point; a form that does not read q
+(``q_free``) needs only the zero shift.  The Lyapunov estimate chains chart
+Jacobians extracted with jets, from the same reduced base rows.
 """
 from __future__ import annotations
 
@@ -104,29 +100,37 @@ def r_sequence(
     g = f^-1.  For the form F * alpha_0 the factor of g^k at x_0 is the
     product of the round-form factors c_0(x_j), j < k, times the coboundary
     F(x_k) / F(x_0); ``apply_batch`` returns log c_0 in closed form.
-    Orbits start only from the base points that are 0 on the axes g
-    commutes with; the profile is read at every shift of them along those
-    axes.  When neither g nor the form reads q, one base point is enough.
+    Orbits start only from the base points that are 0 on the axes of g's
+    ``base_action``, and the profile is read at every shift of them along
+    those axes.
     """
     if K < 1:
         raise DissipationError("need K >= 1")
     grid = grid or default_grid(f.n)
     g = f.inverse()
-    base, shifts = _split_lattice(g, form, grid.q_res)
-    u, q = grid_points(f.n, grid, base)
+    b, axes = g.base_action
+    u, q = grid_points(f.n, grid, _base_rows(f.n, grid.q_res, axes))
+    # Integer lattice indices of the shifts t, 0 off the axes (only t = 0
+    # when the form does not read q); step k reads the profile at B^k t.
+    idx = _sublattice(f.n, grid.q_res, frozenset() if form.q_free else axes)
+    fixed = np.array_equal((b @ idx) % grid.q_res, idx)  # B t = t mod 1 for every t
+    t = (idx / grid.q_res)[:, :, None]
 
-    def log_profile(u, q):
+    def log_profile(u, q, t):
         # (n, shifts, N): every grid point, with the shifts as leading axis
         # so the (N,) accumulated factor broadcasts over them.
-        return _log_profile(form, u[:, None, :], q[:, None, :] + shifts)
+        return _log_profile(form, u[:, None, :], q[:, None, :] + t)
 
-    log_f0 = log_profile(u, q)
+    log_f0 = log_profile(u, q, t)
     acc = np.zeros(u.shape[1])
     out = np.empty(K)
     for k in range(K):
         u, q, log_c = g.apply_batch(u, q)
+        if not fixed:
+            idx = (b @ idx) % grid.q_res
+            t = (idx / grid.q_res)[:, :, None]
         acc += log_c
-        r = float(np.max(np.abs(acc + (log_profile(u, q) - log_f0))))
+        r = float(np.max(np.abs(acc + (log_profile(u, q, t) - log_f0))))
         if not np.isfinite(r):
             raise DissipationError(
                 f"accumulated log conformal factor of the {_form_name(form)} "
@@ -136,29 +140,17 @@ def r_sequence(
     return out
 
 
-def _split_lattice(g: ContactMap, form: ContactForm, q_res: int):
-    """Orbit base points and the profile's shifts for ``r_sequence``.
-
-    The axes reduced are those every primitive of g commutes with, and all
-    axes when neither g nor the form reads q.  Returns the lattice rows that
-    are 0 on the reduced axes, and as an (n, M, 1) array the rows that are 0
-    on the other axes; a form that does not read q needs only the zero shift.
-    """
-    n = g.n
-    reduced = frozenset(range(n))
-    if not (form.q_free and all(p.q_free for p in g.primitives)):
-        reduced = reduced.intersection(*(p.shift_axes for p in g.primitives))
-    base = _sublattice(n, q_res, frozenset(range(n)) - reduced)
-    shifts = _sublattice(n, q_res, frozenset() if form.q_free else reduced)
-    return base, shifts.T[:, :, None]
+def _base_rows(n: int, q_res: int, axes: frozenset) -> np.ndarray:
+    """The rows of ``q_lattice(n, q_res)`` that are 0 on ``axes``, in order."""
+    return (_sublattice(n, q_res, frozenset(range(n)) - axes) / q_res).T
 
 
-def _sublattice(n: int, q_res: int, axes: frozenset):
-    """The rows of ``q_lattice(n, q_res)`` that are 0 off ``axes``, in order."""
-    rows = np.zeros((q_res ** len(axes), n))
+def _sublattice(n: int, q_res: int, axes: frozenset) -> np.ndarray:
+    """Integer indices (n, M) of the lattice rows that are 0 off ``axes``."""
+    idx = np.zeros((n, q_res ** len(axes)), dtype=int)
     if axes:
-        rows[:, sorted(axes)] = q_lattice(len(axes), q_res)
-    return rows
+        idx[sorted(axes)] = np.indices((q_res,) * len(axes)).reshape(len(axes), -1)
+    return idx
 
 
 def _log_profile(form: ContactForm, u: np.ndarray, q: np.ndarray):
@@ -218,11 +210,23 @@ def lyapunov_estimate(
     The chained product is rescaled by its Frobenius norm after each step
     and its operator norm is taken once, after the last: the logs of the
     scales telescope to log |J_K ... J_1|.
+
+    Chains start only from the base rows that are 0 on the axes of f's
+    ``base_action``, as in ``r_sequence``.  They give the same chains: along
+    those axes f(u, q + t) = (u', q' + B t), so u' does not read q and
+    dq'/dq = B, and the chart Jacobian at (u, q + t) is the one at (u, q).
+    When f covers every axis that is one base point and the chain depends
+    on the fiber orbit alone.
+
+    The estimate is forward-only: it chains f alone.  On the n = 3 lift of
+    ``perfbench/inputs/n3_metric_lift.json`` it reads 1.1777 = log 3.247,
+    the expanding rate, against s = 1.619 = -log 0.198 from the contracting
+    eigenvalue, which forward chains from grid points do not reach.
     """
     if K < 8:
         raise DissipationError("need K >= 8")
     grid = grid or default_lyapunov_grid(f.n)
-    u, q = grid_points(f.n, grid)
+    u, q = grid_points(f.n, grid, _base_rows(f.n, grid.q_res, f.base_action[1]))
     npts = u.shape[1]
     d = 2 * f.n - 1
     basis = np.broadcast_to(np.eye(d), (npts, d, d)).copy()
@@ -258,7 +262,7 @@ def verify_bound(
     For maps over the 2-torus the bound is taken on the base block of the
     3x3 action; for the 3-torus on the full action.
     """
-    block, block_info = base_action(f)
+    block, block_info = cohomology_block(f)
     s_target = algebra.s_value(block)
     if r_series is None:
         r_series = r_sequence(f, form, K, grid)
@@ -282,7 +286,7 @@ def verify_bound(
     }
 
 
-def base_action(f: ContactMap) -> tuple[algebra.IntMatrix, dict]:
+def cohomology_block(f: ContactMap) -> tuple[algebra.IntMatrix, dict]:
     """The map's action on the first cohomology of the base torus.
 
     For n = 2 it is the base block of the 3x3 action, returned with the

@@ -8,6 +8,14 @@ the composition; this is the factor the dissipation sequence accumulates.
 The jet-based extraction through the fiber charts (``conformal_factor*``,
 ``chart_jacobian_batch``) stays as the checking oracle and feeds the
 Lyapunov estimate.
+
+Every primitive and Hamiltonian declares how it meets translations of the
+base in one attribute, ``base_action = (B, axes)``: B is an integer
+unimodular matrix and transform(u, q + t) = (u', q' + B t, log c) for every
+real t supported on ``axes``.  A canonical lift of M declares (M, all axes);
+shears, Reeb translations and the momentum and metric flows (I, all axes); a
+modulated flow (I, every axis but its own); a new kind declares no axes
+until the identity is proved.  ``ContactMap.base_action`` composes them.
 """
 from __future__ import annotations
 
@@ -49,6 +57,12 @@ class MapError(RuntimeError):
     pass
 
 
+def translations(n: int, axes=None) -> tuple:
+    """The base action (I, axes) of a map that commutes with translation
+    along ``axes``, all n axes by default."""
+    return np.eye(n, dtype=int), frozenset(range(n) if axes is None else axes)
+
+
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
@@ -56,21 +70,12 @@ class MapError(RuntimeError):
 class Primitive:
     """A basic contactomorphism with exact inverse and homology matrix.
 
-    ``q_free`` declares that ``transform``'s u' and log_c read only u, never
-    q (q' may read both).  It stays False unless that holds provably for
-    every input; ``dissipation.r_sequence`` relies on it to sample a single
-    base point.
-
-    ``shift_axes`` lists the base axes j along which the primitive commutes
-    with translation: ``transform(u, q + t e_j)`` is ``(u', q' + t e_j,
-    log_c)`` for every real t.  It stays empty unless that holds provably
-    for every input; ``dissipation.r_sequence`` relies on it to run orbits
-    only from the base points whose coordinates on those axes are 0.
+    ``base_action`` is its (B, axes) as the module docstring defines it; it
+    declares no axes (B None) unless the identity holds for every input.
     """
 
     n: int
-    q_free = False
-    shift_axes: frozenset = frozenset()
+    base_action: tuple = (None, frozenset())
 
     def transform(self, u, q):
         """Map fiber/base components; jet- and array-compatible.
@@ -101,8 +106,6 @@ class Primitive:
 class CanonicalLift(Primitive):
     """Lift of the torus automorphism q -> Mq: (u, q) -> (M^-T u / |.|, Mq)."""
 
-    q_free = True
-
     def __init__(self, matrix):
         m = algebra.as_matrix(matrix)
         if algebra.determinant(m) not in (1, -1):
@@ -111,6 +114,7 @@ class CanonicalLift(Primitive):
             raise MapError("canonical lift supports 2x2 or 3x3 matrices")
         self.matrix = m
         self.n = len(m)
+        self.base_action = (np.array(m, dtype=int), frozenset(range(self.n)))
         self._m_float = np.array(m, dtype=float)
         self._minv_t = np.array(
             algebra.mat_transpose(algebra.mat_inverse(m)), dtype=float
@@ -145,8 +149,7 @@ class Shear(Primitive):
     """
 
     n = 2
-    q_free = True
-    shift_axes = frozenset((0, 1))
+    base_action = translations(2)
 
     def __init__(self, axis: int, power: int = 1):
         if axis not in (0, 1):
@@ -185,14 +188,12 @@ class Shear(Primitive):
 class ReebTranslation(Primitive):
     """Time-t Reeb flow of the round form: (u, q) -> (u, q + t u)."""
 
-    q_free = True
-
     def __init__(self, t: float, n: int = 2):
         if n not in (2, 3):
             raise MapError("dimension must be 2 or 3")
         self.t = float(t)
         self.n = n
-        self.shift_axes = frozenset(range(n))
+        self.base_action = translations(n)
 
     def transform(self, u, q):
         # u . d(q + t u) = u . dq + (t/2) d|u|^2, and |u| = 1 on the sphere.
@@ -208,16 +209,11 @@ class ReebTranslation(Primitive):
 # -- degree-1 homogeneous Hamiltonians for ContactFlow ----------------------
 
 class Hamiltonian:
-    """``q_free`` declares that dH/dp reads only p and dH/dq is zero.
-
-    ``shift_axes`` lists the base axes along which both gradients are
-    invariant under translation of q, so the flow commutes with translation
-    along them (the ``Primitive.shift_axes`` contract).
-    """
+    """``base_action`` is the (B, axes) its flows carry; B = I says that
+    both gradients are invariant under translation of q along axes."""
 
     n: int
-    q_free = False
-    shift_axes: frozenset = frozenset()
+    base_action: tuple = (None, frozenset())
 
     def gradients(self, p, q):
         """Returns (dH/dp, dH/dq) as component lists; jet-compatible."""
@@ -230,8 +226,6 @@ class Hamiltonian:
 class MomentumHamiltonian(Hamiltonian):
     """H = <c, p>: the flow translates the base at constant speed c."""
 
-    q_free = True
-
     def __init__(self, c: Sequence[float]):
         if not isinstance(c, (list, tuple)):
             raise MapError(f"momentum c must be a list of numbers, got {c!r}")
@@ -239,7 +233,7 @@ class MomentumHamiltonian(Hamiltonian):
         self.n = len(self.c)
         if self.n not in (2, 3):
             raise MapError("dimension must be 2 or 3")
-        self.shift_axes = frozenset(range(self.n))
+        self.base_action = translations(self.n)
 
     def gradients(self, p, q):
         return list(self.c), [0.0] * self.n
@@ -251,8 +245,6 @@ class MomentumHamiltonian(Hamiltonian):
 class MetricHamiltonian(Hamiltonian):
     """H = sqrt(p^T G p): geodesic flow of a flat metric on the base."""
 
-    q_free = True
-
     def __init__(self, g):
         self.g = np.asarray(g, dtype=float)
         self.n = self.g.shape[0]
@@ -260,7 +252,7 @@ class MetricHamiltonian(Hamiltonian):
             raise MapError("metric must be 2x2 or 3x3")
         if not np.allclose(self.g, self.g.T):
             raise MapError("metric must be symmetric")
-        self.shift_axes = frozenset(range(self.n))
+        self.base_action = translations(self.n)
 
     def gradients(self, p, q):
         gp = jmatvec(self.g, p)
@@ -282,7 +274,7 @@ class ModulatedNormHamiltonian(Hamiltonian):
         self.eps = float(eps)
         self.axis = axis
         self.n = n
-        self.shift_axes = frozenset(range(n)) - {axis}
+        self.base_action = translations(n, frozenset(range(n)) - {axis})
 
     def gradients(self, p, q):
         norm = jsqrt(sum(pi * pi for pi in p))
@@ -312,8 +304,7 @@ class ContactFlow(Primitive):
         self.t = float(t)
         self.steps = int(steps)
         self.n = hamiltonian.n
-        self.q_free = hamiltonian.q_free
-        self.shift_axes = hamiltonian.shift_axes
+        self.base_action = hamiltonian.base_action
 
     def transform(self, u, q):
         # Hamilton's equations: qdot = dH/dp, pdot = -dH/dq.
@@ -378,6 +369,23 @@ class ContactMap:
     primitives: tuple[Primitive, ...]
     n: int
     homology_matrix: IntMatrix
+
+    @property
+    def base_action(self) -> tuple:
+        """The composite's (B, axes), under ``Primitive.base_action``.
+
+        When every primitive covers all axes, B is the product of theirs;
+        otherwise every B must be I, and the axes are those all declare.
+        """
+        actions = [p.base_action for p in self.primitives]
+        b, every = translations(self.n)
+        if all(axes == every for _, axes in actions):
+            for pb, _ in actions:
+                b = pb @ b
+            return b, every
+        if all(np.array_equal(pb, b) for pb, _ in actions):
+            return b, every.intersection(*(axes for _, axes in actions))
+        return b, frozenset()
 
     def apply(self, x: CEPoint) -> CEPoint:
         if x.n != self.n:

@@ -348,7 +348,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
     if name == "homology":
         i_mat = f.homology_matrix
         periodic, order = algebra.is_periodic(i_mat)
-        block, block_info = dissipation.base_action(f)
+        block, block_info = dissipation.cohomology_block(f)
         res = {
             "matrix": [list(r) for r in i_mat],
             "s_value": algebra.s_value(i_mat),
@@ -374,7 +374,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
         }
 
     if name == "displacement":
-        i_mat = task["matrix"] or dissipation.base_action(f)[0]
+        i_mat = task["matrix"] or dissipation.cohomology_block(f)[0]
         dom = shapes.ball(shapes.direction_grid(len(i_mat), task["dir_res"]))
         deltas = shapes.displacement_series(i_mat, dom, task["k_max"])
         series = [[k + 1, float(d)] for k, d in enumerate(deltas)]
@@ -389,7 +389,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
     if name == "growth":
         res = {"mode": task["mode"]}
         if task["mode"] == "abelian":
-            i_mat = task["matrix"] or dissipation.base_action(f)[0]
+            i_mat = task["matrix"] or dissipation.cohomology_block(f)[0]
             classes = _sampled_classes(task, len(i_mat), 5, rng)
             per_class = [algebra.abelian_lengths(i_mat, g, task["N"]) for g in classes]
             res["rate"] = algebra.length_growth_rate(*per_class)

@@ -240,8 +240,8 @@ def test_non_finite_accumulated_factor_rejected():
 # -- the q-free and shift reductions -----------------------------------------
 
 class Pinned(Primitive):
-    """The wrapped primitive with q_free and shift_axes left at their
-    defaults, so r_sequence keeps the full grid."""
+    """The wrapped primitive with base_action left at its default (no
+    axes), so r_sequence and lyapunov_estimate keep the full grid."""
 
     def __init__(self, prim):
         self.prim = prim
@@ -260,9 +260,12 @@ class Pinned(Primitive):
         return self.prim.describe()
 
 
+def pinned(f):
+    return make_composite([Pinned(p) for p in f.primitives], n=f.n)
+
+
 def full_grid_r_sequence(f, form, K, grid):
-    pinned = make_composite([Pinned(p) for p in f.primitives], n=f.n)
-    return D.r_sequence(pinned, form, K, grid)
+    return D.r_sequence(pinned(f), form, K, grid)
 
 
 Q_FREE_MAPS = {
@@ -308,8 +311,11 @@ def test_q_free_reduction_equals_the_full_grid(apply_sizes, map_name, form_name)
 
 
 def test_q_dependent_inputs_keep_the_full_grid(apply_sizes):
+    # A lift (B = M on every axis) then a modulated flow (I off q1) share
+    # no declaration, so a form that reads q needs every base point.
     grid = D.GridSpec(4, 32)
-    D.r_sequence(cat_map(), TRIG, 8, grid)
+    lift_flow = [CanonicalLift(CAT), ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=8)]
+    D.r_sequence(make_composite(lift_flow), TRIG, 8, grid)
     assert apply_sizes == [16 * 32] * 8
     # The modulated flow reads q1 alone, so orbits start only where q2 = 0.
     flow = ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=8)
@@ -361,6 +367,29 @@ def test_n3_modulated_flow_runs_only_the_axis_it_reads(apply_sizes, form):
     np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-13)
 
 
+N3_LIFT = [[1, 1, 0], [1, 2, 1], [0, 1, 2]]
+# map name -> (primitives, form, grid, K): B != I on every axis, so orbits
+# run from q = 0 and the shifts move as B^k t mod 1.
+LIFT_TRIG_MAPS = {
+    "lift2": ([CanonicalLift(CAT)], TRIG, D.GridSpec(6, 32), 6),
+    "lift2_det_minus_one": ([CanonicalLift([[1, 1], [1, 0]])], TRIG, D.GridSpec(6, 32), 6),
+    "lift_shear": ([CanonicalLift(CAT), Shear(0)], TRIG, D.GridSpec(6, 32), 6),
+    "shear_lift": ([Shear(1, -1), CanonicalLift(CAT)], TRIG, D.GridSpec(5, 32), 6),
+    "lift3": ([CanonicalLift(N3_LIFT)], TRIG_3, D.GridSpec(6, 48), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_TRIG_MAPS))
+def test_lift_reduction_matches_the_full_grid(apply_sizes, name):
+    prims, form, grid, K = LIFT_TRIG_MAPS[name]
+    f = make_composite(prims)
+    reduced = D.r_sequence(f, form, K, grid)
+    assert apply_sizes == [grid.fiber_res] * K  # q = 0 only
+    full = full_grid_r_sequence(f, form, K, grid)
+    assert apply_sizes[K:] == [grid.q_res ** f.n * grid.fiber_res] * K
+    np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-13)
+
+
 def test_shifted_profile_check_sees_every_grid_point():
     # 0.1 + cos 2 pi q2 is negative only for |q2 - 1/2| < 0.23.  The flow's
     # orbits start at q2 = 0 and move q2 by less than 0.15 in two steps, so
@@ -368,6 +397,25 @@ def test_shifted_profile_check_sees_every_grid_point():
     flow = ContactFlow(ModulatedNormHamiltonian(0.3), 0.05, steps=4)
     with pytest.raises(D.DissipationError, match="trig form"):
         D.r_sequence(make_composite([flow]), TrigForm(0.1, [TrigTerm(1.0, (0, 1))]), 2, FAST)
+
+
+@pytest.mark.parametrize("matrix, grid, K", [(CAT, D.GridSpec(8, 128), 30), (N3_LIFT, D.GridSpec(2, 96), 12)])
+def test_round_form_lift_r_k_is_below_the_fiber_supremum(matrix, grid, K):
+    # g = f^-1 sends u to M^T u / |M^T u| with log factor -log |M^T u|, so
+    # sup |log factor of g^k| is max(log s_max, -log s_min) of (M^T)^k.
+    # s_min is read as 1 / s_max of the integer inverse power, which stays
+    # well conditioned.
+    r = D.r_sequence(make_composite([CanonicalLift(matrix)]), RoundForm(), K, grid)
+    mt = np.array(matrix).T
+    mt_inv = np.rint(np.linalg.inv(mt)).astype(int)
+
+    def s_max(a, k):
+        return np.linalg.norm(np.linalg.matrix_power(a, k).astype(float), 2)
+
+    sup = np.array([max(np.log(s_max(mt, k)), np.log(s_max(mt_inv, k))) for k in range(1, K + 1)])
+    assert np.all(r <= sup + 1e-12)
+    if len(matrix) == 2:
+        assert np.all(sup - r < 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +517,47 @@ def test_lyapunov_matches_the_per_step_svd_chain(prims, grid):
     f = make_composite(prims)
     got = D.lyapunov_estimate(f, 12, grid)
     assert got == pytest.approx(per_step_svd_lyapunov(f, 12, grid), rel=1e-12, abs=1e-14)
+
+
+@pytest.fixture
+def jacobian_sizes(monkeypatch):
+    """Number of points in each chart Jacobian batch of lyapunov_estimate."""
+    sizes = []
+
+    def spy(f, u, q):
+        sizes.append(u.shape[1])
+        return chart_jacobian_batch(f, u, q)
+
+    monkeypatch.setattr(D, "chart_jacobian_batch", spy)
+    return sizes
+
+
+# map name -> (primitives, orbit base points on GridSpec(3, 16) or (2, 24))
+LYAPUNOV_MAPS = {
+    "lift2": ([CanonicalLift(CAT)], 1),
+    "lift3": ([CanonicalLift(N3_LIFT)], 1),
+    "shear": ([Shear(0), Shear(1, -1)], 1),
+    "reeb": ([ReebTranslation(0.37)], 1),
+    "momentum_flow": ([ContactFlow(MomentumHamiltonian([0.2, 0.5]), 1.0, steps=16)], 1),
+    "metric_flow": ([ContactFlow(MetricHamiltonian(np.diag([4.0, 1.0])), 0.4, steps=16)], 1),
+    "lift_shear": ([CanonicalLift(CAT), Shear(0)], 1),
+    "shear_modulated_flow": ([Shear(0), ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=16)], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LYAPUNOV_MAPS))
+def test_reduced_lyapunov_equals_the_full_grid(jacobian_sizes, name):
+    prims, base_points = LYAPUNOV_MAPS[name]
+    f = make_composite(prims)
+    grid = D.GridSpec(3, 16) if f.n == 2 else D.GridSpec(2, 24)
+    reduced = D.lyapunov_estimate(f, 8, grid)
+    assert jacobian_sizes == [base_points * grid.fiber_res] * 8
+    full = D.lyapunov_estimate(pinned(f), 8, grid)
+    assert jacobian_sizes[8:] == [grid.q_res ** f.n * grid.fiber_res] * 8
+    if base_points == 1:
+        assert reduced == full  # the chain reads the fiber orbit alone
+    else:
+        assert reduced == pytest.approx(full, rel=0, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------

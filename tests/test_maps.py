@@ -26,6 +26,7 @@ from contactlab.maps import (
     MetricHamiltonian,
     ModulatedNormHamiltonian,
     MomentumHamiltonian,
+    Primitive,
     ReebTranslation,
     Shear,
     _composite_chart_phi,
@@ -326,76 +327,11 @@ def test_primitive_and_hamiltonian_registries_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# q-free declarations: u' and log c read only u
+# Base actions: transform(u, q + t) = (u', q' + B t, log c) on declared axes
 # ---------------------------------------------------------------------------
 
-def _stacked(components, shape):
-    return np.stack([np.broadcast_to(c, shape) for c in components])
-
-
-def _fiber_part(prim, u, q):
-    u2, _, log_c = prim.transform(list(u), list(q))
-    return _stacked(u2, u.shape[1:]), np.broadcast_to(log_c, u.shape[1:])
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_q_free_primitives_ignore_q(rng, n):
-    u = rng.normal(size=(n, 200))
-    u /= np.linalg.norm(u, axis=0)
-    q = rng.random((n, 200))
-    for prim in primitive_catalog(n):
-        u_ref, log_c_ref = _fiber_part(prim, u, q)
-        if prim.q_free:
-            for _ in range(3):
-                u2, log_c = _fiber_part(prim, u, rng.uniform(-3.0, 3.0, (n, 200)))
-                np.testing.assert_array_equal(u2, u_ref, err_msg=str(prim.describe()))
-                np.testing.assert_array_equal(log_c, log_c_ref, err_msg=str(prim.describe()))
-        else:
-            # A False declaration must be needed: some q shift changes the output.
-            u2, log_c = _fiber_part(prim, u, q + 0.25)
-            assert not (np.array_equal(u2, u_ref) and np.array_equal(log_c, log_c_ref))
-
-
-def test_q_free_hamiltonians_ignore_q(rng):
-    p = rng.normal(size=(2, 100))
-    q = rng.random((2, 100))
-    for ham in (
-        MomentumHamiltonian([0.2, 0.5]),
-        MetricHamiltonian(np.diag([4.0, 1.0])),
-        ModulatedNormHamiltonian(0.3),
-    ):
-        dp_ref, dq_ref = (_stacked(c, (100,)) for c in ham.gradients(list(p), list(q)))
-        dp, dq = (_stacked(c, (100,)) for c in ham.gradients(list(p), list(q + 0.3)))
-        if ham.q_free:
-            np.testing.assert_array_equal(dp, dp_ref)
-            assert not np.any(dq) and not np.any(dq_ref)
-        else:
-            assert not (np.array_equal(dp, dp_ref) and np.array_equal(dq, dq_ref))
-
-
-def test_q_free_declarations_of_the_catalog():
-    flags = {
-        (p.describe()["kind"], p.describe().get("hamiltonian", {}).get("kind")): p.q_free
-        for n in (2, 3)
-        for p in primitive_catalog(n)
-    }
-    assert flags == {
-        ("canonical_lift", None): True,
-        ("shear_a", None): True,
-        ("shear_b", None): True,
-        ("reeb_translation", None): True,
-        ("contact_flow", "momentum"): True,
-        ("contact_flow", "metric_norm"): True,
-        ("contact_flow", "modulated_norm"): False,
-    }
-    # A flow's inverse integrates the same Hamiltonian.
-    assert not ContactFlow(ModulatedNormHamiltonian(0.3), 0.5).inverse().q_free
-    assert ContactFlow(MomentumHamiltonian([0.2, 0.5]), 0.5).inverse().q_free
-
-
-# -- shift equivariance ------------------------------------------------------
-
 N3_LIFT = [[1, 1, 0], [1, 2, 1], [0, 1, 2]]  # fixes no base axis
+EYE = {n: np.eye(n, dtype=int) for n in (2, 3)}
 
 
 def shift_catalog(n):
@@ -408,13 +344,8 @@ def shift_catalog(n):
     ]
 
 
-def _shifted(prim, u, q, axis, t):
-    """transform at q + t e_axis, with t subtracted again from q'."""
-    e = np.zeros((u.shape[0], 1))
-    e[axis] = t
-    u2, q2, log_c = prim.transform(list(u), list(q + e))
-    shape = u.shape[1:]
-    return _stacked(u2, shape), _stacked(q2, shape) - e, np.broadcast_to(log_c, shape)
+def _stacked(components, shape):
+    return np.stack([np.broadcast_to(c, shape) for c in components])
 
 
 def _unit_points(rng, n, npts=200):
@@ -422,17 +353,37 @@ def _unit_points(rng, n, npts=200):
     return u / np.linalg.norm(u, axis=0), rng.random((n, npts))
 
 
+def _translated(prim, u, q, t, b):
+    """transform at q + t, with b t subtracted again from q'."""
+    t = np.broadcast_to(t, q.shape)
+    u2, q2, log_c = prim.transform(list(u), list(q + t))
+    shape = u.shape[1:]
+    return _stacked(u2, shape), _stacked(q2, shape) - b @ t, np.broadcast_to(log_c, shape)
+
+
+def _on_axes(rng, n, axes, npts=200):
+    """Random real shifts, one per point, supported on ``axes``."""
+    t = rng.uniform(-3.0, 3.0, (n, npts))
+    t[sorted(set(range(n)) - axes)] = 0.0
+    return t
+
+
+def _kind(p):
+    return p.n, p.describe()["kind"], p.describe().get("hamiltonian", {}).get("kind")
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_declared_shift_axes_commute_with_base_translation(rng, n):
+    # One random-shift check per kind of the declared (B, axes).
     u, q = _unit_points(rng, n)
     for prim in shift_catalog(n):
-        ref = _shifted(prim, u, q, 0, 0.0)
-        for axis in sorted(prim.shift_axes):
-            for t in rng.uniform(-3.0, 3.0, 2):
-                for got, want in zip(_shifted(prim, u, q, axis, t), ref):
-                    np.testing.assert_allclose(
-                        got, want, rtol=0, atol=1e-12, err_msg=f"{prim.describe()} axis {axis}"
-                    )
+        b, axes = prim.base_action
+        assert b.dtype.kind == "i" and round(abs(np.linalg.det(b))) == 1
+        ref = _translated(prim, u, q, 0.0, b)
+        for _ in range(2):
+            got = _translated(prim, u, q, _on_axes(rng, n, axes), b)
+            for a, c in zip(got, ref):
+                np.testing.assert_allclose(a, c, rtol=0, atol=1e-12, err_msg=str(_kind(prim)))
 
 
 @pytest.mark.parametrize(
@@ -446,15 +397,52 @@ def test_declared_shift_axes_commute_with_base_translation(rng, n):
     ids=["lift2", "lift3", "modulated2", "modulated3"],
 )
 def test_undeclared_shift_axes_change_the_output(rng, prim):
-    # An empty or partial declaration must be needed: a shift along each
-    # undeclared axis moves the output off the translated image.
+    # The declaration is tight: a shift t e_j that it does not cover as a
+    # plain translation (an undeclared axis, or a declared one that B
+    # moves) takes the output off (u', q' + t e_j, log c).
     u, q = _unit_points(rng, prim.n)
-    ref = _shifted(prim, u, q, 0, 0.0)
-    undeclared = set(range(prim.n)) - prim.shift_axes
-    assert undeclared
-    for axis in undeclared:
-        got = _shifted(prim, u, q, axis, 0.25)
-        assert not all(np.allclose(a, b, rtol=0, atol=1e-6) for a, b in zip(got, ref))
+    b, axes = prim.base_action
+    eye = EYE[prim.n]
+    ref = _translated(prim, u, q, 0.0, eye)
+    uncovered = [j for j in range(prim.n) if j not in axes or np.any(b[:, j] != eye[:, j])]
+    assert uncovered
+    for j in uncovered:
+        got = _translated(prim, u, q, 0.25 * eye[:, j : j + 1], eye)
+        assert not all(np.allclose(a, c, rtol=0, atol=1e-6) for a, c in zip(got, ref))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_q_free_primitives_ignore_q(rng, n):
+    # A declaration covering every axis makes u' and log c read u alone,
+    # bit for bit; that is what lets a Lyapunov chain run from q = 0.
+    u, q = _unit_points(rng, n)
+    for prim in shift_catalog(n):
+        u_ref, _, log_c_ref = _translated(prim, u, q, 0.0, EYE[n])
+        if prim.base_action[1] == frozenset(range(n)):
+            for _ in range(3):
+                u2, _, log_c = _translated(prim, u, q, rng.uniform(-3.0, 3.0, (n, 200)), EYE[n])
+                np.testing.assert_array_equal(u2, u_ref, err_msg=str(_kind(prim)))
+                np.testing.assert_array_equal(log_c, log_c_ref, err_msg=str(_kind(prim)))
+        else:
+            u2, _, log_c = _translated(prim, u, q, 0.25, EYE[n])
+            assert not (np.array_equal(u2, u_ref) and np.array_equal(log_c, log_c_ref))
+
+
+def test_q_free_hamiltonians_ignore_q(rng):
+    p = rng.normal(size=(2, 100))
+    q = rng.random((2, 100))
+    for ham in (
+        MomentumHamiltonian([0.2, 0.5]),
+        MetricHamiltonian(np.diag([4.0, 1.0])),
+        ModulatedNormHamiltonian(0.3),
+    ):
+        dp_ref, dq_ref = (_stacked(c, (100,)) for c in ham.gradients(list(p), list(q)))
+        dp, dq = (_stacked(c, (100,)) for c in ham.gradients(list(p), list(q + 0.3)))
+        if ham.base_action[1] == {0, 1}:
+            np.testing.assert_array_equal(dp, dp_ref)
+            assert not np.any(dq) and not np.any(dq_ref)
+        else:
+            assert not (np.array_equal(dp, dp_ref) and np.array_equal(dq, dq_ref))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -465,39 +453,136 @@ def test_hamiltonian_gradients_are_invariant_along_declared_axes(rng, n):
         MetricHamiltonian(np.diag([4.0, 1.0, 2.0][:n])),
     ] + [ModulatedNormHamiltonian(0.3, axis=a, n=n) for a in range(n)]
     for ham in hams:
+        assert np.array_equal(ham.base_action[0], EYE[n])
         ref = [_stacked(c, (100,)) for c in ham.gradients(list(p), list(q))]
         for axis in range(n):
             e = np.zeros((n, 1))
             e[axis] = rng.uniform(0.1, 0.9)  # a whole-period shift would leave any H alone
             got = [_stacked(c, (100,)) for c in ham.gradients(list(p), list(q + e))]
             same = all(np.allclose(a, b, rtol=0, atol=1e-12) for a, b in zip(got, ref))
-            assert same is (axis in ham.shift_axes), (ham.describe(), axis)
+            assert same is (axis in ham.base_action[1]), (ham.describe(), axis)
+
+
+def test_q_free_declarations_of_the_catalog():
+    # B of every kind: a lift's matrix, I for the rest; an inverse declares B^-1.
+    bs = {_kind(p): p.base_action[0].tolist() for n in (2, 3) for p in primitive_catalog(n)}
+    i2, i3 = EYE[2].tolist(), EYE[3].tolist()
+    assert bs == {
+        (2, "canonical_lift", None): CAT,
+        (2, "shear_a", None): i2,
+        (2, "shear_b", None): i2,
+        (2, "reeb_translation", None): i2,
+        (2, "contact_flow", "momentum"): i2,
+        (2, "contact_flow", "metric_norm"): i2,
+        (2, "contact_flow", "modulated_norm"): i2,
+        (3, "canonical_lift", None): [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
+        (3, "reeb_translation", None): i3,
+        (3, "contact_flow", "momentum"): i3,
+        (3, "contact_flow", "modulated_norm"): i3,
+    }
+    for n in (2, 3):
+        for p in shift_catalog(n):
+            inv = p.inverse().base_action[0]
+            np.testing.assert_array_equal(inv @ p.base_action[0], EYE[n])
 
 
 def test_shift_axes_of_the_catalog():
-    axes = {
-        (n, p.describe()["kind"], p.describe().get("hamiltonian", {}).get("kind")): p.shift_axes
-        for n in (2, 3)
-        for p in primitive_catalog(n)
-    }
+    axes = {_kind(p): p.base_action[1] for n in (2, 3) for p in primitive_catalog(n)}
     assert axes == {
-        (2, "canonical_lift", None): frozenset(),
+        (2, "canonical_lift", None): {0, 1},
         (2, "shear_a", None): {0, 1},
         (2, "shear_b", None): {0, 1},
         (2, "reeb_translation", None): {0, 1},
         (2, "contact_flow", "momentum"): {0, 1},
         (2, "contact_flow", "metric_norm"): {0, 1},
         (2, "contact_flow", "modulated_norm"): {1},
-        (3, "canonical_lift", None): frozenset(),
+        (3, "canonical_lift", None): {0, 1, 2},
         (3, "reeb_translation", None): {0, 1, 2},
         (3, "contact_flow", "momentum"): {0, 1, 2},
         (3, "contact_flow", "modulated_norm"): {0, 2},
     }
-    assert MetricHamiltonian(np.eye(3)).shift_axes == {0, 1, 2}
-    # Inverses translate the same way.
+    assert MetricHamiltonian(np.eye(3)).base_action[1] == {0, 1, 2}
+    # Inverses cover the same axes.
     for n in (2, 3):
         for p in primitive_catalog(n):
-            assert p.inverse().shift_axes == p.shift_axes
+            assert p.inverse().base_action[1] == p.base_action[1]
+
+
+# -- composites --------------------------------------------------------------
+
+MODULATED = ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=16)
+
+
+class Undeclared(Primitive):
+    """A shear that declares nothing, as a new kind does by default."""
+
+    n = 2
+
+    def transform(self, u, q):
+        return Shear(0).transform(u, q)
+
+    def inverse(self):
+        return self
+
+    def describe(self):
+        return {"kind": "undeclared"}
+
+
+@pytest.mark.parametrize(
+    "prims, b, axes",
+    [
+        ([], EYE[2], {0, 1}),
+        ([CanonicalLift(CAT), Shear(0)], CAT, {0, 1}),
+        ([CanonicalLift(CAT), CanonicalLift([[1, 1], [0, 1]])], [[3, 2], [1, 1]], {0, 1}),
+        ([CanonicalLift([[1, 1], [0, 1]]), CanonicalLift(CAT)], [[2, 3], [1, 2]], {0, 1}),
+        ([Shear(0), MODULATED], EYE[2], {1}),
+        ([MODULATED, ContactFlow(ModulatedNormHamiltonian(0.2, axis=1), 0.5)], EYE[2], set()),
+        ([CanonicalLift(CAT), MODULATED], EYE[2], set()),
+        ([Shear(1), Undeclared()], EYE[2], set()),
+    ],
+    ids=["empty", "lift_shear", "lift_lift", "lift_lift_swapped", "shear_modulated",
+         "two_modulated", "lift_modulated", "undeclared"],
+)
+def test_composite_base_action(prims, b, axes):
+    # All axes compose for any B, applied first to last: B = B_m ... B_1;
+    # partial axes only with every B = I; anything else declares no axes.
+    f = make_composite(prims, n=2)
+    got_b, got_axes = f.base_action
+    np.testing.assert_array_equal(got_b, b)
+    assert got_axes == axes
+    inv_b, inv_axes = f.inverse().base_action
+    assert inv_axes == axes
+    if axes:
+        np.testing.assert_array_equal(inv_b @ got_b, EYE[2])
+
+
+@pytest.mark.parametrize(
+    "prims",
+    [
+        [CanonicalLift(CAT), Shear(0), CanonicalLift([[1, 1], [0, 1]])],
+        [Shear(1), ContactFlow(MomentumHamiltonian([0.2, 0.5]), 1.0, steps=8), CanonicalLift(CAT)],
+        [Shear(0), MODULATED],
+        [CanonicalLift(N3_LIFT), ReebTranslation(0.3, n=3), CanonicalLift([[2, 1, 0], [1, 1, 0], [0, 0, 1]])],
+    ],
+    ids=["lift_shear_lift", "shear_flow_lift", "shear_modulated", "n3_lift_reeb_lift"],
+)
+def test_composite_base_action_holds(rng, prims):
+    f = make_composite(prims)
+    n = f.n
+    b, axes = f.base_action
+    u, q = _unit_points(rng, n)
+
+    def image(t):
+        # The composite's transforms in order, q' left unwrapped.
+        uu, qq, log_c = list(u), list(q + t), 0.0
+        for p in f.primitives:
+            uu, qq, step = p.transform(uu, qq)
+            log_c = log_c + step
+        return _stacked(uu, (200,)), _stacked(qq, (200,)) - b @ t, np.broadcast_to(log_c, (200,))
+
+    ref = image(np.zeros((n, 200)))
+    for a, c in zip(image(_on_axes(rng, n, axes)), ref):
+        np.testing.assert_allclose(a, c, rtol=0, atol=1e-11)
 
 
 def test_momentum_hamiltonian_rejects_a_string():

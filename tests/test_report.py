@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -477,3 +479,45 @@ def test_validate_mutated_bundled_task_exits_0_or_2(config, index, name, params)
     task = data["tasks"][index % len(data["tasks"])]
     task.update(task=name, **params)
     assert validate_exit(data) in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# run never raises: any JSON value or mutated bundled task exits 0..3
+# ---------------------------------------------------------------------------
+
+# Small numbers keep every run that validates short (K and N at most 12).
+SMALL_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-3.0, 12.0) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=9,
+)
+
+
+def run_exit(data) -> int:
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
+    assert "Traceback" not in stderr.getvalue()
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(JSON_VALUES)
+def test_run_any_json_exits_0_to_3(data):
+    assert run_exit(data) in (0, 1, 2, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    config=st.sampled_from(BUNDLED),
+    index=st.integers(0, 9),
+    key=st.sampled_from(TASK_KEYS),
+    value=SMALL_VALUES,
+)
+def test_run_bundled_config_with_a_changed_task_parameter_exits_0_to_3(config, index, key, value):
+    data = json.loads(config.read_text())
+    data["tasks"][index % len(data["tasks"])][key] = value
+    assert run_exit(data) in (0, 1, 2, 3)
