@@ -25,19 +25,14 @@ from .dissipation import (
     verify_bound,
 )
 from .geometry import (
-    CEPoint,
     ConstantForm,
     ContactForm,
-    CotangentPoint,
-    Direction,
     GeometryError,
     MetricForm,
     PullbackForm,
     RoundForm,
-    TorusPoint,
     TrigForm,
     TrigTerm,
-    norm_of,
 )
 from .maps import (
     CanonicalLift,
@@ -49,7 +44,6 @@ from .maps import (
     MomentumHamiltonian,
     ReebTranslation,
     Shear,
-    conformal_factor,
     homology_action,
     identity_map,
     make_composite,

@@ -3,10 +3,12 @@
 Matrices are tuples of tuples of Python ints so that characteristic
 polynomials, inverses and powers stay exact; eigenvalue moduli go through a
 square-free split followed by simultaneous (Durand-Kerner) root iteration.
+Also the number checks for config values: ``is_int``, ``is_real``, ``as_ints``.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,8 +29,35 @@ class AlgebraError(ValueError):
 # Exact matrix arithmetic
 # ---------------------------------------------------------------------------
 
+def is_int(value) -> bool:
+    """An integer number (8 or 8.0), not a bool or a string."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+
+
+def is_real(value) -> bool:
+    """A number that converts to a finite float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def as_ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; every entry must pass ``is_int``."""
+    values = list(values)
+    if not all(is_int(c) for c in values):
+        raise AlgebraError(f"{what} must be integers, got {values!r}")
+    return tuple(int(c) for c in values)
+
+
 def as_matrix(rows) -> IntMatrix:
-    mat = tuple(tuple(int(c) for c in row) for row in rows)
+    mat = tuple(as_ints(row, "matrix entries") for row in rows)
     k = len(mat)
     if k == 0 or k > 6 or any(len(r) != k for r in mat):
         raise AlgebraError("need a square integer matrix of size at most 6")

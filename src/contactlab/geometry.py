@@ -1,19 +1,21 @@
 """Coordinates on tori and their cooriented contact-element spaces.
 
-Provides the point types, contact-form catalog, fiber-sphere charts and the
-forward-mode jet arithmetic that the map catalog and the dissipation
-machinery differentiate through.  Everything here is a pure function over
-immutable values; batched evaluation just means the scalars are numpy
-arrays.
+A point of the contact-element space is a unit fiber direction u and a base
+point q, both held as (n, N) component arrays: every call takes a batch,
+and a single point is a batch of one.  Provides the contact-form catalog,
+the grids, the fiber-sphere charts and the forward-mode jet arithmetic that
+the map catalog and the dissipation machinery differentiate through.
+Everything here is a pure function over immutable values.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .algebra import as_matrix, determinant, is_int, is_real
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,26 +25,7 @@ CHART_SWITCH = 0.1
 
 
 class GeometryError(ValueError):
-    """Invalid geometric data (zero covector, bad dimension, ...)."""
-
-
-def is_int(value) -> bool:
-    """An integer number (8 or 8.0), not a bool or a string."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer()
-    )
-
-
-def is_real(value) -> bool:
-    """A number that converts to a finite float, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:  # an integer beyond the float range
-        return False
+    """Invalid geometric data (a bad form, grid or dimension)."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,115 +166,6 @@ def seed_jets(values: Sequence) -> list[Jet]:
     return jets
 
 
-def jacobian(phi: Callable, x: Sequence[float]) -> np.ndarray:
-    """Exact-to-roundoff Jacobian of ``phi`` at ``x`` via jets.
-
-    ``phi`` maps a list of jet-compatible scalars to a list of outputs.
-    """
-    outs = phi(seed_jets(x))
-    m = len(x)
-    rows = []
-    for o in outs:
-        if isinstance(o, Jet):
-            rows.append(np.asarray(o.partials, dtype=float))
-        else:
-            rows.append(np.zeros(m))
-    return np.array(rows)
-
-
-# ---------------------------------------------------------------------------
-# Point types
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """Base point with angular coordinates, each stored in [0, 1)."""
-
-    q: tuple[float, ...]
-
-    def __init__(self, q):
-        coords = tuple(float(c) % 1.0 for c in q)
-        if len(coords) not in (2, 3):
-            raise GeometryError(f"torus dimension must be 2 or 3, got {len(coords)}")
-        object.__setattr__(self, "q", coords)
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
-
-
-def wrap(q: Sequence[float]) -> TorusPoint:
-    """Reduce coordinates mod 1 into [0, 1)."""
-    return TorusPoint(q)
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Unit fiber direction; for n=2 also available as an angle in revolutions."""
-
-    u: tuple[float, ...]
-
-    def __init__(self, u):
-        vec = np.asarray(u, dtype=float)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0 or not np.isfinite(norm):
-            raise GeometryError("direction must be a nonzero finite vector")
-        vec = vec / norm
-        if vec.shape[0] not in (2, 3):
-            raise GeometryError(f"fiber dimension must be 2 or 3, got {vec.shape[0]}")
-        object.__setattr__(self, "u", tuple(float(c) for c in vec))
-
-    @classmethod
-    def from_angle(cls, theta: float) -> "Direction":
-        a = TWO_PI * theta
-        return cls((math.cos(a), math.sin(a)))
-
-    @property
-    def n(self) -> int:
-        return len(self.u)
-
-    @property
-    def theta(self) -> float:
-        if self.n != 2:
-            raise GeometryError("angle coordinate only defined for n=2")
-        return math.atan2(self.u[1], self.u[0]) / TWO_PI % 1.0
-
-
-@dataclass(frozen=True)
-class CEPoint:
-    """Point of the space of cooriented contact elements over the torus."""
-
-    u: Direction
-    q: TorusPoint
-
-    def __post_init__(self):
-        if self.u.n != self.q.n:
-            raise GeometryError("fiber and base dimensions differ")
-
-    @property
-    def n(self) -> int:
-        return self.q.n
-
-
-@dataclass(frozen=True)
-class CotangentPoint:
-    """Nonzero covector over a torus point."""
-
-    p: tuple[float, ...]
-    q: TorusPoint
-
-    def __post_init__(self):
-        vec = np.asarray(self.p, dtype=float)
-        if float(np.linalg.norm(vec)) == 0.0:
-            raise GeometryError("not in T*_0: zero covector")
-        if vec.shape[0] != self.q.n:
-            raise GeometryError("covector and base dimensions differ")
-        object.__setattr__(self, "p", tuple(float(c) for c in vec))
-
-    def direction(self) -> Direction:
-        return Direction(self.p)
-
-
 # ---------------------------------------------------------------------------
 # Contact forms
 # ---------------------------------------------------------------------------
@@ -424,6 +298,8 @@ class MetricForm(ContactForm):
     q_free = True
 
     def __init__(self, g: np.ndarray):
+        if not all(is_real(c) for row in g for c in row):
+            raise GeometryError(f"metric entries must be finite numbers, got {g!r}")
         g = np.asarray(g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise GeometryError("metric must be a square matrix")
@@ -451,13 +327,13 @@ class PullbackForm(ContactForm):
     """
 
     def __init__(self, matrix, base: ContactForm):
-        m = np.asarray(matrix, dtype=float)
-        if abs(round(float(np.linalg.det(m)))) != 1:
+        m = as_matrix(matrix)
+        if determinant(m) not in (1, -1):
             raise GeometryError("lift matrix must be unimodular")
-        self.matrix = np.asarray(matrix, dtype=int)
-        self.m_inv_t = np.linalg.inv(m).T
+        self.matrix = np.array(m, dtype=int)
+        self.m_inv_t = np.linalg.inv(np.array(m, dtype=float)).T
         self.base = base
-        self.n = m.shape[0]
+        self.n = len(m)
         self.q_free = base.q_free
 
     def profile(self, u, q):
@@ -515,34 +391,6 @@ def check_positive(form: ContactForm, n: int, q_res: int = 64, fiber_res: int = 
     return low
 
 
-def norm_of(z: CotangentPoint, form: ContactForm) -> float:
-    """|z| for the section of the cotangent bundle cut out by the form."""
-    p = np.asarray(z.p)
-    norm = float(np.linalg.norm(p))
-    u = p / norm
-    f = float(jval(form.profile(list(u), list(z.q.q))))
-    return norm / f
-
-
-def eval_form(form: ContactForm, x: CEPoint) -> np.ndarray:
-    """Coefficients of the form at x in the chart coordinates.
-
-    Ordering is (fiber coordinates..., dq...); the fiber block is always 0.
-    """
-    comps = eval_form_components(form, x.u.u, x.q.q, x.n)
-    return np.array([float(c) for c in comps])
-
-
-def eval_form_components(form: ContactForm, u, q, n: int):
-    """Chart coefficients with batched (array) inputs allowed."""
-    f = form.profile(list(u), list(q))
-    fiber_zeros = n - 1
-    out = [0.0] * fiber_zeros
-    for i in range(n):
-        out.append(f * u[i])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------
@@ -578,13 +426,6 @@ def chart_dim(n: int) -> int:
     return 2 * n - 1
 
 
-def select_chart(u) -> int:
-    """Chart index at a direction: n=2 has a single global chart."""
-    if len(u) == 2:
-        return 0
-    return 0 if jval(u[2]) < 1.0 - CHART_SWITCH else 1
-
-
 def select_chart_batch(u3: np.ndarray) -> np.ndarray:
     return (u3 >= 1.0 - CHART_SWITCH).astype(int)
 
@@ -615,14 +456,3 @@ def chart_encode(n: int, chart: int, u, q):
     else:
         denom = 1.0 + u[2]
     return [u[0] / denom, u[1] / denom] + [jmod1(qi) for qi in q]
-
-
-def point_to_chart(x: CEPoint) -> tuple[int, list[float]]:
-    chart = select_chart(x.u.u)
-    coords = chart_encode(x.n, chart, list(x.u.u), list(x.q.q))
-    return chart, [float(jval(c)) for c in coords]
-
-
-def chart_to_point(n: int, chart: int, coords) -> CEPoint:
-    u, q = chart_decode(n, chart, coords)
-    return CEPoint(Direction([float(jval(c)) for c in u]), wrap([float(jval(c)) for c in q]))

@@ -5,9 +5,10 @@ exact inverse and declares its integer action on first cohomology in closed
 form.  Every primitive also returns the log of its conformal factor for the
 round form in closed form, and ``ContactMap.apply_batch`` sums these along
 the composition; this is the factor the dissipation sequence accumulates.
-The jet-based extraction through the fiber charts (``conformal_factor*``,
+The jet-based extraction through the fiber charts (``conformal_factor_batch``,
 ``chart_jacobian_batch``) stays as the checking oracle and feeds the
-Lyapunov estimate.
+Lyapunov estimate.  Every entry point takes (n, N) component arrays; a single
+point is a batch of one.
 
 Every primitive and Hamiltonian declares how it meets translations of the
 base in one attribute, ``base_action = (B, axes)``: B is an integer
@@ -25,20 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from . import algebra
-from .algebra import IntMatrix
+from .algebra import IntMatrix, is_int, is_real
 from .geometry import (
-    CEPoint,
     ContactForm,
-    Direction,
-    GeometryError,
     Jet,
     TWO_PI,
     chart_decode,
     chart_dim,
     chart_encode,
-    eval_form,
-    eval_form_components,
-    jacobian,
     jatan2,
     jcos,
     jmatvec,
@@ -46,10 +41,8 @@ from .geometry import (
     jsin,
     jsqrt,
     jval,
-    point_to_chart,
-    select_chart,
+    seed_jets,
     select_chart_batch,
-    wrap,
 )
 
 
@@ -154,10 +147,10 @@ class Shear(Primitive):
     def __init__(self, axis: int, power: int = 1):
         if axis not in (0, 1):
             raise MapError("shear axis must be 0 or 1")
-        if power not in (1, -1):
-            raise MapError("shear power must be +-1")
+        if not (is_int(power) and power in (1, -1)):
+            raise MapError(f"shear power must be 1 or -1, got {power!r}")
         self.axis = axis
-        self.power = power
+        self.power = int(power)
 
     def transform(self, u, q):
         theta = jmod1(jatan2(u[1], u[0]) / TWO_PI)
@@ -189,11 +182,13 @@ class ReebTranslation(Primitive):
     """Time-t Reeb flow of the round form: (u, q) -> (u, q + t u)."""
 
     def __init__(self, t: float, n: int = 2):
-        if n not in (2, 3):
+        if not (is_int(n) and n in (2, 3)):
             raise MapError("dimension must be 2 or 3")
+        if not is_real(t):
+            raise MapError(f"reeb t must be a finite number, got {t!r}")
         self.t = float(t)
-        self.n = n
-        self.base_action = translations(n)
+        self.n = int(n)
+        self.base_action = translations(self.n)
 
     def transform(self, u, q):
         # u . d(q + t u) = u . dq + (t/2) d|u|^2, and |u| = 1 on the sphere.
@@ -227,7 +222,7 @@ class MomentumHamiltonian(Hamiltonian):
     """H = <c, p>: the flow translates the base at constant speed c."""
 
     def __init__(self, c: Sequence[float]):
-        if not isinstance(c, (list, tuple)):
+        if not (isinstance(c, (list, tuple)) and all(is_real(x) for x in c)):
             raise MapError(f"momentum c must be a list of numbers, got {c!r}")
         self.c = tuple(float(x) for x in c)
         self.n = len(self.c)
@@ -246,6 +241,8 @@ class MetricHamiltonian(Hamiltonian):
     """H = sqrt(p^T G p): geodesic flow of a flat metric on the base."""
 
     def __init__(self, g):
+        if not all(is_real(c) for row in g for c in row):
+            raise MapError(f"metric entries must be finite numbers, got {g!r}")
         self.g = np.asarray(g, dtype=float)
         self.n = self.g.shape[0]
         if self.n not in (2, 3) or self.g.shape != (self.n, self.n):
@@ -267,14 +264,16 @@ class ModulatedNormHamiltonian(Hamiltonian):
     """H = |p| (1 + eps cos 2 pi q_axis): a genuinely q-dependent flow."""
 
     def __init__(self, eps: float, axis: int = 0, n: int = 2):
-        if n not in (2, 3) or not 0 <= axis < n:
-            raise MapError("bad dimension or axis")
-        if abs(eps) >= 1.0:
+        if not (is_int(n) and n in (2, 3)):
+            raise MapError("dimension must be 2 or 3")
+        if not (is_int(axis) and 0 <= axis < n):
+            raise MapError(f"modulated_norm axis must be an integer below n, got {axis!r}")
+        if not (is_real(eps) and abs(eps) < 1.0):
             raise MapError("modulation must satisfy |eps| < 1")
         self.eps = float(eps)
-        self.axis = axis
-        self.n = n
-        self.base_action = translations(n, frozenset(range(n)) - {axis})
+        self.axis = int(axis)
+        self.n = int(n)
+        self.base_action = translations(self.n, frozenset(range(self.n)) - {self.axis})
 
     def gradients(self, p, q):
         norm = jsqrt(sum(pi * pi for pi in p))
@@ -298,8 +297,10 @@ class ContactFlow(Primitive):
     """
 
     def __init__(self, hamiltonian: Hamiltonian, t: float, steps: int = 256):
-        if steps < 1:
-            raise MapError("need at least one integration step")
+        if not (is_int(steps) and steps >= 1):
+            raise MapError(f"flow steps must be a positive integer, got {steps!r}")
+        if not is_real(t):
+            raise MapError(f"flow t must be a finite number, got {t!r}")
         self.hamiltonian = hamiltonian
         self.t = float(t)
         self.steps = int(steps)
@@ -387,14 +388,6 @@ class ContactMap:
             return b, every.intersection(*(axes for _, axes in actions))
         return b, frozenset()
 
-    def apply(self, x: CEPoint) -> CEPoint:
-        if x.n != self.n:
-            raise MapError("point dimension mismatch")
-        u, q = list(x.u.u), list(x.q.q)
-        for prim in self.primitives:
-            u, q, _ = prim.transform(u, q)
-        return CEPoint(Direction([float(c) for c in u]), wrap([float(c) for c in q]))
-
     def apply_batch(self, u_arr: np.ndarray, q_arr: np.ndarray):
         """Vectorized apply on (n, N) component arrays.
 
@@ -467,25 +460,6 @@ def _composite_chart_phi(f: ContactMap, chart_in: int, chart_out: int):
     return phi
 
 
-def conformal_factor(f: ContactMap, form: ContactForm, x: CEPoint) -> float:
-    """c with (f^* form-multiple) = c * (form-multiple) at x.
-
-    Evaluated as the ratio of the pulled-back form to the form on the chart
-    basis vector where the form coefficient is largest.
-    """
-    lam_x = eval_form(form, x)
-    j = int(np.argmax(np.abs(lam_x)))
-    if abs(lam_x[j]) < 1e-12:
-        raise MapError("degenerate transversal: form vanishes on chart basis")
-    y = f.apply(x)
-    lam_y = eval_form(form, y)
-    chart_in, coords = point_to_chart(x)
-    chart_out = select_chart(y.u.u)
-    jac = jacobian(_composite_chart_phi(f, chart_in, chart_out), coords)
-    c = float(lam_y @ jac[:, j]) / float(lam_x[j])
-    return c
-
-
 def conformal_factor_batch(
     f: ContactMap, form: ContactForm, u_arr: np.ndarray, q_arr: np.ndarray
 ):
@@ -516,11 +490,7 @@ def chart_jacobian_batch(f: ContactMap, u_arr: np.ndarray, q_arr: np.ndarray):
     u2, q2, _ = f.apply_batch(u_arr, q_arr)
     jac = np.empty((d, d, u_arr.shape[1]))
     for idx, coords, phi in _chart_groups(f, u_arr, q_arr, u2):
-        seeds = np.zeros((d, d, idx.size))
-        for i in range(d):
-            seeds[i, i, :] = 1.0
-        jets = [Jet(np.asarray(coords[i], float), seeds[:, i, :]) for i in range(d)]
-        for i, o in enumerate(phi(jets)):
+        for i, o in enumerate(phi(seed_jets(coords))):
             if isinstance(o, Jet):
                 jac[i, :, idx] = o.partials.T
             else:
@@ -556,9 +526,10 @@ def _chart_groups(f: ContactMap, u_arr, q_arr, u_image):
 
 
 def _form_rows(form: ContactForm, u_arr, q_arr, n: int, npts: int) -> np.ndarray:
-    comps = eval_form_components(
-        form, [u_arr[i] for i in range(n)], [q_arr[i] for i in range(n)], n
-    )
+    """Chart coefficients (fiber coordinates..., dq...) of the form at each
+    point, shape (2n - 1, N); the fiber block is always 0."""
+    f = form.profile(list(u_arr), list(q_arr))
+    comps = [0.0] * (n - 1) + [f * u_arr[i] for i in range(n)]
     return np.stack([np.broadcast_to(np.asarray(c, float), (npts,)) for c in comps])
 
 

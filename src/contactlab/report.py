@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, dissipation, shapes
+from .algebra import is_int, is_real
 from .dissipation import GridSpec, Thresholds
-from .geometry import ContactForm, MetricForm, build_form, is_int, is_real
+from .geometry import ContactForm, MetricForm, build_form
 from .maps import ContactMap, MapError, build_primitive, make_composite
 
 # Numeric task parameters: name -> (default, minimum).  A minimum of None
@@ -243,8 +244,8 @@ def _build_task_objects(name: str, task: dict, out: dict, n: int) -> None:
                 raise ValueError("matrix must be 2x2 or 3x3")
             algebra.mat_inverse(out["matrix"])  # shapes.act inverts it
     elif name == "duality":
-        out["metric"] = np.asarray(task["metric"], dtype=float)
-        if MetricForm(out["metric"]).n not in (2, 3):
+        out["metric"] = MetricForm(task["metric"]).g
+        if out["metric"].shape[0] not in (2, 3):
             raise ValueError("metric must be 2x2 or 3x3")
         out["classes"] = _parse_classes(task.get("classes"), out["metric"].shape[0])
     elif name == "growth":
@@ -258,7 +259,7 @@ def _parse_classes(value, k: int):
     """Integer classes of length k, or None to have the runner sample them."""
     if value is None:
         return None
-    classes = [tuple(int(c) for c in g) for g in value]
+    classes = [algebra.as_ints(g, "class entries") for g in value]
     if any(len(g) != k for g in classes):
         raise ValueError(f"classes must have length {k}")
     return classes

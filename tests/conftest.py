@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from contactlab.geometry import chart_encode, select_chart_batch
+
 
 def circ_diff(a, b, periodic):
     """Componentwise difference; periodic components measured on the circle."""
@@ -27,6 +29,34 @@ def fd_jacobian(phi, x, periodic_out, h=1e-5):
         fm = np.array([float(v) for v in phi(list(xm))])
         cols.append(circ_diff(fp, fm, periodic_out) / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def random_point(rng, n=2):
+    """One random point as a batch of one: (u, q), each of shape (n, 1),
+    with u a unit direction and q in [0, 1)."""
+    u = rng.normal(size=n)
+    q = rng.random(n)
+    return (u / np.linalg.norm(u))[:, None], q[:, None]
+
+
+def random_points(rng, n, count):
+    """``count`` points drawn one at a time by ``random_point``, stacked as
+    (n, count) arrays."""
+    pts = [random_point(rng, n) for _ in range(count)]
+    return np.hstack([u for u, _ in pts]), np.hstack([q for _, q in pts])
+
+
+def chart_coords(f, u, q):
+    """(chart_in, chart_out, coords) of the map f at a batch of one: the
+    charts at the point and at its image, and the point's input chart
+    coordinates as floats."""
+    u_image, _, _ = f.apply_batch(u, q)
+    chart_in = chart_out = 0
+    if f.n == 3:
+        chart_in = int(select_chart_batch(u[2])[0])
+        chart_out = int(select_chart_batch(u_image[2])[0])
+    coords = chart_encode(f.n, chart_in, list(u), list(q))
+    return chart_in, chart_out, [float(c[0]) for c in coords]
 
 
 @pytest.fixture

@@ -21,11 +21,6 @@ from contactlab.geometry import (
     TrigForm,
     TrigTerm,
     chart_dim,
-    point_to_chart,
-    select_chart,
-    CEPoint,
-    Direction,
-    wrap,
 )
 from contactlab.maps import (
     CanonicalLift,
@@ -35,13 +30,12 @@ from contactlab.maps import (
     Shear,
     _composite_chart_phi,
     chart_jacobian_batch,
-    conformal_factor,
     conformal_factor_batch,
     identity_map,
     make_composite,
 )
 from contactlab.report import run, validate_config
-from conftest import fd_jacobian
+from conftest import chart_coords, fd_jacobian, random_point
 
 CAT = [[2, 1], [1, 1]]
 CAT_S = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -226,12 +220,9 @@ def test_criterion_9_numerical_hygiene():
             for prim in prims:
                 f = make_composite([prim])
                 for _ in range(3):
-                    x = CEPoint(Direction(rng.normal(size=n)), wrap(rng.random(n)))
-                    chart_in, coords = point_to_chart(x)
-                    chart_out = select_chart(f.apply(x).u.u)
+                    u, q = random_point(rng, n)
+                    chart_in, chart_out, coords = chart_coords(f, u, q)
                     phi = _composite_chart_phi(f, chart_in, chart_out)
-                    u = np.array([[c] for c in x.u.u])
-                    q = np.array([[c] for c in x.q.q])
                     jac, _, _ = chart_jacobian_batch(f, u, q)
                     fd = fd_jacobian(
                         lambda cs: [
@@ -248,9 +239,10 @@ def test_criterion_9_numerical_hygiene():
         g = make_composite([CanonicalLift(CAT), ReebTranslation(0.2)]).inverse()
         g2 = make_composite(list(g.primitives) * 2)
         for _ in range(100):
-            x = CEPoint(Direction(rng.normal(size=2)), wrap(rng.random(2)))
-            lhs = conformal_factor(g2, form, x)
-            rhs = conformal_factor(g, form, g.apply(x)) * conformal_factor(g, form, x)
+            u, q = random_point(rng, 2)
+            lhs = conformal_factor_batch(g2, form, u, q)[0][0]
+            c, gu, gq = conformal_factor_batch(g, form, u, q)
+            rhs = conformal_factor_batch(g, form, gu, gq)[0][0] * c[0]
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
         # grid-refinement doubling changes r_K by < 1%
         f = make_composite([CanonicalLift(CAT), ReebTranslation(0.2)])

@@ -7,25 +7,18 @@ from hypothesis import strategies as st
 
 from contactlab.geometry import (
     FORMS,
-    CEPoint,
     ConstantForm,
-    CotangentPoint,
-    Direction,
     GeometryError,
     Jet,
     MetricForm,
     PullbackForm,
     RoundForm,
-    TorusPoint,
     TrigForm,
     TrigTerm,
     build_form,
     chart_decode,
     chart_encode,
-    chart_to_point,
     check_positive,
-    eval_form,
-    jacobian,
     jatan2,
     jcos,
     jmatvec,
@@ -33,12 +26,12 @@ from contactlab.geometry import (
     jsin,
     jsqrt,
     jval,
-    norm_of,
-    point_to_chart,
     seed_jets,
+    select_chart_batch,
     sphere_grid_array,
-    wrap,
 )
+from contactlab.maps import _form_rows
+from conftest import random_points
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -87,58 +80,9 @@ def test_jet_batched_values():
     assert np.allclose(y.partials[0], 1.0 - 1.0 / np.array([1.0, 4.0, 9.0]))
 
 
-def test_jacobian_of_linear_map_is_exact():
-    m = np.array([[2.0, 1.0], [1.0, 1.0]])
-
-    def phi(x):
-        return [m[0, 0] * x[0] + m[0, 1] * x[1], m[1, 0] * x[0] + m[1, 1] * x[1]]
-
-    assert np.allclose(jacobian(phi, [0.3, -0.7]), m)
-
-
-# ---------------------------------------------------------------------------
-# Points
-# ---------------------------------------------------------------------------
-
-def test_torus_point_wraps():
-    p = TorusPoint([1.25, -0.5])
-    assert p.q == (0.25, 0.5)
-    assert wrap([2.0, 3.0, 4.5]).q == (0.0, 0.0, 0.5)
-
-
-def test_torus_point_bad_dimension():
-    with pytest.raises(GeometryError):
-        TorusPoint([0.1])
-
-
-def test_direction_normalizes_and_rejects_zero():
-    d = Direction([3.0, 4.0])
-    assert d.u == pytest.approx((0.6, 0.8))
-    assert Direction.from_angle(0.25).u == pytest.approx((0.0, 1.0), abs=1e-15)
-    assert Direction.from_angle(0.125).theta == pytest.approx(0.125)
-    with pytest.raises(GeometryError):
-        Direction([0.0, 0.0])
-
-
-def test_cotangent_point_rejects_zero_covector():
-    with pytest.raises(GeometryError, match="not in T"):
-        CotangentPoint((0.0, 0.0), wrap([0.1, 0.2]))
-
-
-def test_ce_point_dimension_consistency():
-    with pytest.raises(GeometryError):
-        CEPoint(Direction([1.0, 0.0]), wrap([0.1, 0.2, 0.3]))
-
-
 # ---------------------------------------------------------------------------
 # Forms
 # ---------------------------------------------------------------------------
-
-def test_round_form_norm():
-    z = CotangentPoint((3.0, 4.0), wrap([0.0, 0.0]))
-    assert norm_of(z, RoundForm()) == pytest.approx(5.0)
-    assert norm_of(z, ConstantForm(2.0)) == pytest.approx(2.5)
-
 
 def test_metric_form_profile_is_dual_radius():
     g = np.diag([4.0, 1.0])
@@ -271,8 +215,9 @@ def test_pullback_form_round_is_stretch():
 
 
 def test_eval_form_chart_coefficients():
-    x = CEPoint(Direction.from_angle(0.125), wrap([0.3, 0.4]))
-    coeffs = eval_form(ConstantForm(2.0), x)
+    a = 2.0 * math.pi * 0.125
+    u = np.array([[math.cos(a)], [math.sin(a)]])
+    coeffs = _form_rows(ConstantForm(2.0), u, np.array([[0.3], [0.4]]), 2, 1)[:, 0]
     s = math.sqrt(0.5)
     assert coeffs == pytest.approx([0.0, 2.0 * s, 2.0 * s])
 
@@ -288,29 +233,30 @@ def test_sphere_grid_unit_norm(n, res):
     assert np.allclose(np.linalg.norm(g, axis=1), 1.0)
 
 
+def chart_roundtrip(n, chart, u, q):
+    """Decoded (u, q) of the encoded points, stacked as (n, N) arrays."""
+    u2, q2 = chart_decode(n, chart, chart_encode(n, chart, list(u), list(q)))
+    return np.stack(u2), np.mod(np.stack(q2), 1.0)
+
+
 def test_chart_roundtrip_n2(rng):
-    for _ in range(50):
-        u = rng.normal(size=2)
-        q = rng.random(2)
-        x = CEPoint(Direction(u), wrap(q))
-        chart, coords = point_to_chart(x)
-        y = chart_to_point(2, chart, coords)
-        assert np.allclose(y.u.u, x.u.u, atol=1e-12)
-        assert np.allclose(y.q.q, x.q.q, atol=1e-12)
+    u, q = random_points(rng, 2, 50)
+    u2, q2 = chart_roundtrip(2, 0, u, q)
+    assert np.allclose(u2, u, atol=1e-12)
+    assert np.allclose(q2, q, atol=1e-12)
 
 
 def test_chart_roundtrip_n3_both_charts(rng):
-    for _ in range(100):
-        u = rng.normal(size=3)
-        q = rng.random(3)
-        x = CEPoint(Direction(u), wrap(q))
-        chart, coords = point_to_chart(x)
-        y = chart_to_point(3, chart, coords)
-        assert np.allclose(y.u.u, x.u.u, atol=1e-10)
-        assert np.allclose(y.q.q, x.q.q, atol=1e-12)
+    u, q = random_points(rng, 3, 100)
+    charts = select_chart_batch(u[2])
+    for chart in (0, 1):
+        idx = charts == chart
+        u2, q2 = chart_roundtrip(3, chart, u[:, idx], q[:, idx])
+        assert np.allclose(u2, u[:, idx], atol=1e-10)
+        assert np.allclose(q2, q[:, idx], atol=1e-12)
     # near-pole directions must land in the second chart
-    chart, _ = point_to_chart(CEPoint(Direction([0.01, 0.0, 1.0]), wrap([0, 0, 0])))
-    assert chart == 1
+    pole = np.array([0.01, 0.0, 1.0])
+    assert select_chart_batch(pole[2:] / np.linalg.norm(pole))[0] == 1
 
 
 def test_chart_encode_decode_consistency_n3():

@@ -1,27 +1,20 @@
-import math
-
 import numpy as np
 import pytest
 
 from contactlab import algebra as A
 from contactlab.geometry import (
-    CEPoint,
-    ConstantForm,
-    Direction,
+    MetricForm,
     RoundForm,
     TrigForm,
     TrigTerm,
     chart_dim,
-    point_to_chart,
-    select_chart,
-    wrap,
+    select_chart_batch,
 )
 from contactlab.maps import (
     HAMILTONIANS,
     PRIMITIVES,
     CanonicalLift,
     ContactFlow,
-    ContactMap,
     MapError,
     MetricHamiltonian,
     ModulatedNormHamiltonian,
@@ -33,19 +26,20 @@ from contactlab.maps import (
     build_hamiltonian,
     build_primitive,
     chart_jacobian_batch,
-    conformal_factor,
     conformal_factor_batch,
     homology_action,
     identity_map,
     make_composite,
 )
-from conftest import fd_jacobian
+from conftest import chart_coords, fd_jacobian, random_point, random_points
 
 CAT = [[2, 1], [1, 1]]
+N3_LIFT = [[1, 1, 0], [1, 2, 1], [0, 1, 2]]  # fixes no base axis
 
 
-def random_point(rng, n=2):
-    return CEPoint(Direction(rng.normal(size=n)), wrap(rng.random(n)))
+def factor_at(f, form, u, q) -> float:
+    """The jet conformal factor of f at a batch of one."""
+    return float(conformal_factor_batch(f, form, u, q)[0][0])
 
 
 def primitive_catalog(n):
@@ -77,10 +71,10 @@ def test_primitive_inverse_roundtrip(rng, n):
         f = make_composite([prim])
         g = f.inverse()
         for _ in range(5):
-            x = random_point(rng, n)
-            y = g.apply(f.apply(x))
-            assert np.allclose(y.u.u, x.u.u, atol=1e-8)
-            du = (np.array(y.q.q) - np.array(x.q.q) + 0.5) % 1.0 - 0.5
+            u, q = random_point(rng, n)
+            u2, q2, _ = g.apply_batch(*f.apply_batch(u, q)[:2])
+            assert np.allclose(u2, u, atol=1e-8)
+            du = (q2 - q + 0.5) % 1.0 - 0.5
             assert np.allclose(du, 0.0, atol=1e-8)
 
 
@@ -145,7 +139,7 @@ def test_strict_maps_have_unit_conformal_factor(rng):
     ]
     for f in strict:
         for _ in range(20):
-            c = conformal_factor(f, form, random_point(rng))
+            c = factor_at(f, form, *random_point(rng))
             assert c == pytest.approx(1.0, abs=1e-9)
 
 
@@ -156,35 +150,59 @@ def test_canonical_lift_conformal_factor_closed_form(rng):
     m = np.array(CAT, float)
     f = make_composite([CanonicalLift(CAT)])
     for _ in range(20):
-        x = random_point(rng)
-        u = np.array(x.u.u)
-        c = conformal_factor(f, form, x)
-        assert c == pytest.approx(1.0 / np.linalg.norm(np.linalg.inv(m).T @ u), rel=1e-9)
+        u, q = random_point(rng)
+        c = factor_at(f, form, u, q)
+        assert c == pytest.approx(1.0 / np.linalg.norm(np.linalg.inv(m).T @ u[:, 0]), rel=1e-9)
 
 
 def test_conformal_factor_batch_matches_pointwise(rng):
     form = TrigForm(1.0, [TrigTerm(0.3, (1, 0)), TrigTerm(0.2, (0, 1), (2, 0))])
     f = make_composite([CanonicalLift(CAT), ReebTranslation(0.2)])
-    pts = [random_point(rng) for _ in range(40)]
-    u = np.array([p.u.u for p in pts]).T
-    q = np.array([p.q.q for p in pts]).T
+    u, q = random_points(rng, 2, 40)
     c, u2, q2 = conformal_factor_batch(f, form, u, q)
-    for i, p in enumerate(pts):
-        assert c[i] == pytest.approx(conformal_factor(f, form, p), rel=1e-10)
-        y = f.apply(p)
-        assert np.allclose(u2[:, i], y.u.u, atol=1e-10)
+    for i in range(40):
+        one = (u[:, i : i + 1], q[:, i : i + 1])
+        assert c[i] == pytest.approx(factor_at(f, form, *one), rel=1e-10)
+        y, _, _ = f.apply_batch(*one)
+        assert np.allclose(u2[:, i], y[:, 0], atol=1e-10)
 
 
 def test_conformal_factor_batch_n3(rng):
     form = RoundForm()
     f = make_composite([CanonicalLift([[2, 1, 0], [1, 1, 0], [0, 0, 1]])])
-    pts = [random_point(rng, 3) for _ in range(60)]
-    u = np.array([p.u.u for p in pts]).T
-    q = np.array([p.q.q for p in pts]).T
+    u, q = random_points(rng, 3, 60)
     c, _, _ = conformal_factor_batch(f, form, u, q)
     minv_t = np.linalg.inv(np.array([[2, 1, 0], [1, 1, 0], [0, 0, 1]], float)).T
     expected = 1.0 / np.linalg.norm(minv_t @ u, axis=0)
     assert np.allclose(c, expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        TrigForm(1.0, [TrigTerm(0.3, (1, 0, 1)), TrigTerm(0.2, (0, 1, 0), (0, 0, 2), True)]),
+        MetricForm(np.diag([2.0, 1.0, 1.5])),
+    ],
+    ids=["trig", "metric"],
+)
+def test_n3_chart_groups_match_batches_of_one(rng, form):
+    # Points in every (chart in, chart out) group of an n=3 map give, bit for
+    # bit, the Jacobian and factor of their own batch of one.  Directions
+    # near the pole and M^T times them fill the groups that use chart 1.
+    m = np.array(N3_LIFT, float)
+    f = make_composite([CanonicalLift(N3_LIFT), ReebTranslation(0.3, n=3)])
+    near_pole = rng.normal(size=(3, 20)) * 0.2 + np.array([[0.0], [0.0], [1.0]])
+    u = np.hstack([rng.normal(size=(3, 20)), near_pole, m.T @ near_pole])
+    u /= np.linalg.norm(u, axis=0)
+    q = rng.random((3, 60))
+    jac, u2, _ = chart_jacobian_batch(f, u, q)
+    c, _, _ = conformal_factor_batch(f, form, u, q)
+    groups = select_chart_batch(u[2]) * 2 + select_chart_batch(u2[2])
+    assert set(groups) == {0, 1, 2, 3}
+    for i in range(60):
+        one = (u[:, i : i + 1], q[:, i : i + 1])
+        np.testing.assert_array_equal(chart_jacobian_batch(f, *one)[0][:, :, 0], jac[:, :, i])
+        assert conformal_factor_batch(f, form, *one)[0][0] == c[i]
 
 
 def test_cocycle_identity(rng):
@@ -193,9 +211,10 @@ def test_cocycle_identity(rng):
     g = make_composite([CanonicalLift(CAT), ReebTranslation(0.2)]).inverse()
     g2 = make_composite(list(g.primitives) * 2)
     for _ in range(100):
-        x = random_point(rng)
-        lhs = conformal_factor(g2, form, x)
-        rhs = conformal_factor(g, form, g.apply(x)) * conformal_factor(g, form, x)
+        u, q = random_point(rng)
+        lhs = factor_at(g2, form, u, q)
+        c, gu, gq = conformal_factor_batch(g, form, u, q)
+        rhs = factor_at(g, form, gu, gq) * c[0]
         assert lhs == pytest.approx(rhs, abs=1e-9, rel=1e-9)
 
 
@@ -277,12 +296,9 @@ def test_chart_jacobians_match_finite_differences(rng, n):
     for prim in primitive_catalog(n):
         f = make_composite([prim])
         for _ in range(3):
-            x = random_point(rng, n)
-            chart_in, coords = point_to_chart(x)
-            chart_out = select_chart(f.apply(x).u.u)
+            u, q = random_point(rng, n)
+            chart_in, chart_out, coords = chart_coords(f, u, q)
             phi = _composite_chart_phi(f, chart_in, chart_out)
-            u = np.array([[c] for c in x.u.u])
-            q = np.array([[c] for c in x.q.q])
             jac, _, _ = chart_jacobian_batch(f, u, q)
             fd = fd_jacobian(
                 lambda cs: [float(np.asarray(v.value if hasattr(v, "value") else v)) for v in phi(cs)],
@@ -297,8 +313,9 @@ def test_contact_flow_divergence_guard():
     # An absurd timestep makes RK4 blow up; the guard must catch it.
     flow = ContactFlow(ModulatedNormHamiltonian(0.9), 200.0, steps=1)
     f = make_composite([flow])
+    u = np.array([[1.0], [0.3]])
     with pytest.raises(MapError, match="diverged"):
-        f.apply(CEPoint(Direction([1.0, 0.3]), wrap([0.1, 0.2])))
+        f.apply_batch(u / np.linalg.norm(u), np.array([[0.1], [0.2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +347,6 @@ def test_primitive_and_hamiltonian_registries_roundtrip():
 # Base actions: transform(u, q + t) = (u', q' + B t, log c) on declared axes
 # ---------------------------------------------------------------------------
 
-N3_LIFT = [[1, 1, 0], [1, 2, 1], [0, 1, 2]]  # fixes no base axis
 EYE = {n: np.eye(n, dtype=int) for n in (2, 3)}
 
 

@@ -338,6 +338,74 @@ BAD_CONFIGS = {
 }
 
 
+def _flow(hamiltonian, **fields):
+    prim = dict({"kind": "contact_flow", "hamiltonian": hamiltonian, "t": 0.5}, **fields)
+    return dict(MINIMAL, map=[prim])
+
+
+MOMENTUM = {"kind": "momentum", "c": [0.2, 0.5]}
+
+# A fractional integer or a string or bool number, with the text its error
+# must carry; once these were truncated or converted silently.
+NUMBER_FIELD_CASES = {
+    "lift_fractional_matrix": (
+        dict(MINIMAL, map=[{"kind": "canonical_lift", "matrix": [[2.7, 1], [1, 1.9]]}]),
+        "map[0]: matrix entries must be integers",
+    ),
+    "displacement_fractional_matrix": (
+        dict(MINIMAL, tasks=[{"task": "displacement", "matrix": [[2.5, 1], [1, 1]]}]),
+        "displacement: matrix entries must be integers",
+    ),
+    "growth_fractional_classes": (
+        dict(MINIMAL, tasks=[{"task": "growth", "classes": [[1.5, 0], [0, 1]]}]),
+        "growth: class entries must be integers",
+    ),
+    "duality_fractional_classes": (
+        dict(
+            MINIMAL,
+            tasks=[{"task": "duality", "metric": [[1, 0], [0, 1]], "classes": [[1.5, 0], [0, 1]]}],
+        ),
+        "duality: class entries must be integers",
+    ),
+    "pullback_fractional_matrix": (
+        dict(
+            MINIMAL,
+            form={"kind": "linear_pullback", "matrix": [[1.2, 0], [0, 1]], "base": {"kind": "round"}},
+        ),
+        "form: matrix entries must be integers",
+    ),
+    "flow_fractional_steps": (_flow(MOMENTUM, steps=2.5), "map[0]: flow steps"),
+    "flow_bool_steps": (_flow(MOMENTUM, steps=True), "map[0]: flow steps"),
+    "flow_text_t": (_flow(MOMENTUM, t="0.5"), "map[0]: flow t"),
+    "flow_bool_t": (_flow(MOMENTUM, t=True), "map[0]: flow t"),
+    "reeb_text_t": (
+        dict(MINIMAL, map=[{"kind": "reeb_translation", "t": "0.5"}]), "map[0]: reeb t"
+    ),
+    "reeb_bool_t": (dict(MINIMAL, map=[{"kind": "reeb_translation", "t": True}]), "map[0]: reeb t"),
+    "momentum_text_and_bool_c": (
+        _flow({"kind": "momentum", "c": ["0.2", True]}), "map[0]: momentum c"
+    ),
+    "metric_norm_text_g": (
+        _flow({"kind": "metric_norm", "g": [["1", "0"], ["0", "1"]]}), "map[0]: metric entries"
+    ),
+    "modulated_norm_bool_axis": (
+        _flow({"kind": "modulated_norm", "eps": 0.2, "axis": True}), "map[0]: modulated_norm axis"
+    ),
+    "shear_bool_power": (
+        dict(MINIMAL, map=[{"kind": "shear_a", "power": True}]), "map[0]: shear power"
+    ),
+    "metric_form_text_g": (
+        dict(MINIMAL, form={"kind": "metric", "g": [["2", "0"], ["0", "1"]]}),
+        "form: metric entries",
+    ),
+    "duality_text_metric": (
+        dict(MINIMAL, tasks=[{"task": "duality", "metric": [["1", "0"], ["0", "1"]]}]),
+        "duality: metric entries",
+    ),
+}
+BAD_CONFIGS.update({name: data for name, (data, _) in NUMBER_FIELD_CASES.items()})
+
+
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
 def test_bad_config_exits_2(tmp_path, capsys, name):
     path = write_config(tmp_path, BAD_CONFIGS[name])
@@ -347,11 +415,32 @@ def test_bad_config_exits_2(tmp_path, capsys, name):
     assert "config error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", sorted(NUMBER_FIELD_CASES))
+def test_bad_number_field_is_named(tmp_path, capsys, name):
+    data, message = NUMBER_FIELD_CASES[name]
+    assert main(["validate", str(write_config(tmp_path, data))]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_integral_float_sizes_accepted():
     cfg = validate_config(
         dict(MINIMAL, dimension=2.0, grid={"q_res": 4.0, "fiber_res": 16}, seed=3.0)
     )
     assert cfg.n == 2 and cfg.grid.q_res == 4 and cfg.seed == 3
+
+
+def test_integral_float_matrices_and_classes_accepted():
+    cfg = validate_config(
+        dict(
+            MINIMAL,
+            form={"kind": "linear_pullback", "matrix": [[1.0, 1], [0, 1]], "base": {"kind": "round"}},
+            map=[{"kind": "canonical_lift", "matrix": [[2.0, 1], [1, 1.0]]}],
+            tasks=[{"task": "growth", "matrix": [[2.0, 1], [1, 1]], "classes": [[1.0, 0]]}],
+        )
+    )
+    assert cfg.tasks[0]["matrix"] == ((2, 1), (1, 1)) and cfg.tasks[0]["classes"] == [(1, 0)]
+    assert cfg.build_form().spec()["matrix"] == [[1, 1], [0, 1]]
+    assert cfg.build_map().describe() == [{"kind": "canonical_lift", "matrix": [[2, 1], [1, 1]]}]
 
 
 def test_abelian_growth_with_large_lengths_exits_0(tmp_path):
