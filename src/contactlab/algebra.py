@@ -11,7 +11,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -446,26 +446,50 @@ def word_str(w: GroupWord) -> str:
     )
 
 
+# The free-group kernel holds a word as bytes: generator g (at most 128) is code
+# 2(g-1) and its inverse 2(g-1)+1, so inverting a letter flips bit 0 (_FLIP).
+_FLIP = bytes(c ^ 1 for c in range(256))
+
+
+def _encode(w: Sequence[int]) -> bytes:
+    try:
+        return bytes(2 * g - 2 if g > 0 else -2 * g - 1 for g in w)
+    except ValueError:
+        raise AlgebraError("generators must be 1..128 or their inverses") from None
+
+
+def _decode(word: bytes) -> GroupWord:
+    return tuple((c // 2 + 1) * (1 - 2 * (c & 1)) for c in word)
+
+
+def _reduce(word: bytes, letters: bytes = b"") -> bytes:
+    """Delete cancelling pairs over the letters (default: the word's) until none
+    is left: by confluence, the word a per-letter stack gives. For the image of
+    a reduced word under an automorphism, bounded cancellation keeps the rounds few."""
+    pairs = [bytes((c, c ^ 1)) for c in set(letters or word)]
+    while True:
+        size = len(word)
+        for pair in pairs:
+            word = word.replace(pair, b"")
+        if len(word) == size:
+            return word
+
+
+def _cyclic(word: bytes) -> bytes:
+    """Trim matching first/last letters off a freely reduced word."""
+    k = 0
+    while 2 * k + 1 < len(word) and word[k] ^ 1 == word[-1 - k]:
+        k += 1
+    return word[k : len(word) - k]
+
+
 def free_reduce(w: Sequence[int]) -> GroupWord:
-    out: list[int] = []
-    for g in w:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)
+    return _decode(_reduce(_encode(w)))
 
 
 def cyclic_reduce(w: Sequence[int]) -> GroupWord:
     """Freely reduce, then cancel matching first/last letters."""
-    red = list(free_reduce(w))
-    while len(red) >= 2 and red[0] == -red[-1]:
-        red = red[1:-1]
-    return tuple(red)
-
-
-def invert_word(w: Sequence[int]) -> GroupWord:
-    return tuple(-g for g in reversed(w))
+    return _decode(_cyclic(_reduce(_encode(w))))
 
 
 @dataclass(frozen=True)
@@ -480,12 +504,28 @@ class FreeAutomorphism:
             raise AlgebraError(f"rules must be a list of words, got {rules!r}")
         return cls(tuple(parse_word(r) for r in rules))
 
+    @cached_property
+    def _table(self):
+        """The images of codes 0, 1, ... as one byte string; their lengths and offsets."""
+        codes = [c for im in map(_encode, self.images) for c in (im, im[::-1].translate(_FLIP))]
+        lens = np.array([len(c) for c in codes], dtype=np.int32)
+        return b"".join(codes), lens, np.cumsum(lens, dtype=np.int32) - lens
+
+    def _image(self, word: bytes) -> bytes:
+        """sigma(word), freely reduced: one gather over the table, by int32 indices."""
+        table, lens, offsets = self._table
+        codes = np.frombuffer(word, dtype=np.uint8)
+        sizes = lens[codes]
+        total = int(sizes.sum(dtype=np.int64))
+        if total >= 2**31:
+            raise AlgebraError("word image too long for int32 indices")
+        ends = np.cumsum(sizes, dtype=np.int32)
+        index = np.arange(total, dtype=np.int32)
+        index += np.repeat(offsets[codes] - (ends - sizes), sizes)
+        return _reduce(np.frombuffer(table, dtype=np.uint8)[index].tobytes(), table)
+
     def apply(self, w: Sequence[int]) -> GroupWord:
-        out: list[int] = []
-        for g in w:
-            image = self.images[abs(g) - 1]
-            out.extend(image if g > 0 else invert_word(image))
-        return free_reduce(out)
+        return _decode(self._image(_encode(w)))
 
 
 def free_growth(
@@ -502,12 +542,12 @@ def free_growth(
 
 def free_lengths(sigma: FreeAutomorphism, w: Sequence[int], n_steps: int, cap: int) -> list[int]:
     """Cyclically reduced lengths of w, sigma(w), ...; stops once past cap."""
-    word = cyclic_reduce(w)
+    word = _encode(cyclic_reduce(w))
     if not word:
         raise AlgebraError("trivial class")
     lengths = [len(word)]
     for _ in range(n_steps):
-        word = cyclic_reduce(sigma.apply(word))
+        word = _cyclic(sigma._image(word))
         if not word:
             raise AlgebraError("trivial class reached under iteration")
         lengths.append(len(word))

@@ -28,6 +28,22 @@ class GeometryError(ValueError):
     """Invalid geometric data (a bad form, grid or dimension)."""
 
 
+def metric_matrix(g, error: type[Exception] = GeometryError) -> np.ndarray:
+    """g as a float matrix; raises ``error`` unless it is a square, symmetric,
+    positive-definite matrix of finite numbers."""
+    cells = np.asarray(g, dtype=object)
+    if cells.ndim != 2 or cells.shape[0] != cells.shape[1]:
+        raise error("metric must be a square matrix")
+    if not all(is_real(c) for c in cells.flat):
+        raise error(f"metric entries must be finite numbers, got {g!r}")
+    g = cells.astype(float)
+    if not np.allclose(g, g.T):
+        raise error("metric must be symmetric")
+    if np.min(np.linalg.eigvalsh(g)) <= 1e-10:
+        raise error("metric must be positive definite")
+    return g
+
+
 # ---------------------------------------------------------------------------
 # Forward-mode jets
 # ---------------------------------------------------------------------------
@@ -298,18 +314,9 @@ class MetricForm(ContactForm):
     q_free = True
 
     def __init__(self, g: np.ndarray):
-        if not all(is_real(c) for row in g for c in row):
-            raise GeometryError(f"metric entries must be finite numbers, got {g!r}")
-        g = np.asarray(g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise GeometryError("metric must be a square matrix")
-        if not np.allclose(g, g.T):
-            raise GeometryError("metric must be symmetric")
-        if np.min(np.linalg.eigvalsh(g)) <= 1e-10:
-            raise GeometryError("metric must be positive definite")
-        self.g = g
-        self.g_inv = np.linalg.inv(g)
-        self.n = g.shape[0]
+        self.g = metric_matrix(g)
+        self.g_inv = np.linalg.inv(self.g)
+        self.n = self.g.shape[0]
 
     def profile(self, u, q):
         w = jmatvec(self.g_inv, u)

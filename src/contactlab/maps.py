@@ -41,6 +41,7 @@ from .geometry import (
     jsin,
     jsqrt,
     jval,
+    metric_matrix,
     seed_jets,
     select_chart_batch,
 )
@@ -241,14 +242,10 @@ class MetricHamiltonian(Hamiltonian):
     """H = sqrt(p^T G p): geodesic flow of a flat metric on the base."""
 
     def __init__(self, g):
-        if not all(is_real(c) for row in g for c in row):
-            raise MapError(f"metric entries must be finite numbers, got {g!r}")
-        self.g = np.asarray(g, dtype=float)
+        self.g = metric_matrix(g, MapError)
         self.n = self.g.shape[0]
-        if self.n not in (2, 3) or self.g.shape != (self.n, self.n):
+        if self.n not in (2, 3):
             raise MapError("metric must be 2x2 or 3x3")
-        if not np.allclose(self.g, self.g.T):
-            raise MapError("metric must be symmetric")
         self.base_action = translations(self.n)
 
     def gradients(self, p, q):

@@ -296,7 +296,7 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
         task_id = name if name not in results else f"{name}_{i}"
         try:
             res = _run_task(
-                name, task, config, f, form, grid, lyap_grid, rng, out, cached_r
+                name, task, config, f, form, grid, lyap_grid, rng, out / task_id, cached_r
             )
         except Exception as exc:
             raise TaskError(task_id, exc) from exc
@@ -325,14 +325,15 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
     return document
 
 
-def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
+def _run_task(name, task, config, f, form, grid, lyap_grid, rng, artifact, cached_r):
+    """One task's result; its file, if any, is ``artifact`` (out dir / task id) + suffix."""
     if name == "r_sequence":
         K = task["K"]
         r = dissipation.r_sequence(f, form, K, grid)
         est = dissipation.chi_estimate(r)
         verdict = dissipation.classify(r, config.thresholds)
         series = [[k + 1, float(v)] for k, v in enumerate(r)]
-        _write_csv(out / "r_sequence.csv", ["k", "r_k"], series)
+        _write_csv(artifact.with_suffix(".csv"), ["k", "r_k"], series)
         return {
             "K": K,
             "r_series": [float(v) for v in r],
@@ -367,7 +368,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
         dom = shapes.flat_shape(form, dirs, q_grid)
         header = [f"u{i+1}" for i in range(config.n)] + ["rho"]
         rows = [list(map(float, d)) + [float(r)] for d, r in zip(dom.dirs, dom.rho)]
-        _write_csv(out / "shape.csv", header, rows)
+        _write_csv(artifact.with_suffix(".csv"), header, rows)
         return {
             "directions": len(dom.rho),
             "rho_min": float(dom.rho.min()),
@@ -379,7 +380,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
         dom = shapes.ball(shapes.direction_grid(len(i_mat), task["dir_res"]))
         deltas = shapes.displacement_series(i_mat, dom, task["k_max"])
         series = [[k + 1, float(d)] for k, d in enumerate(deltas)]
-        _write_csv(out / "displacement.csv", ["k", "delta_k"], series)
+        _write_csv(artifact.with_suffix(".csv"), ["k", "delta_k"], series)
         return {
             "matrix": [list(r) for r in i_mat],
             "k_max": task["k_max"],
@@ -400,7 +401,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
             lengths = algebra.free_lengths(task["rules"], task["word"], task["N"], task["cap"])
             res["rate"] = algebra.length_growth_rate(lengths)
         series = [[step, x, math.log(x)] for step, x in enumerate(lengths)]
-        _write_csv(out / "growth.csv", ["n", "length", "log_length"], series)
+        _write_csv(artifact.with_suffix(".csv"), ["n", "length", "log_length"], series)
         res["series"] = [[row[0], row[2]] for row in series]
         return res
 
@@ -410,7 +411,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, out, cached_r):
         dirs = shapes.direction_grid(g.shape[0], task["dir_res"])
         q_grid = shapes.q_lattice(g.shape[0], task["q_res"])
         res = shapes.duality_check(g, classes, dirs, q_grid)
-        _write_json(out / "duality.json", res)
+        _write_json(artifact.with_suffix(".json"), res)
         return res
 
     if name == "verify_bound":

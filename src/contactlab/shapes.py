@@ -13,9 +13,10 @@ import numpy as np
 
 from . import algebra
 from .algebra import IntMatrix
+from .geometry import ContactForm, MetricForm, metric_matrix, sphere_grid_array
 # q_lattice is re-exported: the base lattice is built in geometry with the
 # other grids.
-from .geometry import ContactForm, q_lattice, sphere_grid_array  # noqa: F401
+from .geometry import q_lattice  # noqa: F401
 
 
 class ShapeError(ValueError):
@@ -60,14 +61,7 @@ class FlatMetric:
     g: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ShapeError("metric must be square")
-        if not np.array_equal(g, g.T):
-            raise ShapeError("metric must be exactly symmetric")
-        if float(np.min(np.linalg.eigvalsh(g))) <= 1e-10:
-            raise ShapeError("metric must be positive definite")
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", metric_matrix(self.g, ShapeError))
 
 
 def direction_grid(n: int, resolution: int | None = None) -> np.ndarray:
@@ -119,6 +113,8 @@ def act(i_mat: IntMatrix, a: StarDomain) -> StarDomain:
 
     rho'(u) = rho(w/|w|)/|w| with w = I^{-1} u; the radius at w/|w| is read
     off by nearest-direction lookup on the shared grid (no interpolation).
+    When rho is constant, as on a ball, every lookup returns that constant,
+    so the lookup is skipped.
     """
     i_mat = algebra.as_matrix(i_mat)
     if len(i_mat) != a.n:
@@ -126,8 +122,9 @@ def act(i_mat: IntMatrix, a: StarDomain) -> StarDomain:
     inv = np.array(algebra.mat_inverse(i_mat), dtype=float)
     w = a.dirs @ inv.T
     norms = np.linalg.norm(w, axis=1)
-    w_hat = w / norms[:, None]
-    nearest = _nearest_directions(w_hat, a.dirs)
+    if np.all(a.rho == a.rho[0]):
+        return StarDomain(a.dirs, a.rho[0] / norms)
+    nearest = _nearest_directions(w / norms[:, None], a.dirs)
     return StarDomain(a.dirs, a.rho[nearest] / norms)
 
 
@@ -205,8 +202,6 @@ def duality_check(
     Samples the flat-shape boundary at factor 0.999 (shapes are open) and
     asserts (b, gamma) <= loop length for every sampled class.
     """
-    from .geometry import MetricForm
-
     g = metric.g if isinstance(metric, FlatMetric) else np.asarray(metric, dtype=float)
     if not class_samples:
         raise ShapeError("need at least one sample class")

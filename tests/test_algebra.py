@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactlab import algebra as A
@@ -163,6 +163,96 @@ def test_cyclic_reduce_examples():
     assert A.cyclic_reduce(A.parse_word("abBA")) == ()
     assert A.cyclic_reduce(A.parse_word("abA")) == A.parse_word("b")
     assert A.cyclic_reduce(A.parse_word("bab")) == A.parse_word("bab")
+
+
+# The per-letter stack reduction, kept here as the oracle for the byte kernel.
+def stack_reduce(w):
+    out = []
+    for g in w:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return out
+
+
+def stack_cyclic(w):
+    red = stack_reduce(w)
+    while len(red) >= 2 and red[0] == -red[-1]:
+        red = red[1:-1]
+    return red
+
+
+def stack_image(images, w):
+    out = []
+    for g in w:
+        image = images[abs(g) - 1]
+        out.extend(image if g > 0 else [-h for h in reversed(image)])
+    return out
+
+
+def stack_lengths(images, w, n_steps, cap):
+    word = stack_cyclic(w)
+    if not word:
+        raise A.AlgebraError("trivial class")
+    lengths = [len(word)]
+    for _ in range(n_steps):
+        word = stack_cyclic(stack_image(images, word))
+        if not word:
+            raise A.AlgebraError("trivial class reached under iteration")
+        lengths.append(len(word))
+        if len(word) > cap:
+            break
+    return lengths
+
+
+@st.composite
+def free_cases(draw):
+    """Rules over 2-3 generators (inverses and empty images allowed, so not
+    always automorphisms), a word of up to 12 letters, N and cap."""
+    gens = draw(st.integers(2, 3))
+    letter = st.integers(1, gens).flatmap(lambda g: st.sampled_from([g, -g]))
+    images = tuple(tuple(draw(st.lists(letter, max_size=4))) for _ in range(gens))
+    word = tuple(draw(st.lists(letter, max_size=12)))
+    return images, word, draw(st.integers(1, 8)), draw(st.integers(1, 300))
+
+
+# a -> a b^500, b -> b, c -> B^500 A c is an automorphism; on the word ac one
+# junction cancels 1 002 letters.
+CASCADE = ((1,) + (2,) * 500, (2,), (-2,) * 500 + (-1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(free_cases())
+@example((((1, 2), (1,)), (1,), 8, 10))  # Fibonacci, stopped by the cap
+@example((((1, 2), (1,)), (1, 2, -2, -1), 8, 300))  # trivial class
+@example((((), (2,)), (1,), 8, 300))  # trivial under iteration
+@example((CASCADE, (1, 3), 3, 10**6))
+def test_free_lengths_match_the_stack_oracle(case):
+    images, word, n_steps, cap = case
+    sigma = A.FreeAutomorphism(images)
+    assert A.free_reduce(word) == tuple(stack_reduce(word))
+    assert A.cyclic_reduce(word) == tuple(stack_cyclic(word))
+    assert sigma.apply(word) == tuple(stack_reduce(stack_image(images, word)))
+    try:
+        expected = stack_lengths(images, word, n_steps, cap)
+    except A.AlgebraError as exc:
+        with pytest.raises(A.AlgebraError, match=f"^{exc}$"):
+            A.free_lengths(sigma, word, n_steps, cap)
+    else:
+        assert A.free_lengths(sigma, word, n_steps, cap) == expected
+
+
+def test_free_lengths_deep_cascade():
+    lengths = A.free_lengths(A.FreeAutomorphism(CASCADE), (1, 3), 3, 10**6)
+    assert lengths == [2, 1, 502, 1503]
+
+
+def test_free_words_generator_limit():
+    assert A.free_reduce((128, -128, 1)) == (1,)
+    for bad in ((129,), (0,)):
+        with pytest.raises(A.AlgebraError, match="generators"):
+            A.free_reduce(bad)
 
 
 def test_free_growth_fibonacci():

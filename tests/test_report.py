@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -404,6 +405,11 @@ NUMBER_FIELD_CASES = {
     ),
 }
 BAD_CONFIGS.update({name: data for name, (data, _) in NUMBER_FIELD_CASES.items()})
+# sqrt(p^T G p) is NaN or 0 somewhere unless G is positive definite.
+BAD_CONFIGS.update(
+    metric_norm_indefinite_g=_flow({"kind": "metric_norm", "g": [[1, 0], [0, -1]]}),
+    metric_norm_singular_g=_flow({"kind": "metric_norm", "g": [[1, 1], [1, 1]]}),
+)
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
@@ -420,6 +426,12 @@ def test_bad_number_field_is_named(tmp_path, capsys, name):
     data, message = NUMBER_FIELD_CASES[name]
     assert main(["validate", str(write_config(tmp_path, data))]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_metric_norm_must_be_positive_definite(tmp_path, capsys):
+    path = write_config(tmp_path, BAD_CONFIGS["metric_norm_indefinite_g"])
+    assert main(["validate", str(path)]) == 2
+    assert "map[0]: metric must be positive definite" in capsys.readouterr().err
 
 
 def test_integral_float_sizes_accepted():
@@ -471,6 +483,27 @@ def test_growth_rates_match_the_library(tmp_path):
     assert free["rate"] == A.free_growth(fib, A.parse_word("a"), 25)
     lengths = A.free_lengths(fib, A.parse_word("a"), 25, 10**6)
     assert free["series"] == [[k, math.log(x)] for k, x in enumerate(lengths)]
+
+
+def test_repeated_tasks_write_one_artifact_each(tmp_path):
+    tasks = [
+        {"task": "r_sequence", "K": 10},
+        {"task": "growth", "mode": "abelian", "matrix": [[2, 1], [1, 1]], "N": 20},
+        {"task": "r_sequence", "K": 12},
+        {"task": "growth", "mode": "free", "rules": ["ab", "a"], "word": "a", "N": 12},
+        {"task": "duality", "metric": [[1, 0], [0, 1]], "q_res": 4},
+        {"task": "duality", "metric": [[2, 0], [0, 1]], "q_res": 4},
+    ]
+    doc = run(validate_config(dict(MINIMAL, tasks=tasks)), out_dir=tmp_path)
+    results = doc["results"]
+    assert list(results) == ["r_sequence", "growth", "r_sequence_2", "growth_3", "duality", "duality_5"]
+    for task_id in ("r_sequence", "r_sequence_2", "growth", "growth_3"):
+        with (tmp_path / f"{task_id}.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [[int(r[0]), float(r[-1])] for r in rows] == results[task_id]["series"]
+    assert results["growth"]["series"] != results["growth_3"]["series"]
+    for task_id in ("duality", "duality_5"):
+        assert json.loads((tmp_path / f"{task_id}.json").read_text()) == results[task_id]
 
 
 @pytest.mark.parametrize(

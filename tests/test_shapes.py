@@ -170,6 +170,40 @@ def test_act_group_action_law(rng):
     assert np.allclose(S.act(A.identity_matrix(2), a).rho, a.rho)
 
 
+def lookup_act(i_mat, a):
+    """act through the nearest-direction lookup, whatever the domain."""
+    inv = np.array(A.mat_inverse(A.as_matrix(i_mat)), dtype=float)
+    w = a.dirs @ inv.T
+    norms = np.linalg.norm(w, axis=1)
+    return a.rho[S._nearest_directions(w / norms[:, None], a.dirs)] / norms
+
+
+CAT3 = ((1, 1, 0), (1, 2, 1), (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "i_mat, radius",
+    [(CAT, 1.0), (CAT3, 1.0), (CAT3, 2.5), (A.mat_pow(CAT, 7), 0.3)],
+    ids=["n2", "n3", "n3-scaled", "n2-power-scaled"],
+)
+def test_act_on_a_constant_domain_matches_the_lookup(i_mat, radius):
+    a = S.ball(S.direction_grid(len(i_mat)), radius)
+    image = S.act(i_mat, a)
+    assert np.array_equal(image.rho, lookup_act(i_mat, a))
+    assert np.array_equal(image.dirs, a.dirs)
+
+
+def test_act_on_a_varying_domain_uses_the_lookup(monkeypatch):
+    dirs = S.direction_grid(3)
+    a = S.flat_shape(TrigForm(1.0, [TrigTerm(0.4, (1, 0, 0), (1, 0, 0))]), dirs, S.q_lattice(3, 4))
+    assert not np.all(a.rho == a.rho[0])
+    calls = []
+    lookup = S._nearest_directions
+    monkeypatch.setattr(S, "_nearest_directions", lambda t, d: calls.append(1) or lookup(t, d))
+    image = S.act(CAT3, a)
+    assert calls and np.array_equal(image.rho, lookup_act(CAT3, a))
+
+
 def test_equivariance_of_linear_lifts():
     # flat shape of the pulled-back form = act(M^T, flat shape of the form)
     dirs = S.direction_grid(2, 32768)
