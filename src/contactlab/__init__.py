@@ -50,7 +50,6 @@ from .maps import (
 )
 from .report import ExperimentConfig, load_config, run
 from .shapes import (
-    FlatMetric,
     ShapeError,
     StarDomain,
     act,

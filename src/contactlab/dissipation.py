@@ -13,11 +13,12 @@ on its axes, with B integer.  So the orbit of (u, q + t) is the orbit of
 (u, q) moved by B^k t at step k, with the same accumulated round-form
 factor, and the orbits run only from the lattice rows that are 0 on those
 axes: one base point when g covers every axis.  The profile, with its
-positivity and finiteness check, is read at every shift t of each orbit
-point, which the loop carries as integer lattice indices (B^k t mod 1), so
-r_k still reads every grid point; a form that does not read q
-(``q_free``) needs only the zero shift.  The Lyapunov estimate chains chart
-Jacobians extracted with jets, from the same reduced base rows.
+positivity and finiteness check (``geometry.profile_values``), is read at
+every shift t of each orbit point, which the loop carries as integer
+lattice indices (B^k t mod 1), so r_k still reads every grid point; a form
+that does not read q (``q_free``) needs only the zero shift.  The Lyapunov
+estimate chains chart Jacobians extracted with jets, from the same reduced
+base rows.
 """
 from __future__ import annotations
 
@@ -27,7 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra
-from .geometry import ContactForm, q_lattice, sphere_grid_array
+from .geometry import (
+    ContactForm, grid_points, profile_values, q_lattice, read_axes, sphere_grid_array,
+)
 from .maps import ContactMap, chart_jacobian_batch, homology_action
 
 
@@ -56,18 +59,10 @@ def default_lyapunov_grid(n: int) -> GridSpec:
     return GridSpec(8, 64) if n == 2 else GridSpec(6, 96)
 
 
-def grid_points(n: int, grid: GridSpec, qs: np.ndarray | None = None):
-    """Product grid as (n, N) fiber-direction and base-point arrays.
-
-    The base points are the rows of ``qs``, by default the whole lattice.
-    """
-    dirs = sphere_grid_array(n, grid.fiber_res)
-    if qs is None:
-        qs = q_lattice(n, grid.q_res)
-    nd, nq = dirs.shape[0], qs.shape[0]
-    u = np.repeat(dirs, nq, axis=0).T.copy()
-    q = np.tile(qs, (nd, 1)).T.copy()
-    return u, q
+def _orbit_starts(n: int, grid: GridSpec, axes: frozenset):
+    """Product grid over the base rows that are 0 on ``axes``, as (n, N) arrays."""
+    rows = q_lattice(n, grid.q_res, frozenset(range(n)) - axes) / grid.q_res
+    return grid_points(sphere_grid_array(n, grid.fiber_res), rows)
 
 
 @dataclass(frozen=True)
@@ -109,17 +104,18 @@ def r_sequence(
     grid = grid or default_grid(f.n)
     g = f.inverse()
     b, axes = g.base_action
-    u, q = grid_points(f.n, grid, _base_rows(f.n, grid.q_res, axes))
+    u, q = _orbit_starts(f.n, grid, axes)
     # Integer lattice indices of the shifts t, 0 off the axes (only t = 0
     # when the form does not read q); step k reads the profile at B^k t.
-    idx = _sublattice(f.n, grid.q_res, frozenset() if form.q_free else axes)
+    idx = q_lattice(f.n, grid.q_res, read_axes(form, axes))
     fixed = np.array_equal((b @ idx) % grid.q_res, idx)  # B t = t mod 1 for every t
     t = (idx / grid.q_res)[:, :, None]
 
     def log_profile(u, q, t):
         # (n, shifts, N): every grid point, with the shifts as leading axis
-        # so the (N,) accumulated factor broadcasts over them.
-        return _log_profile(form, u[:, None, :], q[:, None, :] + t)
+        # so the (N,) accumulated factor broadcasts over them.  A constant
+        # profile stays a scalar.
+        return np.log(profile_values(form, u[:, None, :], q[:, None, :] + t, DissipationError))
 
     log_f0 = log_profile(u, q, t)
     acc = np.zeros(u.shape[1])
@@ -133,41 +129,11 @@ def r_sequence(
         r = float(np.max(np.abs(acc + (log_profile(u, q, t) - log_f0))))
         if not np.isfinite(r):
             raise DissipationError(
-                f"accumulated log conformal factor of the {_form_name(form)} "
+                f"accumulated log conformal factor of the {form.spec()['kind']} form "
                 f"is not finite at k = {k + 1}"
             )
         out[k] = r
     return out
-
-
-def _base_rows(n: int, q_res: int, axes: frozenset) -> np.ndarray:
-    """The rows of ``q_lattice(n, q_res)`` that are 0 on ``axes``, in order."""
-    return (_sublattice(n, q_res, frozenset(range(n)) - axes) / q_res).T
-
-
-def _sublattice(n: int, q_res: int, axes: frozenset) -> np.ndarray:
-    """Integer indices (n, M) of the lattice rows that are 0 off ``axes``."""
-    idx = np.zeros((n, q_res ** len(axes)), dtype=int)
-    if axes:
-        idx[sorted(axes)] = np.indices((q_res,) * len(axes)).reshape(len(axes), -1)
-    return idx
-
-
-def _log_profile(form: ContactForm, u: np.ndarray, q: np.ndarray):
-    """log of the form's profile at (n, N) arrays; the profile must be
-    positive and finite there."""
-    prof = np.asarray(form.profile(list(u), list(q)), dtype=float)
-    low, high = float(np.min(prof)), float(np.max(prof))
-    if not (low > 0.0 and np.isfinite(high)):
-        raise DissipationError(
-            f"profile of the {_form_name(form)} is not positive and finite "
-            f"on the orbit (sampled min {low}, max {high})"
-        )
-    return np.log(prof)
-
-
-def _form_name(form: ContactForm) -> str:
-    return f"{form.spec()['kind']} form"
 
 
 def chi_estimate(r_series) -> ChiEstimate:
@@ -226,7 +192,7 @@ def lyapunov_estimate(
     if K < 8:
         raise DissipationError("need K >= 8")
     grid = grid or default_lyapunov_grid(f.n)
-    u, q = grid_points(f.n, grid, _base_rows(f.n, grid.q_res, f.base_action[1]))
+    u, q = _orbit_starts(f.n, grid, f.base_action[1])
     npts = u.shape[1]
     d = 2 * f.n - 1
     basis = np.broadcast_to(np.eye(d), (npts, d, d)).copy()

@@ -6,6 +6,10 @@ and a single point is a batch of one.  Provides the contact-form catalog,
 the grids, the fiber-sphere charts and the forward-mode jet arithmetic that
 the map catalog and the dissipation machinery differentiate through.
 Everything here is a pure function over immutable values.
+
+Every grid consumer takes its base points from ``q_lattice`` on the axes
+``read_axes`` picks, its product grid from ``grid_points``, and reads the
+profile through ``profile_values``, the one positive-and-finite check.
 """
 from __future__ import annotations
 
@@ -195,8 +199,8 @@ class ContactForm:
     the form is tied to, or None when it fits both.
 
     ``q_free`` declares that the profile reads only u, never q.  It stays
-    False unless that holds provably for every input;
-    ``dissipation.r_sequence`` relies on it to sample a single base point.
+    False unless that holds provably for every input; ``read_axes`` relies on
+    it to have every grid consumer read a single base point.
     """
 
     n: int | None = None
@@ -386,16 +390,32 @@ def build_form(spec: dict) -> ContactForm:
     return FORMS[kind](spec)
 
 
-def check_positive(form: ContactForm, n: int, q_res: int = 64, fiber_res: int = 256):
-    """Sampled positivity check over a q grid x fiber grid; raises on failure."""
-    dirs, qs = sphere_grid_array(n, fiber_res), q_lattice(n, q_res)
-    vals = np.asarray(
-        form.profile([c[:, None] for c in dirs.T], [c[None, :] for c in qs.T]), dtype=float
-    )
-    low = float(np.min(vals))
-    if not low > 0.0:
-        raise GeometryError(f"contact form profile not positive (sampled min {low})")
-    return low
+def profile_values(form: ContactForm, u, q, error: type[Exception] = GeometryError):
+    """The form's profile at (n, ...) component arrays u and q, as a float
+    array (0-d when the profile is constant); raises ``error`` unless every
+    value is positive and finite."""
+    prof = np.asarray(form.profile(list(u), list(q)), dtype=float)
+    low, high = float(np.min(prof)), float(np.max(prof))
+    if not (low > 0.0 and np.isfinite(high)):
+        raise error(
+            f"profile of the {form.spec()['kind']} form is not positive and finite "
+            f"(sampled min {low}, max {high})"
+        )
+    return prof
+
+
+def read_axes(form: ContactForm, axes) -> frozenset:
+    """The base axes among ``axes`` on which the profile is read: none when
+    the form is q-free, since then one base point gives every value."""
+    return frozenset() if form.q_free else frozenset(axes)
+
+
+def check_positive(form: ContactForm, n: int, q_res: int, fiber_res: int) -> float:
+    """Smallest profile value over fiber_res directions x the q_res lattice on
+    the axes the form reads; raises GeometryError unless every value is
+    positive and finite."""
+    qs = q_lattice(n, q_res, read_axes(form, range(n))) / q_res
+    return float(np.min(profile_values(form, *grid_points(sphere_grid_array(n, fiber_res), qs))))
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +438,21 @@ def sphere_grid_array(n: int, resolution: int) -> np.ndarray:
     raise GeometryError(f"unsupported dimension {n}")
 
 
-def q_lattice(n: int, res: int) -> np.ndarray:
-    """(res**n, n) uniform lattice of base points, last coordinate fastest."""
-    axes = [np.arange(res) / res for _ in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+def q_lattice(n: int, res: int, axes=None) -> np.ndarray:
+    """Integer indices (n, M) of the rows of the res**n base lattice that are
+    0 off ``axes`` (every axis by default), last axis fastest; the base
+    points are the indices divided by res."""
+    axes = sorted(range(n) if axes is None else axes)
+    idx = np.zeros((n, res ** len(axes)), dtype=int)
+    if axes:
+        idx[axes] = np.indices((res,) * len(axes)).reshape(len(axes), -1)
+    return idx
+
+
+def grid_points(dirs: np.ndarray, qs: np.ndarray):
+    """Product of (D, n) fiber directions and (n, M) base points as (n, D*M)
+    u and q component arrays, direction-major."""
+    return np.repeat(dirs.T, qs.shape[1], axis=1), np.tile(qs, (1, dirs.shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .geometry import (
     jsqrt,
     jval,
     metric_matrix,
+    profile_values,
     seed_jets,
     select_chart_batch,
 )
@@ -525,7 +526,7 @@ def _chart_groups(f: ContactMap, u_arr, q_arr, u_image):
 def _form_rows(form: ContactForm, u_arr, q_arr, n: int, npts: int) -> np.ndarray:
     """Chart coefficients (fiber coordinates..., dq...) of the form at each
     point, shape (2n - 1, N); the fiber block is always 0."""
-    f = form.profile(list(u_arr), list(q_arr))
+    f = profile_values(form, u_arr, q_arr, MapError)
     comps = [0.0] * (n - 1) + [f * u_arr[i] for i in range(n)]
     return np.stack([np.broadcast_to(np.asarray(c, float), (npts,)) for c in comps])
 

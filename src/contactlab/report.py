@@ -20,7 +20,7 @@ import numpy as np
 from . import algebra, dissipation, shapes
 from .algebra import is_int, is_real
 from .dissipation import GridSpec, Thresholds
-from .geometry import ContactForm, MetricForm, build_form
+from .geometry import ContactForm, build_form, check_positive, metric_matrix
 from .maps import ContactMap, MapError, build_primitive, make_composite
 
 # Numeric task parameters: name -> (default, minimum).  A minimum of None
@@ -35,7 +35,7 @@ TASK_PARAMS = {
     "shape": {"q_res": (64, 1), "dir_res": (None, 4)},
     "displacement": {"k_max": (20, 8), "dir_res": (None, 4)},
     "growth": {"abelian": {"N": (40, 10)}, "free": {"N": (40, 5), "cap": (10**6, 1)}},
-    "duality": {"q_res": (16, 1), "dir_res": (None, 4)},
+    "duality": {"dir_res": (None, 4)},
     "verify_bound": {"K": (30, 8), "tol": (0.05, None)},
 }
 TASK_NAMES = tuple(TASK_PARAMS)
@@ -91,9 +91,9 @@ def _parse_grid(data, errors, label) -> GridSpec | None:
         return None
     q_res = data.get("q_res", 0)
     fiber_res = data.get("fiber_res", 0)
-    if not (is_int(q_res) and is_int(fiber_res) and q_res > 0 and fiber_res > 0):
+    if not (is_int(q_res) and is_int(fiber_res) and q_res > 0 and fiber_res >= 4):
         errors.append(
-            f"{label}: grid sizes must be positive integers, "
+            f"{label}: q_res must be a positive integer and fiber_res an integer >= 4, "
             f"got q_res={q_res!r}, fiber_res={fiber_res!r}"
         )
         return None
@@ -126,14 +126,20 @@ def validate_config(data: dict) -> ExperimentConfig:
         n = 2
     n = int(n)
 
+    grid_errors = len(errors)
+    grid = _parse_grid(data.get("grid"), errors, "grid")
+    sampled = None if len(errors) > grid_errors else grid or dissipation.default_grid(n)
+    lyap_grid = _parse_grid(data.get("lyapunov_grid"), errors, "lyapunov_grid")
+
     form_spec = data.get("form", {"kind": "round"})
     try:
         form = build_form(form_spec)
-    except SPEC_ERRORS as exc:
-        errors.append(f"form: {exc}")
-    else:
         if form.n not in (None, n):
             errors.append(f"form: dimension {form.n} does not match configured {n}")
+        elif sampled is not None:  # the points r_sequence reads at step 0
+            check_positive(form, n, sampled.q_res, sampled.fiber_res)
+    except SPEC_ERRORS as exc:
+        errors.append(f"form: {exc}")
 
     map_spec = data.get("map", [])
     if not isinstance(map_spec, list):
@@ -156,8 +162,6 @@ def validate_config(data: dict) -> ExperimentConfig:
         tasks = []
     tasks = [_normalise_task(task, n, errors, f"tasks[{i}]") for i, task in enumerate(tasks)]
 
-    grid = _parse_grid(data.get("grid"), errors, "grid")
-    lyap_grid = _parse_grid(data.get("lyapunov_grid"), errors, "lyapunov_grid")
 
     thr = data.get("thresholds", {})
     if not isinstance(thr, dict):
@@ -244,7 +248,7 @@ def _build_task_objects(name: str, task: dict, out: dict, n: int) -> None:
                 raise ValueError("matrix must be 2x2 or 3x3")
             algebra.mat_inverse(out["matrix"])  # shapes.act inverts it
     elif name == "duality":
-        out["metric"] = MetricForm(task["metric"]).g
+        out["metric"] = metric_matrix(task["metric"])
         if out["metric"].shape[0] not in (2, 3):
             raise ValueError("metric must be 2x2 or 3x3")
         out["classes"] = _parse_classes(task.get("classes"), out["metric"].shape[0])
@@ -262,6 +266,8 @@ def _parse_classes(value, k: int):
     classes = [algebra.as_ints(g, "class entries") for g in value]
     if any(len(g) != k for g in classes):
         raise ValueError(f"classes must have length {k}")
+    if not all(any(g) for g in classes):
+        raise ValueError("classes must be nonzero (a zero class is trivial)")
     return classes
 
 
@@ -364,8 +370,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, artifact, cache
 
     if name == "shape":
         dirs = shapes.direction_grid(config.n, task["dir_res"])
-        q_grid = shapes.q_lattice(config.n, task["q_res"])
-        dom = shapes.flat_shape(form, dirs, q_grid)
+        dom = shapes.flat_shape(form, dirs, task["q_res"])
         header = [f"u{i+1}" for i in range(config.n)] + ["rho"]
         rows = [list(map(float, d)) + [float(r)] for d, r in zip(dom.dirs, dom.rho)]
         _write_csv(artifact.with_suffix(".csv"), header, rows)
@@ -409,8 +414,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, artifact, cache
         g = task["metric"]
         classes = _sampled_classes(task, g.shape[0], 8, rng)
         dirs = shapes.direction_grid(g.shape[0], task["dir_res"])
-        q_grid = shapes.q_lattice(g.shape[0], task["q_res"])
-        res = shapes.duality_check(g, classes, dirs, q_grid)
+        res = shapes.duality_check(g, classes, dirs)
         _write_json(artifact.with_suffix(".json"), res)
         return res
 

@@ -2,7 +2,8 @@
 
 Shapes are stored as radial functions over a fixed direction grid.  Only the
 flat sub-shape (graphs of constant covectors contained in the domain) is
-computed; all outputs are inner approximations of the full shape.
+computed; all outputs are inner approximations of the full shape.  A flat
+metric is a plain matrix g, checked by ``geometry.metric_matrix``.
 """
 from __future__ import annotations
 
@@ -13,10 +14,10 @@ import numpy as np
 
 from . import algebra
 from .algebra import IntMatrix
-from .geometry import ContactForm, MetricForm, metric_matrix, sphere_grid_array
-# q_lattice is re-exported: the base lattice is built in geometry with the
-# other grids.
-from .geometry import q_lattice  # noqa: F401
+from .geometry import (
+    ContactForm, MetricForm, grid_points, metric_matrix, profile_values, q_lattice, read_axes,
+    sphere_grid_array,
+)
 
 
 class ShapeError(ValueError):
@@ -54,16 +55,6 @@ class StarDomain:
         return r < float(self.rho[idx])
 
 
-@dataclass(frozen=True)
-class FlatMetric:
-    """Symmetric positive-definite matrix of a flat metric on the torus."""
-
-    g: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "g", metric_matrix(self.g, ShapeError))
-
-
 def direction_grid(n: int, resolution: int | None = None) -> np.ndarray:
     if resolution is None:
         resolution = 256 if n == 2 else 1024
@@ -78,23 +69,21 @@ def ball(dirs: np.ndarray, radius: float = 1.0) -> StarDomain:
 # Shapes of toric domains
 # ---------------------------------------------------------------------------
 
-def flat_shape(form: ContactForm, dirs: np.ndarray, q_grid: np.ndarray) -> StarDomain:
+def flat_shape(form: ContactForm, dirs: np.ndarray, q_res: int) -> StarDomain:
     """Radial function of the flat sub-shape of the domain cut out by the form.
 
     The constant-covector torus with class v sits inside the domain exactly
     when |v| is below the profile at every base point, so the radius in
-    direction u is the q-minimum of the profile.
+    direction u is the minimum of the profile over the q_res lattice.  A
+    q-free form is read at one base point.
     """
     dirs = np.asarray(dirs, dtype=float)
-    q_grid = np.asarray(q_grid, dtype=float)
-    if dirs.size == 0 or q_grid.size == 0:
+    if dirs.size == 0 or q_res < 1:
         raise ShapeError("grids must be nonempty")
     n = dirs.shape[1]
-    u = [dirs[:, i][:, None] for i in range(n)]
-    q = [q_grid[:, i][None, :] for i in range(n)]
-    vals = form.profile(u, q)
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), (dirs.shape[0], q_grid.shape[0]))
-    return StarDomain(dirs, vals.min(axis=1))
+    u, q = grid_points(dirs, q_lattice(n, q_res, read_axes(form, range(n))) / q_res)
+    vals = np.broadcast_to(profile_values(form, u, q, ShapeError), u.shape[1:])
+    return StarDomain(dirs, vals.reshape(dirs.shape[0], -1).min(axis=1))
 
 
 def delta(a: StarDomain, b: StarDomain) -> float:
@@ -182,30 +171,25 @@ def displacement_series(i_mat: IntMatrix, a: StarDomain, k_max: int) -> list[flo
 # Stable norms and duality
 # ---------------------------------------------------------------------------
 
-def stable_norm(metric: FlatMetric | np.ndarray, gamma: Sequence[int]) -> float:
-    """Length of the shortest loop of a flat metric in an integer class."""
-    g = metric.g if isinstance(metric, FlatMetric) else np.asarray(metric, dtype=float)
+def stable_norm(g, gamma: Sequence[int]) -> float:
+    """Length of the shortest loop of the flat metric g in an integer class."""
+    g = metric_matrix(g, ShapeError)
     v = np.asarray(gamma, dtype=float)
     if not np.any(v):
         raise ShapeError("trivial class")
     return float(np.sqrt(v @ g @ v))
 
 
-def duality_check(
-    metric: FlatMetric | np.ndarray,
-    class_samples: Sequence[Sequence[int]],
-    dirs: np.ndarray,
-    q_grid: np.ndarray,
-) -> dict:
-    """Pairing of flat-shape points against loop lengths of the metric.
+def duality_check(g, class_samples: Sequence[Sequence[int]], dirs: np.ndarray) -> dict:
+    """Pairing of flat-shape points against loop lengths of the flat metric g.
 
     Samples the flat-shape boundary at factor 0.999 (shapes are open) and
     asserts (b, gamma) <= loop length for every sampled class.
     """
-    g = metric.g if isinstance(metric, FlatMetric) else np.asarray(metric, dtype=float)
+    g = metric_matrix(g, ShapeError)
     if not class_samples:
         raise ShapeError("need at least one sample class")
-    shape = flat_shape(MetricForm(g), dirs, q_grid)
+    shape = flat_shape(MetricForm(g), dirs, 1)  # q-free: one base point
     boundary = 0.999 * shape.rho[:, None] * shape.dirs
     worst = np.inf
     for gamma in class_samples:

@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
-from contactlab.geometry import chart_encode, select_chart_batch
+from contactlab.geometry import (
+    chart_encode,
+    grid_points,
+    q_lattice,
+    select_chart_batch,
+    sphere_grid_array,
+)
 
 
 def circ_diff(a, b, periodic):
@@ -44,6 +50,12 @@ def random_points(rng, n, count):
     (n, count) arrays."""
     pts = [random_point(rng, n) for _ in range(count)]
     return np.hstack([u for u, _ in pts]), np.hstack([q for _, q in pts])
+
+
+def full_grid(n, grid):
+    """Every point of a ``GridSpec``'s product grid, as (n, N) u and q arrays."""
+    qs = q_lattice(n, grid.q_res) / grid.q_res
+    return grid_points(sphere_grid_array(n, grid.fiber_res), qs)
 
 
 def chart_coords(f, u, q):

@@ -35,7 +35,7 @@ from contactlab.maps import (
     make_composite,
 )
 from contactlab.report import run, validate_config
-from conftest import chart_coords, fd_jacobian, random_point
+from conftest import chart_coords, fd_jacobian, full_grid, random_point
 
 CAT = [[2, 1], [1, 1]]
 CAT_S = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -71,7 +71,7 @@ def test_criterion_1_spectral_bound_on_cat_map():
 def test_criterion_2_strict_shears_sharpness():
     with criterion(2, 10.0):
         grid = D.GridSpec(32, 32)  # 32 fiber x 32^2 base = 32^3 points
-        u, q = D.grid_points(2, grid)
+        u, q = full_grid(2, grid)
         for shear in (Shear(0), Shear(1)):
             f = make_composite([shear])
             c, _, _ = conformal_factor_batch(f, RoundForm(), u, q)
@@ -136,7 +136,7 @@ def test_criterion_6_shape_calculus():
     with criterion(6, 30.0):
         rng = np.random.default_rng(6)
         dirs = S.direction_grid(2)
-        q = S.q_lattice(2, 32)
+        q_res = 32
         # delta metric axioms on 100 random triples
         for _ in range(100):
             a, b, c = (S.StarDomain(dirs, 0.5 + rng.random(dirs.shape[0])) for _ in range(3))
@@ -146,10 +146,10 @@ def test_criterion_6_shape_calculus():
         # monotonicity and scaling, exact
         base = TrigForm(1.0, [TrigTerm(0.3, (1, 0))])
         bigger = TrigForm(1.4, [TrigTerm(0.3, (1, 0))])
-        r1 = S.flat_shape(base, dirs, q).rho
-        assert np.all(r1 <= S.flat_shape(bigger, dirs, q).rho)
+        r1 = S.flat_shape(base, dirs, q_res).rho
+        assert np.all(r1 <= S.flat_shape(bigger, dirs, q_res).rho)
         scaled = TrigForm(2.0, [TrigTerm(0.6, (1, 0))])
-        assert np.allclose(S.flat_shape(scaled, dirs, q).rho, 2.0 * r1)
+        assert np.allclose(S.flat_shape(scaled, dirs, q_res).rho, 2.0 * r1)
         # group-action law and linear-lift equivariance at 1e-3
         fine = S.direction_grid(2, 32768)
         theta = np.arctan2(fine[:, 1], fine[:, 0])
@@ -161,9 +161,8 @@ def test_criterion_6_shape_calculus():
                 rhs = S.act(i_mat, S.act(j_mat, smooth))
                 assert S.delta(lhs, rhs) < 1e-3
         metric = MetricForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        q4 = S.q_lattice(2, 4)
-        lhs = S.flat_shape(PullbackForm(CAT, metric), fine, q4)
-        rhs = S.act(A.mat_transpose(A.as_matrix(CAT)), S.flat_shape(metric, fine, q4))
+        lhs = S.flat_shape(PullbackForm(CAT, metric), fine, 4)
+        rhs = S.act(A.mat_transpose(A.as_matrix(CAT)), S.flat_shape(metric, fine, 4))
         assert S.delta(lhs, rhs) < 1e-3
 
 
@@ -191,9 +190,7 @@ def test_criterion_8_duality_inequality():
                 tuple(int(c) for c in rng.integers(-3, 4, size=k)) for _ in range(6)
             ]
             classes = [v if any(v) else (1,) + (0,) * (k - 1) for v in classes]
-            res = S.duality_check(
-                g, classes, S.direction_grid(k), S.q_lattice(k, 8 if k == 2 else 4)
-            )
+            res = S.duality_check(g, classes, S.direction_grid(k))
             assert res["pass"] and res["worst_margin"] >= 0.0
 
 

@@ -30,6 +30,8 @@ from contactlab.maps import (
     make_composite,
 )
 
+from conftest import full_grid
+
 CAT = [[2, 1], [1, 1]]
 CAT_S = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 FAST = D.GridSpec(4, 64)
@@ -129,7 +131,7 @@ COBOUNDARY_FORMS = {
 def jet_r_sequence(f, form, K, grid):
     """r_k from jet factors of the given form at every orbit step (the oracle)."""
     g = f.inverse()
-    u, q = D.grid_points(f.n, grid)
+    u, q = full_grid(f.n, grid)
     acc = np.zeros(u.shape[1])
     out = np.empty(K)
     for k in range(K):
@@ -491,7 +493,7 @@ def test_lyapunov_shear_decays():
 
 def per_step_svd_lyapunov(f, K, grid):
     """The Lyapunov chain renormalised by its operator norm at every step."""
-    u, q = D.grid_points(f.n, grid)
+    u, q = full_grid(f.n, grid)
     d = 2 * f.n - 1
     basis = np.broadcast_to(np.eye(d), (u.shape[1], d, d)).copy()
     acc = np.zeros(u.shape[1])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactlab.dissipation import DissipationError
 from contactlab.geometry import (
     FORMS,
     ConstantForm,
+    ContactForm,
     GeometryError,
     Jet,
     MetricForm,
@@ -19,6 +22,7 @@ from contactlab.geometry import (
     chart_decode,
     chart_encode,
     check_positive,
+    grid_points,
     jatan2,
     jcos,
     jmatvec,
@@ -26,11 +30,14 @@ from contactlab.geometry import (
     jsin,
     jsqrt,
     jval,
+    profile_values,
+    q_lattice,
     seed_jets,
     select_chart_batch,
     sphere_grid_array,
 )
-from contactlab.maps import _form_rows
+from contactlab.maps import MapError, _form_rows
+from contactlab.shapes import ShapeError
 from conftest import random_points
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
@@ -105,6 +112,61 @@ def test_trig_form_positivity_check():
     bad = TrigForm(1.0, [TrigTerm(1.5, (1, 0))])
     with pytest.raises(GeometryError, match="not positive"):
         check_positive(bad, 2, q_res=32, fiber_res=8)
+
+
+# ---------------------------------------------------------------------------
+# The base lattice, the product grid and the checked profile read
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_q_lattice_is_the_filtered_full_lattice(n):
+    res = 3
+    full = list(itertools.product(range(res), repeat=n))  # last axis fastest
+    for k in range(n + 1):
+        for axes in itertools.combinations(range(n), k):
+            rows = [i for i in full if all(i[a] == 0 for a in range(n) if a not in axes)]
+            idx = q_lattice(n, res, frozenset(axes))
+            assert idx.dtype.kind == "i" and idx.T.tolist() == [list(i) for i in rows]
+    assert q_lattice(n, res).T.tolist() == [list(i) for i in full]
+    # The points are the same divisions as those of a float lattice.
+    mesh = np.meshgrid(*[np.arange(res) / res] * n, indexing="ij")
+    assert np.array_equal(q_lattice(n, res) / res, np.stack([m.ravel() for m in mesh]))
+
+
+def test_grid_points_is_direction_major():
+    dirs = sphere_grid_array(2, 4)
+    qs = q_lattice(2, 3) / 3
+    u, q = grid_points(dirs, qs)
+    assert u.shape == q.shape == (2, 4 * 9)
+    for d in range(4):
+        for m in range(9):
+            assert np.array_equal(u[:, 9 * d + m], dirs[d])
+            assert np.array_equal(q[:, 9 * d + m], qs[:, m])
+
+
+class OnePointForm(ContactForm):
+    """Profile 1 everywhere but at the first point, where it is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def profile(self, u, q):
+        prof = np.ones(np.shape(q[0]))
+        prof.flat[0] = self.value
+        return prof
+
+    def spec(self):
+        return {"kind": "one_point"}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("error", [GeometryError, DissipationError, ShapeError, MapError])
+def test_profile_values_raises_the_callers_error(value, error):
+    u, q = grid_points(sphere_grid_array(2, 8), q_lattice(2, 4) / 4)
+    with pytest.raises(error, match="one_point form is not positive and finite"):
+        profile_values(OnePointForm(value), u, q, error)
+    assert np.array_equal(profile_values(OnePointForm(2.0), u, q, error)[:2], [2.0, 1.0])
+    assert profile_values(RoundForm(), u, q, error).shape == ()
 
 
 FORM_SPECS = [

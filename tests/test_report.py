@@ -160,7 +160,7 @@ def test_determinism_excluding_timestamp(tmp_path):
         tasks=[
             {"task": "r_sequence", "K": 10},
             {"task": "growth", "N": 20},
-            {"task": "duality", "metric": [[1, 0], [0, 1]], "q_res": 4},
+            {"task": "duality", "metric": [[1, 0], [0, 1]]},
         ],
     )
     doc1 = run(validate_config(data), out_dir=tmp_path / "a")
@@ -316,9 +316,6 @@ BAD_CONFIGS = {
     ),
     "shape_small_dir_res": dict(MINIMAL, tasks=[{"task": "shape", "dir_res": 2}]),
     "duality_indefinite_metric": dict(MINIMAL, tasks=[{"task": "duality", "metric": [[1, 2], [2, 1]]}]),
-    "duality_zero_q_res": dict(
-        MINIMAL, tasks=[{"task": "duality", "metric": [[1, 0], [0, 1]], "q_res": 0}]
-    ),
     "verify_bound_text_tol": dict(MINIMAL, tasks=[{"task": "verify_bound", "tol": "abc"}]),
     "verify_bound_huge_tol": dict(MINIMAL, tasks=[{"task": "verify_bound", "tol": 10**400}]),
     "trig_text_amp": dict(
@@ -405,6 +402,46 @@ NUMBER_FIELD_CASES = {
     ),
 }
 BAD_CONFIGS.update({name: data for name, (data, _) in NUMBER_FIELD_CASES.items()})
+
+# Configs that once validated and then failed at run time (exit 3), with the
+# text their config error must carry.
+RUN_TIME_CASES = {
+    "grid_small_fiber_res": (
+        dict(MINIMAL, grid={"q_res": 4, "fiber_res": 3}), "grid: q_res must be a positive integer"
+    ),
+    "lyapunov_grid_small_fiber_res": (
+        dict(MINIMAL, lyapunov_grid={"q_res": 4, "fiber_res": 2}),
+        "lyapunov_grid: q_res must be a positive integer and fiber_res an integer >= 4",
+    ),
+    "growth_zero_class": (
+        dict(MINIMAL, tasks=[{"task": "growth", "classes": [[1, 0], [0, 0]]}]),
+        "growth: classes must be nonzero",
+    ),
+    "duality_zero_class": (
+        dict(MINIMAL, tasks=[{"task": "duality", "metric": [[1, 0], [0, 1]], "classes": [[0, 0]]}]),
+        "duality: classes must be nonzero",
+    ),
+    "trig_negative_constant": (
+        dict(MINIMAL, form={"kind": "trig", "c0": -1, "terms": []}, tasks=[{"task": "homology"}]),
+        "form: profile of the trig form is not positive and finite",
+    ),
+    "trig_sign_changing": (
+        dict(
+            MINIMAL,
+            form={"kind": "trig", "c0": 0.1, "terms": [{"amp": 0.5, "q_freq": [1, 0]}]},
+            tasks=[{"task": "shape"}],
+        ),
+        "form: profile of the trig form is not positive and finite",
+    ),
+    "trig_sign_changing_default_grid": (
+        dict(
+            {key: value for key, value in MINIMAL.items() if key != "grid"},
+            form={"kind": "trig", "c0": 0.1, "terms": [{"amp": 0.5, "q_freq": [1, 0]}]},
+        ),
+        "form: profile of the trig form is not positive and finite",
+    ),
+}
+BAD_CONFIGS.update({name: data for name, (data, _) in RUN_TIME_CASES.items()})
 # sqrt(p^T G p) is NaN or 0 somewhere unless G is positive definite.
 BAD_CONFIGS.update(
     metric_norm_indefinite_g=_flow({"kind": "metric_norm", "g": [[1, 0], [0, -1]]}),
@@ -424,6 +461,13 @@ def test_bad_config_exits_2(tmp_path, capsys, name):
 @pytest.mark.parametrize("name", sorted(NUMBER_FIELD_CASES))
 def test_bad_number_field_is_named(tmp_path, capsys, name):
     data, message = NUMBER_FIELD_CASES[name]
+    assert main(["validate", str(write_config(tmp_path, data))]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(RUN_TIME_CASES))
+def test_run_time_failure_is_a_config_error(tmp_path, capsys, name):
+    data, message = RUN_TIME_CASES[name]
     assert main(["validate", str(write_config(tmp_path, data))]) == 2
     assert message in capsys.readouterr().err
 
@@ -491,8 +535,8 @@ def test_repeated_tasks_write_one_artifact_each(tmp_path):
         {"task": "growth", "mode": "abelian", "matrix": [[2, 1], [1, 1]], "N": 20},
         {"task": "r_sequence", "K": 12},
         {"task": "growth", "mode": "free", "rules": ["ab", "a"], "word": "a", "N": 12},
-        {"task": "duality", "metric": [[1, 0], [0, 1]], "q_res": 4},
-        {"task": "duality", "metric": [[2, 0], [0, 1]], "q_res": 4},
+        {"task": "duality", "metric": [[1, 0], [0, 1]]},
+        {"task": "duality", "metric": [[2, 0], [0, 1]]},
     ]
     doc = run(validate_config(dict(MINIMAL, tasks=tasks)), out_dir=tmp_path)
     results = doc["results"]
@@ -511,13 +555,16 @@ def test_repeated_tasks_write_one_artifact_each(tmp_path):
     ids=["identity", "cat"],
 )
 def test_sign_changing_profile_exits_3(tmp_path, capsys, map_spec):
+    # 0.1 + cos 8 pi q1 is 1.1 on the q_res = 4 lattice that validation
+    # reads, and -0.9 at q1 = 1/8, which the run reads at --refine 2.
     data = dict(
         MINIMAL,
-        form={"kind": "trig", "c0": 0.1, "terms": [{"amp": 1.0, "q_freq": [1, 0]}]},
+        form={"kind": "trig", "c0": 0.1, "terms": [{"amp": 1.0, "q_freq": [4, 0]}]},
         map=map_spec,
     )
     path = write_config(tmp_path, data)
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--refine", "2"]) == 3
     assert "trig form" in capsys.readouterr().err
 
 

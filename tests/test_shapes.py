@@ -7,14 +7,17 @@ from contactlab import algebra as A
 from contactlab import shapes as S
 from contactlab.geometry import (
     ConstantForm,
+    ContactForm,
     MetricForm,
     PullbackForm,
     RoundForm,
     TrigForm,
     TrigTerm,
+    q_lattice,
 )
 
 CAT = ((2, 1), (1, 1))
+CAT3 = ((1, 1, 0), (1, 2, 1), (0, 1, 2))
 
 
 def random_domain(rng, dirs):
@@ -27,12 +30,12 @@ def dirs2():
 
 
 @pytest.fixture
-def q2():
-    return S.q_lattice(2, 32)
+def q_res():
+    return 32
 
 
 # ---------------------------------------------------------------------------
-# StarDomain / FlatMetric validation
+# StarDomain and metric validation
 # ---------------------------------------------------------------------------
 
 def test_star_domain_rejects_nonpositive_radii(dirs2):
@@ -40,46 +43,110 @@ def test_star_domain_rejects_nonpositive_radii(dirs2):
         S.StarDomain(dirs2, np.zeros(dirs2.shape[0]))
 
 
-def test_flat_metric_validation():
-    with pytest.raises(S.ShapeError):
-        S.FlatMetric(np.array([[1.0, 0.1], [0.0, 1.0]]))
-    with pytest.raises(S.ShapeError):
-        S.FlatMetric(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert S.FlatMetric(np.eye(2)).g.shape == (2, 2)
+def test_flat_metric_validation(dirs2):
+    # An indefinite g once gave a NaN stable norm, and a GeometryError from
+    # duality_check.
+    bad = {
+        "asymmetric": [[1.0, 0.1], [0.0, 1.0]],
+        "singular": [[1.0, 0.0], [0.0, 0.0]],
+        "indefinite": [[1, 0], [0, -1]],
+        "nan": [[1.0, np.nan], [np.nan, 1.0]],
+    }
+    for g in bad.values():
+        with pytest.raises(S.ShapeError, match="metric"):
+            S.stable_norm(g, (0, 1))
+        with pytest.raises(S.ShapeError, match="metric"):
+            S.duality_check(g, [(0, 1)], dirs2)
+    assert S.stable_norm([[4, 0], [0, 1]], (1, 0)) == 2.0
 
 
 # ---------------------------------------------------------------------------
 # flat_shape
 # ---------------------------------------------------------------------------
 
-def test_flat_shape_round_is_unit_ball(dirs2, q2):
-    dom = S.flat_shape(RoundForm(), dirs2, q2)
+def test_flat_shape_round_is_unit_ball(dirs2, q_res):
+    dom = S.flat_shape(RoundForm(), dirs2, q_res)
     assert np.allclose(dom.rho, 1.0)
 
 
-def test_flat_shape_constant_scales(dirs2, q2):
-    dom = S.flat_shape(ConstantForm(2.0), dirs2, q2)
+def test_flat_shape_constant_scales(dirs2, q_res):
+    dom = S.flat_shape(ConstantForm(2.0), dirs2, q_res)
     assert np.allclose(dom.rho, 2.0)
 
 
-def test_flat_shape_trig_min(dirs2, q2):
+def test_flat_shape_trig_min(dirs2, q_res):
     form = TrigForm(1.0, [TrigTerm(0.5, (1, 0))])
-    dom = S.flat_shape(form, dirs2, q2)
+    dom = S.flat_shape(form, dirs2, q_res)
     assert np.allclose(dom.rho, 0.5, atol=1e-12)
 
 
-def test_flat_shape_monotone_and_scaling(dirs2, q2, rng):
+def test_flat_shape_monotone_and_scaling(dirs2, q_res, rng):
     form1 = TrigForm(1.0, [TrigTerm(0.3, (1, 0))])
     form2 = TrigForm(1.5, [TrigTerm(0.3, (1, 0))])  # pointwise larger
-    r1 = S.flat_shape(form1, dirs2, q2).rho
-    r2 = S.flat_shape(form2, dirs2, q2).rho
+    r1 = S.flat_shape(form1, dirs2, q_res).rho
+    r2 = S.flat_shape(form2, dirs2, q_res).rho
     assert np.all(r1 <= r2)
-    scaled = S.flat_shape(TrigForm(2.0, [TrigTerm(0.6, (1, 0))]), dirs2, q2).rho
+    scaled = S.flat_shape(TrigForm(2.0, [TrigTerm(0.6, (1, 0))]), dirs2, q_res).rho
     assert np.allclose(scaled, 2.0 * r1)
 
 
-def test_flat_shape_metric_is_dual_ball(dirs2, q2):
-    dom = S.flat_shape(MetricForm(np.diag([4.0, 1.0])), dirs2, q2)
+class CountingForm(ContactForm):
+    """Wraps a form and counts the points its profile is read at."""
+
+    def __init__(self, form):
+        self.form, self.n, self.q_free, self.points = form, form.n, form.q_free, 0
+
+    def profile(self, u, q):
+        self.points += int(np.prod(np.broadcast_shapes(np.shape(u[0]), np.shape(q[0]))))
+        return self.form.profile(u, q)
+
+    def spec(self):
+        return self.form.spec()
+
+
+def brute_force_rho(form, dirs, q_res):
+    """Minimum of the profile over the whole q_res lattice, one direction at a time."""
+    qs = q_lattice(dirs.shape[1], q_res) / q_res
+    return np.array([
+        np.min(np.broadcast_to(form.profile(list(d[:, None]), list(qs)), qs.shape[1:]))
+        for d in dirs
+    ])
+
+
+G3 = [[2, 0.5, 0], [0.5, 1, 0.2], [0, 0.2, 1.5]]
+
+
+@pytest.mark.parametrize(
+    "form",
+    [RoundForm(), MetricForm(np.array(G3)), PullbackForm(CAT3, MetricForm(np.array(G3)))],
+    ids=["round", "metric", "pullback"],
+)
+def test_flat_shape_of_a_q_free_form_reads_one_base_point(form):
+    dirs = S.direction_grid(3 if form.n == 3 else 2, 256)
+    counted = CountingForm(form)
+    dom = S.flat_shape(counted, dirs, 8)
+    assert counted.points == len(dirs)
+    assert np.array_equal(dom.rho, brute_force_rho(form, dirs, 8))
+
+
+@pytest.mark.parametrize(
+    "form, n",
+    [
+        (TrigForm(1.0, [TrigTerm(0.3, (1, 0), (1, 0)), TrigTerm(0.2, (0, 1), use_sin=True)]), 2),
+        (TrigForm(1.0, [TrigTerm(0.4, (1, 0, 0), (1, 0, 0)), TrigTerm(0.1, (0, 2, 1))]), 3),
+    ],
+    ids=["n2", "n3"],
+)
+def test_flat_shape_of_a_trig_form_is_the_lattice_minimum(form, n):
+    dirs = S.direction_grid(n, 64)
+    counted = CountingForm(form)
+    dom = S.flat_shape(counted, dirs, 6)
+    assert counted.points == len(dirs) * 6 ** n
+    assert np.array_equal(dom.rho, brute_force_rho(form, dirs, 6))
+
+
+def test_flat_shape_metric_is_dual_ball(dirs2, q_res):
+    dom = S.flat_shape(MetricForm(np.diag([4.0, 1.0])), dirs2, q_res)
     # boundary: b1^2/4 + b2^2 = 1, radius in direction u is 1/sqrt(u G^{-1} u)
     expected = 1.0 / np.sqrt(dirs2[:, 0] ** 2 / 4.0 + dirs2[:, 1] ** 2)
     assert np.allclose(dom.rho, expected)
@@ -178,9 +245,6 @@ def lookup_act(i_mat, a):
     return a.rho[S._nearest_directions(w / norms[:, None], a.dirs)] / norms
 
 
-CAT3 = ((1, 1, 0), (1, 2, 1), (0, 1, 2))
-
-
 @pytest.mark.parametrize(
     "i_mat, radius",
     [(CAT, 1.0), (CAT3, 1.0), (CAT3, 2.5), (A.mat_pow(CAT, 7), 0.3)],
@@ -195,7 +259,7 @@ def test_act_on_a_constant_domain_matches_the_lookup(i_mat, radius):
 
 def test_act_on_a_varying_domain_uses_the_lookup(monkeypatch):
     dirs = S.direction_grid(3)
-    a = S.flat_shape(TrigForm(1.0, [TrigTerm(0.4, (1, 0, 0), (1, 0, 0))]), dirs, S.q_lattice(3, 4))
+    a = S.flat_shape(TrigForm(1.0, [TrigTerm(0.4, (1, 0, 0), (1, 0, 0))]), dirs, 4)
     assert not np.all(a.rho == a.rho[0])
     calls = []
     lookup = S._nearest_directions
@@ -207,11 +271,10 @@ def test_act_on_a_varying_domain_uses_the_lookup(monkeypatch):
 def test_equivariance_of_linear_lifts():
     # flat shape of the pulled-back form = act(M^T, flat shape of the form)
     dirs = S.direction_grid(2, 32768)
-    q = S.q_lattice(2, 4)
     base = MetricForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
     m = [[2, 1], [1, 1]]
-    lhs = S.flat_shape(PullbackForm(m, base), dirs, q)
-    rhs = S.act(A.mat_transpose(A.as_matrix(m)), S.flat_shape(base, dirs, q))
+    lhs = S.flat_shape(PullbackForm(m, base), dirs, 4)
+    rhs = S.act(A.mat_transpose(A.as_matrix(m)), S.flat_shape(base, dirs, 4))
     assert S.delta(lhs, rhs) < 1e-3
 
 
@@ -257,7 +320,7 @@ def test_stable_norm_examples():
 
 
 def test_stable_norm_is_a_norm(rng):
-    g = S.FlatMetric(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    g = np.array([[2.0, 0.3], [0.3, 1.0]])
     for _ in range(100):
         a = rng.integers(-5, 6, 2)
         b = rng.integers(-5, 6, 2)
@@ -268,12 +331,11 @@ def test_stable_norm_is_a_norm(rng):
 
 
 def test_duality_check_examples(dirs2, rng):
-    q = S.q_lattice(2, 8)
     classes = [(1, 0), (0, 1), (2, -3), (-1, 4)]
     for g in (np.eye(2), np.diag([4.0, 1.0])):
-        res = S.duality_check(g, classes, dirs2, q)
+        res = S.duality_check(g, classes, dirs2)
         assert res["pass"] and res["worst_margin"] >= 0.0
     with pytest.raises(S.ShapeError, match="trivial"):
-        S.duality_check(np.eye(2), [(0, 0)], dirs2, q)
+        S.duality_check(np.eye(2), [(0, 0)], dirs2)
     with pytest.raises(S.ShapeError):
-        S.duality_check(np.eye(2), [], dirs2, q)
+        S.duality_check(np.eye(2), [], dirs2)
