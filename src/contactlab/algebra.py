@@ -378,13 +378,22 @@ def a_block(i_mat: IntMatrix) -> tuple[IntMatrix, int, int]:
 # Growth rates
 # ---------------------------------------------------------------------------
 
+def line_fit(xs, ys) -> tuple[float, float]:
+    """Least-squares (slope, intercept) of 2 or more (x, y) pairs, from centred sums."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+        raise AlgebraError(f"line fit needs 2 or more (x, y) pairs, got {x.shape} and {y.shape}")
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = float((dx * (y - y_mean)).sum() / (dx * dx).sum())
+    return slope, float(y_mean - slope * x_mean)
+
+
 def growth_slope(log_values: Sequence[float], tail: float = 0.5) -> float:
     """Least-squares slope over the trailing part of a series."""
     n = len(log_values)
     start = min(n - 2, int(n * (1.0 - tail)))
-    ys = np.asarray(log_values[start:], dtype=float)
-    xs = np.arange(start, n, dtype=float)
-    return float(np.polyfit(xs, ys, 1)[0])
+    return line_fit(np.arange(start, n), log_values[start:])[0]
 
 
 def abelian_bar_s(m: IntMatrix, sample_classes: Sequence[Sequence[int]], n_steps: int) -> float:

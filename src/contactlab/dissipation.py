@@ -22,6 +22,7 @@ base rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -97,7 +98,8 @@ def r_sequence(
     F(x_k) / F(x_0); ``apply_batch`` returns log c_0 in closed form.
     Orbits start only from the base points that are 0 on the axes of g's
     ``base_action``, and the profile is read at every shift of them along
-    those axes.
+    those axes.  A profile that comes back 0-d (round, constant, a trig
+    form with no terms) reads neither: its coboundary is 0, so it is read once.
     """
     if K < 1:
         raise DissipationError("need K >= 1")
@@ -112,9 +114,8 @@ def r_sequence(
     t = (idx / grid.q_res)[:, :, None]
 
     def log_profile(u, q, t):
-        # (n, shifts, N): every grid point, with the shifts as leading axis
-        # so the (N,) accumulated factor broadcasts over them.  A constant
-        # profile stays a scalar.
+        # (shifts, N): every grid point, with the shifts leading so the (N,)
+        # accumulated factor broadcasts over them; a constant profile is 0-d.
         return np.log(profile_values(form, u[:, None, :], q[:, None, :] + t, DissipationError))
 
     log_f0 = log_profile(u, q, t)
@@ -126,8 +127,9 @@ def r_sequence(
             idx = (b @ idx) % grid.q_res
             t = (idx / grid.q_res)[:, :, None]
         acc += log_c
-        r = float(np.max(np.abs(acc + (log_profile(u, q, t) - log_f0))))
-        if not np.isfinite(r):
+        dev = acc + (log_profile(u, q, t) - log_f0) if log_f0.ndim else acc
+        r = float(np.abs(dev).max())
+        if not math.isfinite(r):
             raise DissipationError(
                 f"accumulated log conformal factor of the {form.spec()['kind']} form "
                 f"is not finite at k = {k + 1}"
@@ -142,10 +144,10 @@ def chi_estimate(r_series) -> ChiEstimate:
     k_total = len(r)
     if k_total < 8:
         raise DissipationError("need at least 8 terms")
-    ks = np.arange(1, k_total + 1, dtype=float)
     start = k_total // 2
-    slope, intercept = np.polyfit(ks[start:], r[start:], 1)
-    fit = slope * ks[start:] + intercept
+    ks = np.arange(start + 1, k_total + 1, dtype=float)
+    slope, intercept = algebra.line_fit(ks, r[start:])
+    fit = slope * ks + intercept
     rms = float(np.sqrt(np.mean((r[start:] - fit) ** 2)))
     level = max(float(np.mean(np.abs(fit))), 1e-12)
     return ChiEstimate(float(slope), float(r[-1] / k_total), rms / level)

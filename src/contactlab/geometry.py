@@ -159,18 +159,18 @@ def jmod1(x):
 def jmatvec(m, v) -> list:
     """m @ v for a list v of jet-compatible components.
 
-    Zero coefficients are skipped and each row is summed left to right, so a
-    lift, pullback or metric flow gives the same bits as the written-out
-    product.
+    Zero coefficients are skipped, 1 is not multiplied and rows are summed
+    left to right from their first term: the bits of the written-out product.
+    A row holding one 1 returns that component itself, not to be changed.
     """
-    out = []
-    for row in np.asarray(m, dtype=float):
-        acc = 0.0
-        for c, vj in zip(row, v):
-            if c != 0.0:
-                acc = acc + c * vj
-        out.append(acc)
-    return out
+    rows = np.asarray(m, dtype=float)
+    terms = [[vj if c == 1.0 else c * vj for c, vj in zip(row, v) if c != 0.0] for row in rows]
+    return [jsum(t) if t else 0.0 for t in terms]
+
+
+def jsum(terms: list):
+    """Left-to-right sum of a nonempty list, from its first term (no 0 +)."""
+    return sum(terms[1:], terms[0])
 
 
 def seed_jets(values: Sequence) -> list[Jet]:
@@ -324,7 +324,7 @@ class MetricForm(ContactForm):
 
     def profile(self, u, q):
         w = jmatvec(self.g_inv, u)
-        return 1.0 / jsqrt(sum(ui * wi for ui, wi in zip(u, w)))
+        return 1.0 / jsqrt(jsum([ui * wi for ui, wi in zip(u, w)]))
 
     def spec(self):
         return {"kind": "metric", "g": self.g.tolist()}
@@ -349,7 +349,7 @@ class PullbackForm(ContactForm):
 
     def profile(self, u, q):
         w = jmatvec(self.m_inv_t, u)
-        norm = jsqrt(sum(wi * wi for wi in w))
+        norm = jsqrt(jsum([wi * wi for wi in w]))
         return self.base.profile([wi / norm for wi in w], jmatvec(self.matrix, q)) / norm
 
     def spec(self):
@@ -395,8 +395,8 @@ def profile_values(form: ContactForm, u, q, error: type[Exception] = GeometryErr
     array (0-d when the profile is constant); raises ``error`` unless every
     value is positive and finite."""
     prof = np.asarray(form.profile(list(u), list(q)), dtype=float)
-    low, high = float(np.min(prof)), float(np.max(prof))
-    if not (low > 0.0 and np.isfinite(high)):
+    low, high = float(prof.min()), float(prof.max())
+    if not (low > 0.0 and math.isfinite(high)):
         raise error(
             f"profile of the {form.spec()['kind']} form is not positive and finite "
             f"(sampled min {low}, max {high})"

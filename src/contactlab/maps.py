@@ -40,6 +40,7 @@ from .geometry import (
     jmod1,
     jsin,
     jsqrt,
+    jsum,
     jval,
     metric_matrix,
     profile_values,
@@ -117,7 +118,7 @@ class CanonicalLift(Primitive):
 
     def transform(self, u, q):
         w = jmatvec(self._minv_t, u)
-        norm = jsqrt(sum(wi * wi for wi in w))
+        norm = jsqrt(jsum([wi * wi for wi in w]))
         # (M^-T u / |M^-T u|) . d(Mq) = u . dq / |M^-T u|
         return [wi / norm for wi in w], jmatvec(self._m_float, q), -np.log(jval(norm))
 
@@ -251,7 +252,7 @@ class MetricHamiltonian(Hamiltonian):
 
     def gradients(self, p, q):
         gp = jmatvec(self.g, p)
-        h = jsqrt(sum(pi * gi for pi, gi in zip(p, gp)))
+        h = jsqrt(jsum([pi * gi for pi, gi in zip(p, gp)]))
         return [gi / h for gi in gp], [0.0] * self.n
 
     def describe(self):
@@ -274,7 +275,7 @@ class ModulatedNormHamiltonian(Hamiltonian):
         self.base_action = translations(self.n, frozenset(range(self.n)) - {self.axis})
 
     def gradients(self, p, q):
-        norm = jsqrt(sum(pi * pi for pi in p))
+        norm = jsqrt(jsum([pi * pi for pi in p]))
         mod = 1.0 + self.eps * jcos(TWO_PI * q[self.axis])
         dp = [pi / norm * mod for pi in p]
         dq = [0.0] * self.n
@@ -331,7 +332,7 @@ class ContactFlow(Primitive):
                 qi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
                 for qi, a, b, c, d in zip(q, k1q, k2q, k3q, k4q)
             ]
-            norm2 = sum(pi * pi for pi in p)
+            norm2 = jsum([pi * pi for pi in p])
             vals = np.asarray(jval(norm2), dtype=float)
             if not np.all(np.isfinite(vals)) or np.any(vals < 0.25) or np.any(vals > 4.0):
                 raise MapError("contact flow integration diverged; increase steps")
@@ -389,21 +390,21 @@ class ContactMap:
     def apply_batch(self, u_arr: np.ndarray, q_arr: np.ndarray):
         """Vectorized apply on (n, N) component arrays.
 
-        Returns (u, q, log_c): the image with u normalized and q wrapped,
-        and the log round-form conformal factor of the map at each point,
-        summed over the primitives (the cocycle rule).
+        Returns (u, q, log_c): the image in fresh (n, N) arrays, u normalized
+        and q wrapped, and the log round-form conformal factor of the map at
+        each point, summed over the primitives (the cocycle rule).  Inputs are
+        never changed: even a component a transform hands back is copied.
         """
-        shape = u_arr.shape[1:]
-        u = [u_arr[i] for i in range(self.n)]
-        q = [q_arr[i] for i in range(self.n)]
-        log_c = np.zeros(shape)
+        u, q = list(u_arr), list(q_arr)
+        log_c = np.zeros(u_arr.shape[1:])
         for prim in self.primitives:
             u, q, step = prim.transform(u, q)
             log_c += step
-        u = np.stack([np.broadcast_to(np.asarray(c, float), shape) for c in u])
-        q = np.stack([np.broadcast_to(np.asarray(c, float), shape) for c in q])
-        u = u / np.sqrt((u * u).sum(axis=0))
-        return u, np.mod(q, 1.0), log_c
+        u_out, q_out = np.empty(u_arr.shape), np.empty(q_arr.shape)
+        for i in range(self.n):
+            u_out[i], q_out[i] = u[i], q[i]
+        u_out /= np.sqrt((u_out * u_out).sum(axis=0))
+        return u_out, np.mod(q_out, 1.0, out=q_out), log_c
 
     def inverse(self) -> "ContactMap":
         prims = tuple(p.inverse() for p in reversed(self.primitives))
@@ -527,8 +528,7 @@ def _form_rows(form: ContactForm, u_arr, q_arr, n: int, npts: int) -> np.ndarray
     """Chart coefficients (fiber coordinates..., dq...) of the form at each
     point, shape (2n - 1, N); the fiber block is always 0."""
     f = profile_values(form, u_arr, q_arr, MapError)
-    comps = [0.0] * (n - 1) + [f * u_arr[i] for i in range(n)]
-    return np.stack([np.broadcast_to(np.asarray(c, float), (npts,)) for c in comps])
+    return np.concatenate([np.zeros((n - 1, npts)), f * u_arr])
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,10 @@ TASK_PARAMS = {
     "verify_bound": {"K": (30, 8), "tol": (0.05, None)},
 }
 TASK_NAMES = tuple(TASK_PARAMS)
+# Known config keys; a task knows its name, TASK_PARAMS and the objects it builds.
+CONFIG_KEYS = "dimension seed form map tasks grid lyapunov_grid thresholds conservative out_dir"
+TASK_OBJECTS = {"displacement": "matrix", "abelian": "mode matrix classes",
+                "free": "mode rules word", "duality": "metric classes"}
 
 # What building a form, primitive or task object can raise on a bad JSON value.
 SPEC_ERRORS = (ArithmeticError, AttributeError, LookupError, MapError, TypeError, ValueError)
@@ -89,6 +93,7 @@ def _parse_grid(data, errors, label) -> GridSpec | None:
     if not isinstance(data, dict):
         errors.append(f"{label}: must be an object with q_res and fiber_res")
         return None
+    errors.extend(f"{label}: unknown key {k!r}" for k in data if k not in ("q_res", "fiber_res"))
     q_res = data.get("q_res", 0)
     fiber_res = data.get("fiber_res", 0)
     if not (is_int(q_res) and is_int(fiber_res) and q_res > 0 and fiber_res >= 4):
@@ -120,6 +125,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError([f"config must be a JSON object, got {type(data).__name__}"])
     errors: list[str] = []
+    errors.extend(f"config: unknown key {k!r}" for k in data if k not in CONFIG_KEYS.split())
     n = data.get("dimension", 2)
     if not (is_int(n) and n in (2, 3)):
         errors.append(f"dimension must be 2 or 3, got {n!r}")
@@ -162,11 +168,12 @@ def validate_config(data: dict) -> ExperimentConfig:
         tasks = []
     tasks = [_normalise_task(task, n, errors, f"tasks[{i}]") for i, task in enumerate(tasks)]
 
-
     thr = data.get("thresholds", {})
     if not isinstance(thr, dict):
         errors.append("thresholds: must be an object")
         thr = {}
+    known = [fld.name for fld in fields(Thresholds)]
+    errors.extend(f"thresholds: unknown key {k!r}" for k in thr if k not in known)
     values = {}
     for fld in fields(Thresholds):
         value = thr.get(fld.name, fld.default)
@@ -215,6 +222,8 @@ def _normalise_task(task, n: int, errors: list, label: str) -> dict:
             errors.append(f"{label}: growth mode must be one of {', '.join(table)}, got {mode!r}")
             return out
         table = table[mode]
+    known = ["task", *table, *TASK_OBJECTS.get(out.get("mode", name), "").split()]
+    errors.extend(f"{label}: unknown key {k!r}" for k in task if k not in known)
     for key, (default, low) in table.items():
         value = task.get(key, default)
         if value is None and default is None:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from contactlab.geometry import (
+    ContactForm,
     chart_encode,
     grid_points,
     q_lattice,
@@ -69,6 +70,22 @@ def chart_coords(f, u, q):
         chart_out = int(select_chart_batch(u_image[2])[0])
     coords = chart_encode(f.n, chart_in, list(u), list(q))
     return chart_in, chart_out, [float(c[0]) for c in coords]
+
+
+class CountingForm(ContactForm):
+    """Wraps a form and counts its profile reads and the points they cover."""
+
+    def __init__(self, form):
+        self.form, self.n, self.q_free = form, form.n, form.q_free
+        self.calls = self.points = 0
+
+    def profile(self, u, q):
+        self.calls += 1
+        self.points += int(np.prod(np.broadcast_shapes(np.shape(u[0]), np.shape(q[0]))))
+        return self.form.profile(u, q)
+
+    def spec(self):
+        return self.form.spec()
 
 
 @pytest.fixture

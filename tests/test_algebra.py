@@ -303,3 +303,32 @@ def test_sampled_matrices_are_hyperbolic_unimodular(rng, dim):
         assert A.determinant(m) in (1, -1)
         assert A.s_value(m) > 0.1
         assert max(abs(e) for row in m for e in row) <= 5
+
+
+# ---------------------------------------------------------------------------
+# Least-squares line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("count", [2, 3, 15, 40])
+def test_line_fit_matches_polyfit(rng, count):
+    xs = np.arange(count, dtype=float) + 3.0
+    ys = 0.7 * xs + rng.normal(size=count)
+    slope, intercept = A.line_fit(xs, ys)
+    ref = np.polyfit(xs, ys, 1)
+    assert abs(slope - ref[0]) <= 1e-12 and abs(intercept - ref[1]) <= 1e-12
+
+
+def test_line_fit_is_exact_on_a_line():
+    xs = np.arange(10)
+    assert A.line_fit(xs, 2.0 * xs + 1.0) == (2.0, 1.0)
+    assert A.growth_slope([CAT_S * k for k in range(30)]) == pytest.approx(CAT_S, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [([1.0], [2.0]), ([1.0, 2.0], [1.0, 2.0, 3.0]), ([[1.0, 2.0]], [[1.0, 2.0]])],
+    ids=["one_point", "lengths_differ", "not_1d"],
+)
+def test_line_fit_rejects_too_few_or_mismatched_points(xs, ys):
+    with pytest.raises(A.AlgebraError, match="line fit"):
+        A.line_fit(xs, ys)

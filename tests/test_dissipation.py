@@ -30,7 +30,7 @@ from contactlab.maps import (
     make_composite,
 )
 
-from conftest import full_grid
+from conftest import CountingForm, full_grid
 
 CAT = [[2, 1], [1, 1]]
 CAT_S = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -53,6 +53,32 @@ def test_identity_r_is_zero():
 def test_strict_shear_r_is_zero():
     r = D.r_sequence(make_composite([Shear(0)]), RoundForm(), 10, D.GridSpec(8, 32))
     assert np.all(r <= 1e-9)
+
+
+@pytest.mark.parametrize(
+    "form, reads",
+    [
+        (RoundForm(), 1),
+        (ConstantForm(2.5), 1),
+        (TrigForm(1.3, []), 1),
+        (MetricForm(np.diag([4.0, 1.0])), 11),
+        (TrigForm(1.0, [TrigTerm(0.3, (1, 0))]), 11),
+    ],
+    ids=["round", "constant", "trig_no_terms", "metric", "trig"],
+)
+def test_r_sequence_reads_a_pointwise_profile_once(form, reads):
+    # A profile that reads neither u nor q has coboundary 0: it is read and
+    # checked once.  Any other is read at the start and after each of K steps.
+    counted = CountingForm(form)
+    r = D.r_sequence(cat_map(), counted, 10, FAST)
+    assert counted.calls == reads
+    assert np.array_equal(r, D.r_sequence(cat_map(), form, 10, FAST))
+
+
+def test_constant_form_r_is_the_round_form_r():
+    f = make_composite([CanonicalLift(CAT), Shear(0)])
+    r = D.r_sequence(f, RoundForm(), 12, FAST)
+    assert np.array_equal(D.r_sequence(f, ConstantForm(0.3), 12, FAST), r)
 
 
 def test_cat_map_r_growth():

@@ -267,6 +267,22 @@ def test_jmatvec_matches_matmul_in_values_and_partials():
     assert jmatvec(m, [1.0, 2.0, 3.0]) == pytest.approx(list(m @ [1.0, 2.0, 3.0]), rel=1e-15)
 
 
+def test_jmatvec_is_the_written_out_product_bit_for_bit(rng):
+    # Rows hold 1, -1, 0 and 2: a 1 is not multiplied, a 0 is skipped, and
+    # each row is summed left to right from its first nonzero term.
+    m = [[1, 0, -1], [2, 1, 0], [0, -1, 2], [0, 0, 0], [0, 1, 0]]
+    v = list(rng.normal(size=(3, 5)))
+    for comps in (v, seed_jets(v)):
+        a, b, c = comps
+        expected = [a + -1.0 * c, 2.0 * a + b, -1.0 * b + 2.0 * c, 0.0, b]
+        out = jmatvec(m, comps)
+        for o, e in zip(out, expected):
+            assert np.array_equal(jval(o), jval(e))
+            if isinstance(e, Jet):
+                assert np.array_equal(o.partials, e.partials)
+        assert out[4] is b  # a single coefficient 1 returns the component itself
+
+
 def test_pullback_form_round_is_stretch():
     m = [[2, 1], [1, 1]]
     form = PullbackForm(m, RoundForm())

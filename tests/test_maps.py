@@ -227,6 +227,24 @@ def random_batch(rng, n, npts=200):
     return u / np.linalg.norm(u, axis=0), rng.random((n, npts))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_apply_batch_returns_fresh_arrays_and_leaves_its_inputs(rng, n):
+    # The identity, a lift by I, shears and Reeb translations hand input
+    # components back from their transforms; the output must still be new.
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    maps = [identity_map(n), make_composite([CanonicalLift(eye)])]
+    for f in maps + [make_composite([prim]) for prim in primitive_catalog(n)]:
+        u, _ = random_batch(rng, n, 50)
+        q = 5.0 * rng.random((n, 50)) - 2.0  # not yet wrapped
+        u0, q0 = u.copy(), q.copy()
+        u2, q2, _ = f.apply_batch(u, q)
+        assert np.array_equal(u, u0) and np.array_equal(q, q0)
+        assert u2.shape == q2.shape == (n, 50)
+        assert not (np.shares_memory(u2, u) or np.shares_memory(q2, q))
+        assert np.allclose(np.linalg.norm(u2, axis=0), 1.0, rtol=0, atol=1e-15)
+        assert np.all((q2 >= 0.0) & (q2 < 1.0))
+
+
 def closed_form_gap(f, u, q):
     """max |closed-form log factor - log of the jet factor| for the round form."""
     _, _, log_c = f.apply_batch(u, q)

@@ -449,6 +449,35 @@ BAD_CONFIGS.update(
 )
 
 
+# Misspelt keys that once validated and ran with the default in their place,
+# with the error each must carry.
+UNKNOWN_KEY_CASES = {
+    "unknown_top_level_key": (dict(MINIMAL, tresholds=1), "config: unknown key 'tresholds'"),
+    "grid_unknown_key": (
+        dict(MINIMAL, grid={"q_res": 4, "fiber_res": 16, "fibre_res": 3}),
+        "grid: unknown key 'fibre_res'",
+    ),
+    "task_unknown_key": (
+        dict(MINIMAL, tasks=[{"task": "r_sequence", "k": 5}]), "tasks[0]: unknown key 'k'"
+    ),
+    "lyapunov_grid_unknown_key": (
+        dict(MINIMAL, lyapunov_grid={"q_res": 4, "fiber_res": 16, "qres": 2}),
+        "lyapunov_grid: unknown key 'qres'",
+    ),
+    "thresholds_unknown_key": (
+        dict(MINIMAL, thresholds={"hyperbolic_flor": 0.1}), "thresholds: unknown key 'hyperbolic_flor'"
+    ),
+    "abelian_growth_free_key": (
+        dict(MINIMAL, tasks=[{"task": "growth", "cap": 10}]), "tasks[0]: unknown key 'cap'"
+    ),
+    "r_sequence_object_key": (
+        dict(MINIMAL, tasks=[{"task": "r_sequence", "matrix": [[2, 1], [1, 1]]}]),
+        "tasks[0]: unknown key 'matrix'",
+    ),
+}
+BAD_CONFIGS.update({name: data for name, (data, _) in UNKNOWN_KEY_CASES.items()})
+
+
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
 def test_bad_config_exits_2(tmp_path, capsys, name):
     path = write_config(tmp_path, BAD_CONFIGS[name])
@@ -470,6 +499,56 @@ def test_run_time_failure_is_a_config_error(tmp_path, capsys, name):
     data, message = RUN_TIME_CASES[name]
     assert main(["validate", str(write_config(tmp_path, data))]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_KEY_CASES))
+def test_unknown_key_is_named(tmp_path, capsys, name):
+    data, message = UNKNOWN_KEY_CASES[name]
+    assert main(["validate", str(write_config(tmp_path, data))]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_every_unknown_key_is_reported():
+    data = {
+        "grid": {"q_res": 4, "fiber_res": 16, "fibre_res": 3},
+        "tasks": [{"task": "r_sequence", "k": 5}],
+        "tresholds": 1,
+    }
+    with pytest.raises(ConfigError) as err:
+        validate_config(data)
+    assert err.value.errors == [
+        "config: unknown key 'tresholds'",
+        "grid: unknown key 'fibre_res'",
+        "tasks[0]: unknown key 'k'",
+    ]
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"task": "displacement", "k_max": 8, "dir_res": 16, "matrix": [[2, 1], [1, 1]]},
+        {"task": "growth", "mode": "abelian", "N": 10, "matrix": [[2, 1], [1, 1]], "classes": [[1, 0]]},
+        {"task": "growth", "mode": "free", "rules": ["ab", "a"], "word": "a", "N": 5, "cap": 100},
+        {"task": "duality", "metric": [[2, 0], [0, 1]], "classes": [[1, 0]], "dir_res": 16},
+        {"task": "verify_bound", "K": 8, "tol": 0.1},
+        {"task": "shape", "q_res": 4, "dir_res": 16},
+    ],
+    ids=lambda task: f"{task['task']}_{task.get('mode', '')}",
+)
+def test_every_documented_task_key_validates(task):
+    validate_config(dict(MINIMAL, tasks=[task]))
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(REPO.glob("configs/*.json")) + sorted(REPO.glob("perfbench/inputs/*.json")),
+    ids=lambda path: path.stem,
+)
+def test_bundled_configs_and_benchmark_inputs_have_only_known_keys(path):
+    load_config(path)
 
 
 def test_metric_norm_must_be_positive_definite(tmp_path, capsys):

@@ -7,7 +7,6 @@ from contactlab import algebra as A
 from contactlab import shapes as S
 from contactlab.geometry import (
     ConstantForm,
-    ContactForm,
     MetricForm,
     PullbackForm,
     RoundForm,
@@ -15,6 +14,8 @@ from contactlab.geometry import (
     TrigTerm,
     q_lattice,
 )
+
+from conftest import CountingForm
 
 CAT = ((2, 1), (1, 1))
 CAT3 = ((1, 1, 0), (1, 2, 1), (0, 1, 2))
@@ -88,20 +89,6 @@ def test_flat_shape_monotone_and_scaling(dirs2, q_res, rng):
     assert np.all(r1 <= r2)
     scaled = S.flat_shape(TrigForm(2.0, [TrigTerm(0.6, (1, 0))]), dirs2, q_res).rho
     assert np.allclose(scaled, 2.0 * r1)
-
-
-class CountingForm(ContactForm):
-    """Wraps a form and counts the points its profile is read at."""
-
-    def __init__(self, form):
-        self.form, self.n, self.q_free, self.points = form, form.n, form.q_free, 0
-
-    def profile(self, u, q):
-        self.points += int(np.prod(np.broadcast_shapes(np.shape(u[0]), np.shape(q[0]))))
-        return self.form.profile(u, q)
-
-    def spec(self):
-        return self.form.spec()
 
 
 def brute_force_rho(form, dirs, q_res):
