@@ -415,15 +415,18 @@ def length_growth_rate(*series: Sequence[int]) -> float:
     return max([0.0, *slopes])
 
 
-def abelian_lengths(m: IntMatrix, gamma: Sequence[int], n_steps: int) -> list[int]:
-    """L1 word lengths of gamma, m gamma, ..., m^n_steps gamma (exact)."""
+def abelian_lengths(m: IntMatrix, gamma: Sequence[int], n_steps: int, cap=math.inf) -> list[int]:
+    """L1 word lengths of gamma, m gamma, ..., m^n_steps gamma (exact); stops
+    after the first length past cap (the length of gamma is not tested)."""
     v = tuple(int(c) for c in gamma)
     if not any(v):
         raise AlgebraError("trivial class")
-    lengths = []
-    for _ in range(n_steps + 1):
-        lengths.append(sum(abs(c) for c in v))
+    lengths = [sum(abs(c) for c in v)]
+    for _ in range(n_steps):
         v = mat_vec(m, v)
+        lengths.append(sum(abs(c) for c in v))
+        if lengths[-1] > cap:
+            break
     return lengths
 
 
@@ -503,9 +506,13 @@ def cyclic_reduce(w: Sequence[int]) -> GroupWord:
 
 @dataclass(frozen=True)
 class FreeAutomorphism:
-    """Substitution rule generator -> word (invertibility is the caller's job)."""
+    """Substitution rule generator -> word (invertibility is the caller's job);
+    every generator an image uses must have a rule."""
 
     images: tuple[GroupWord, ...]  # images[i] is the image of generator i+1
+
+    def __post_init__(self):
+        self.encode([g for image in self.images for g in image])
 
     @classmethod
     def from_strings(cls, rules: Sequence[str]) -> "FreeAutomorphism":
@@ -513,12 +520,23 @@ class FreeAutomorphism:
             raise AlgebraError(f"rules must be a list of words, got {rules!r}")
         return cls(tuple(parse_word(r) for r in rules))
 
+    def encode(self, w: Sequence[int]) -> bytes:
+        """w as kernel bytes; raises unless each of its generators has a rule."""
+        word = _encode(w)
+        if word and max(word) >= 2 * len(self.images):
+            raise AlgebraError("rules and word may only use generators that have a rule")
+        return word
+
+    @cached_property
+    def _codes(self) -> list[bytes]:
+        """The images of codes 0, 1, ...: each generator's, then its inverse's."""
+        return [c for im in map(_encode, self.images) for c in (im, im[::-1].translate(_FLIP))]
+
     @cached_property
     def _table(self):
         """The images of codes 0, 1, ... as one byte string; their lengths and offsets."""
-        codes = [c for im in map(_encode, self.images) for c in (im, im[::-1].translate(_FLIP))]
-        lens = np.array([len(c) for c in codes], dtype=np.int32)
-        return b"".join(codes), lens, np.cumsum(lens, dtype=np.int32) - lens
+        lens = np.array([len(c) for c in self._codes], dtype=np.int32)
+        return b"".join(self._codes), lens, np.cumsum(lens, dtype=np.int32) - lens
 
     def _image(self, word: bytes) -> bytes:
         """sigma(word), freely reduced: one gather over the table, by int32 indices."""
@@ -533,8 +551,28 @@ class FreeAutomorphism:
         index += np.repeat(offsets[codes] - (ends - sizes), sizes)
         return _reduce(np.frombuffer(table, dtype=np.uint8)[index].tobytes(), table)
 
+    def _letter_counts(self, word: bytes):
+        """(incidence matrix, counts of word) over the letters its iterates use, or
+        None unless no iterate of the cyclic word ever cancels: decided on the closure
+        of its cyclic adjacent pairs (README, "Word growth and displacement")."""
+        images = self._codes
+        todo, pairs, letters = set(zip(word, word[1:] + word[:1])), set(), set()
+        while todo:
+            x, y = pair = todo.pop()
+            if x ^ 1 == y or not images[x] or not images[y]:
+                return None
+            pairs.add(pair)
+            new = {(images[x][-1], images[y][0])}
+            for c in {x, y} - letters:
+                letters.add(c)
+                new.update(zip(images[c], images[c][1:]))
+            todo |= new - pairs
+        order = sorted(letters)
+        matrix = tuple(tuple(images[d].count(c) for d in order) for c in order)
+        return matrix, [word.count(c) for c in order]
+
     def apply(self, w: Sequence[int]) -> GroupWord:
-        return _decode(self._image(_encode(w)))
+        return _decode(self._image(self.encode(w)))
 
 
 def free_growth(
@@ -550,10 +588,15 @@ def free_growth(
 
 
 def free_lengths(sigma: FreeAutomorphism, w: Sequence[int], n_steps: int, cap: int) -> list[int]:
-    """Cyclically reduced lengths of w, sigma(w), ...; stops once past cap."""
-    word = _encode(cyclic_reduce(w))
+    """Cyclically reduced lengths of w, sigma(w), ...; stops after the first length
+    past cap. When sigma never cancels on w they are exact letter-count sums
+    (``FreeAutomorphism._letter_counts``) and no word is built; else the byte kernel runs."""
+    word = _cyclic(_reduce(sigma.encode(w)))
     if not word:
         raise AlgebraError("trivial class")
+    counted = sigma._letter_counts(word)
+    if counted is not None:
+        return abelian_lengths(*counted, n_steps, cap)
     lengths = [len(word)]
     for _ in range(n_steps):
         word = _cyclic(sigma._image(word))
@@ -563,47 +606,3 @@ def free_lengths(sigma: FreeAutomorphism, w: Sequence[int], n_steps: int, cap: i
         if len(word) > cap:
             break
     return lengths
-
-
-# ---------------------------------------------------------------------------
-# Random hyperbolic lattice matrices (seeded; used by tests and experiments)
-# ---------------------------------------------------------------------------
-
-def sample_hyperbolic_lattice_matrices(
-    rng: np.random.Generator, dim: int, count: int, entry_cap: int = 5
-) -> list[IntMatrix]:
-    """Unimodular hyperbolic matrices with entries bounded by entry_cap.
-
-    dim=2 draws products of elementary shears; dim=3 conjugates a hyperbolic
-    2x2 block (so the spectrum stays closed under reciprocals, which keeps
-    the forward word-length growth rate equal to the spectral invariant).
-    """
-    out: list[IntMatrix] = []
-    while len(out) < count:
-        if dim == 2:
-            m = identity_matrix(2)
-            for _ in range(6):
-                k = int(rng.integers(-2, 3))
-                shear = ((1, k), (0, 1)) if rng.random() < 0.5 else ((1, 0), (k, 1))
-                m = mat_mul(m, shear)
-        else:
-            block = sample_hyperbolic_lattice_matrices(rng, 2, 1, entry_cap)[0]
-            m3 = (
-                (block[0][0], block[0][1], 0),
-                (block[1][0], block[1][1], 0),
-                (0, 0, 1),
-            )
-            k = int(rng.integers(-1, 2))
-            axis = int(rng.integers(0, 3))
-            u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-            u[axis][(axis + 1) % 3] = k
-            u = as_matrix(u)
-            m = mat_mul(mat_mul(u, m3), mat_inverse(u))
-        if max(abs(e) for row in m for e in row) > entry_cap:
-            continue
-        if determinant(m) not in (1, -1):
-            continue
-        if s_value(m) <= 0.1:
-            continue
-        out.append(m)
-    return out

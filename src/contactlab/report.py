@@ -264,8 +264,7 @@ def _build_task_objects(name: str, task: dict, out: dict, n: int) -> None:
     elif name == "growth":
         sigma = out["rules"] = algebra.FreeAutomorphism.from_strings(task["rules"])
         out["word"] = algebra.parse_word(task["word"])
-        if any(abs(g) > len(sigma.images) for w in sigma.images + (out["word"],) for g in w):
-            raise ValueError("rules and word may only use generators that have a rule")
+        sigma.encode(out["word"])  # raises if a generator has no rule
 
 
 def _parse_classes(value, k: int):
@@ -381,7 +380,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, artifact, cache
         dirs = shapes.direction_grid(config.n, task["dir_res"])
         dom = shapes.flat_shape(form, dirs, task["q_res"])
         header = [f"u{i+1}" for i in range(config.n)] + ["rho"]
-        rows = [list(map(float, d)) + [float(r)] for d, r in zip(dom.dirs, dom.rho)]
+        rows = [d + [r] for d, r in zip(dom.dirs.tolist(), dom.rho.tolist())]
         _write_csv(artifact.with_suffix(".csv"), header, rows)
         return {
             "directions": len(dom.rho),

@@ -2,6 +2,15 @@
 import numpy as np
 import pytest
 
+from contactlab.algebra import (
+    IntMatrix,
+    as_matrix,
+    determinant,
+    identity_matrix,
+    mat_inverse,
+    mat_mul,
+    s_value,
+)
 from contactlab.geometry import (
     ContactForm,
     chart_encode,
@@ -86,6 +95,46 @@ class CountingForm(ContactForm):
 
     def spec(self):
         return self.form.spec()
+
+
+def sample_hyperbolic_lattice_matrices(
+    rng: np.random.Generator, dim: int, count: int, entry_cap: int = 5
+) -> list[IntMatrix]:
+    """Seeded unimodular hyperbolic matrices with entries bounded by entry_cap.
+
+    dim=2 draws products of elementary shears; dim=3 conjugates a hyperbolic
+    2x2 block (so the spectrum stays closed under reciprocals, which keeps
+    the forward word-length growth rate equal to the spectral invariant).
+    """
+    out: list[IntMatrix] = []
+    while len(out) < count:
+        if dim == 2:
+            m = identity_matrix(2)
+            for _ in range(6):
+                k = int(rng.integers(-2, 3))
+                shear = ((1, k), (0, 1)) if rng.random() < 0.5 else ((1, 0), (k, 1))
+                m = mat_mul(m, shear)
+        else:
+            block = sample_hyperbolic_lattice_matrices(rng, 2, 1, entry_cap)[0]
+            m3 = (
+                (block[0][0], block[0][1], 0),
+                (block[1][0], block[1][1], 0),
+                (0, 0, 1),
+            )
+            k = int(rng.integers(-1, 2))
+            axis = int(rng.integers(0, 3))
+            u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+            u[axis][(axis + 1) % 3] = k
+            u = as_matrix(u)
+            m = mat_mul(mat_mul(u, m3), mat_inverse(u))
+        if max(abs(e) for row in m for e in row) > entry_cap:
+            continue
+        if determinant(m) not in (1, -1):
+            continue
+        if s_value(m) <= 0.1:
+            continue
+        out.append(m)
+    return out
 
 
 @pytest.fixture

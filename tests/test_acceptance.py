@@ -35,7 +35,13 @@ from contactlab.maps import (
     make_composite,
 )
 from contactlab.report import run, validate_config
-from conftest import chart_coords, fd_jacobian, full_grid, random_point
+from conftest import (
+    chart_coords,
+    fd_jacobian,
+    full_grid,
+    random_point,
+    sample_hyperbolic_lattice_matrices,
+)
 
 CAT = [[2, 1], [1, 1]]
 CAT_S = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -110,9 +116,9 @@ def test_criterion_3_conservative_maps_never_hyperbolic():
 def test_criterion_4_abelian_growth_equals_spectrum():
     with criterion(4, 10.0):
         rng = np.random.default_rng(4)
-        mats = A.sample_hyperbolic_lattice_matrices(
+        mats = sample_hyperbolic_lattice_matrices(
             rng, 2, 10
-        ) + A.sample_hyperbolic_lattice_matrices(rng, 3, 10)
+        ) + sample_hyperbolic_lattice_matrices(rng, 3, 10)
         for m in mats:
             k = len(m)
             classes = [
@@ -172,7 +178,7 @@ def test_criterion_7_displacement_vs_spectrum():
         for dim, count in ((2, 5), (3, 5)):
             dirs = S.direction_grid(dim)
             ball = S.ball(dirs)
-            for m in A.sample_hyperbolic_lattice_matrices(rng, dim, count):
+            for m in sample_hyperbolic_lattice_matrices(rng, dim, count):
                 val = S.displacement_estimate(m, ball, 20)
                 assert abs(val - A.s_value(m)) <= 1e-2, (m, val, A.s_value(m))
 

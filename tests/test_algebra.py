@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactlab import algebra as A
+from conftest import sample_hyperbolic_lattice_matrices
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 CAT = ((2, 1), (1, 1))
@@ -69,14 +70,14 @@ def test_s_value_examples():
 
 
 def test_s_value_symmetries(rng):
-    for m in A.sample_hyperbolic_lattice_matrices(rng, 2, 5):
+    for m in sample_hyperbolic_lattice_matrices(rng, 2, 5):
         s = A.s_value(m)
         assert A.s_value(A.mat_inverse(m)) == pytest.approx(s, abs=1e-8)
         assert A.s_value(A.mat_transpose(m)) == pytest.approx(s, abs=1e-8)
 
 
 def test_eigen_moduli_product_is_one(rng):
-    for m in A.sample_hyperbolic_lattice_matrices(rng, 3, 5):
+    for m in sample_hyperbolic_lattice_matrices(rng, 3, 5):
         assert np.prod(A.eigen_moduli(m)) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -228,6 +229,8 @@ CASCADE = ((1,) + (2,) * 500, (2,), (-2,) * 500 + (-1, 3))
 @example((((1, 2), (1,)), (1, 2, -2, -1), 8, 300))  # trivial class
 @example((((), (2,)), (1,), 8, 300))  # trivial under iteration
 @example((CASCADE, (1, 3), 3, 10**6))
+@example((((1, 2, -2, 1), (2,)), (1, 2), 6, 300))  # an image with a cancelling pair
+@example((((1, 2), ()), (1,), 6, 300))  # an empty image
 def test_free_lengths_match_the_stack_oracle(case):
     images, word, n_steps, cap = case
     sigma = A.FreeAutomorphism(images)
@@ -244,8 +247,59 @@ def test_free_lengths_match_the_stack_oracle(case):
 
 
 def test_free_lengths_deep_cascade():
-    lengths = A.free_lengths(A.FreeAutomorphism(CASCADE), (1, 3), 3, 10**6)
+    sigma = A.FreeAutomorphism(CASCADE)
+    assert sigma._letter_counts(A._encode((1, 3))) is None  # the byte kernel runs
+    lengths = A.free_lengths(sigma, (1, 3), 3, 10**6)
     assert lengths == [2, 1, 502, 1503]
+
+
+def _no_kernel(self, word):
+    raise AssertionError("the byte kernel ran")
+
+
+def test_free_lengths_fibonacci_builds_no_word(monkeypatch):
+    fib = A.FreeAutomorphism.from_strings(["ab", "a"])
+    expected = stack_lengths(fib.images, (1,), 25, 10**6)
+    monkeypatch.setattr(A.FreeAutomorphism, "_image", _no_kernel)
+    assert A.free_lengths(fib, A.parse_word("a"), 25, 10**6) == expected
+    assert expected[-1] == 196418
+
+
+def test_free_lengths_fibonacci_exact_far_beyond_the_kernel(monkeypatch):
+    fib_numbers = [1, 2]
+    while len(fib_numbers) < 81:
+        fib_numbers.append(fib_numbers[-1] + fib_numbers[-2])
+    monkeypatch.setattr(A.FreeAutomorphism, "_image", _no_kernel)
+    fib = A.FreeAutomorphism.from_strings(["ab", "a"])
+    assert A.free_lengths(fib, A.parse_word("a"), 80, 10**30) == fib_numbers
+    # the cap stops after the first length past it, as the kernel does
+    assert A.free_lengths(fib, A.parse_word("a"), 80, 10) == fib_numbers[:6]
+
+
+def test_free_lengths_fall_back_to_the_kernel_when_a_pair_cancels():
+    sigma = A.FreeAutomorphism.from_strings(["ab", "B"])  # sigma^2(a) = ab.B cancels
+    assert sigma._letter_counts(A._encode((1,))) is None
+    expected = stack_lengths(sigma.images, (1,), 9, 10**6)
+    assert A.free_lengths(sigma, (1,), 9, 10**6) == expected == [1, 2] * 5
+
+
+def test_free_lengths_letter_counts_when_inverses_never_meet(monkeypatch):
+    sigma = A.FreeAutomorphism.from_strings(["aB", "b"])
+    expected = stack_lengths(sigma.images, (1,), 12, 10**6)
+    monkeypatch.setattr(A.FreeAutomorphism, "_image", _no_kernel)
+    assert A.free_lengths(sigma, A.parse_word("a"), 12, 10**6) == expected == list(range(1, 14))
+
+
+def test_free_generator_without_a_rule_is_rejected():
+    message = "^rules and word may only use generators that have a rule$"
+    with pytest.raises(A.AlgebraError, match=message):
+        A.FreeAutomorphism.from_strings(["ac", "a"])
+    fib = A.FreeAutomorphism.from_strings(["ab", "a"])
+    for word in ("c", "aC"):
+        with pytest.raises(A.AlgebraError, match=message):
+            fib.apply(A.parse_word(word))
+        with pytest.raises(A.AlgebraError, match=message):
+            A.free_lengths(fib, A.parse_word(word), 5, 100)
 
 
 def test_free_words_generator_limit():
@@ -298,7 +352,7 @@ def test_length_growth_rate_floors_at_zero():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_sampled_matrices_are_hyperbolic_unimodular(rng, dim):
-    mats = A.sample_hyperbolic_lattice_matrices(rng, dim, 5)
+    mats = sample_hyperbolic_lattice_matrices(rng, dim, 5)
     for m in mats:
         assert A.determinant(m) in (1, -1)
         assert A.s_value(m) > 0.1

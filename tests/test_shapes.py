@@ -15,7 +15,7 @@ from contactlab.geometry import (
     q_lattice,
 )
 
-from conftest import CountingForm
+from conftest import CountingForm, sample_hyperbolic_lattice_matrices
 
 CAT = ((2, 1), (1, 1))
 CAT3 = ((1, 1, 0), (1, 2, 1), (0, 1, 2))
@@ -284,7 +284,7 @@ def test_displacement_cat_map(dirs2):
 def test_displacement_matches_spectrum_random(rng, dirs2):
     dirs3 = S.direction_grid(3)
     for dim, dirs in ((2, dirs2), (3, dirs3)):
-        for m in A.sample_hyperbolic_lattice_matrices(rng, dim, 5):
+        for m in sample_hyperbolic_lattice_matrices(rng, dim, 5):
             val = S.displacement_estimate(m, S.ball(dirs), 20)
             assert val == pytest.approx(A.s_value(m), abs=1e-2)
 
