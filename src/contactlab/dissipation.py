@@ -131,7 +131,7 @@ def r_sequence(
         r = float(np.abs(dev).max())
         if not math.isfinite(r):
             raise DissipationError(
-                f"accumulated log conformal factor of the {form.spec()['kind']} form "
+                f"accumulated log conformal factor of the {form.kind} form "
                 f"is not finite at k = {k + 1}"
             )
         out[k] = r

@@ -5,7 +5,9 @@ point q, both held as (n, N) component arrays: every call takes a batch,
 and a single point is a batch of one.  Provides the contact-form catalog,
 the grids, the fiber-sphere charts and the forward-mode jet arithmetic that
 the map catalog and the dissipation machinery differentiate through.
-Everything here is a pure function over immutable values.
+Everything here is a pure function over immutable values.  Forms,
+primitives and Hamiltonians come from JSON descriptors through ``build``:
+a kind's constructor signature is its one field table.
 
 Every grid consumer takes its base points from ``q_lattice`` on the axes
 ``read_axes`` picks, its product grid from ``grid_points``, and reads the
@@ -13,8 +15,10 @@ profile through ``profile_values``, the one positive-and-finite check.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Sequence
 
 import numpy as np
@@ -187,10 +191,69 @@ def seed_jets(values: Sequence) -> list[Jet]:
 
 
 # ---------------------------------------------------------------------------
+# Descriptors
+# ---------------------------------------------------------------------------
+
+class Described:
+    """A value built from a JSON descriptor: its fields are its positional
+    constructor parameters, kept as attributes, but for those in ``fixed``."""
+
+    kind: str
+    fixed: tuple = ()
+
+    def describe(self) -> dict:
+        names = [name for name in descriptor_fields(type(self)) if name not in self.fixed]
+        return {"kind": self.kind, **{name: plain(getattr(self, name)) for name in names}}
+
+
+@functools.cache
+def parameters(cls):
+    return inspect.signature(cls).parameters
+
+
+def descriptor_fields(cls) -> list:
+    """The descriptor fields of a class: its positional constructor parameters."""
+    return [name for name, p in parameters(cls).items() if p.kind is p.POSITIONAL_OR_KEYWORD]
+
+
+def plain(value):
+    """A field value as JSON data: arrays and tuples become lists, a
+    described object its ``describe()``, a dataclass (``TrigTerm``) its dict."""
+    if isinstance(value, Described):
+        return value.describe()
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
+def build(spec, kinds: dict, what: str, error: type[Exception], **context):
+    """The object a descriptor names; ``kinds[kind]`` is (class, fixed args).
+    An absent or keyword-only parameter takes ``context`` (the config's ``n``),
+    else its default; an unknown key or missing field raises ``error``."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise error(f"unknown {what} kind {kind!r}")
+    cls, fixed = kinds[kind]
+    for key in spec:
+        if key != "kind" and (key not in descriptor_fields(cls) or key in fixed):
+            raise error(f"{kind}: unknown key {key!r}")
+    args = {k: spec.get(k, context.get(k, p.default)) for k, p in parameters(cls).items()}
+    args.update(fixed)
+    missing = [name for name, value in args.items() if value is inspect.Parameter.empty]
+    if missing:
+        raise error(f"{kind} needs a {missing[0]!r} parameter")
+    return cls(**args)
+
+
+# ---------------------------------------------------------------------------
 # Contact forms
 # ---------------------------------------------------------------------------
 
-class ContactForm:
+class ContactForm(Described):
     """Positive profile multiplying the round contact form.
 
     Subclasses implement ``profile(u, q)`` where ``u`` and ``q`` are sequences
@@ -209,35 +272,28 @@ class ContactForm:
     def profile(self, u, q):
         raise NotImplementedError
 
-    def spec(self) -> dict:
-        raise NotImplementedError
-
 
 class RoundForm(ContactForm):
     """The round form: profile identically 1."""
 
+    kind = "round"
     q_free = True
 
     def profile(self, u, q):
         return 1.0
 
-    def spec(self):
-        return {"kind": "round"}
-
 
 class ConstantForm(ContactForm):
+    kind = "constant"
     q_free = True
 
-    def __init__(self, c: float):
-        if not (c > 0.0):
-            raise GeometryError("constant profile must be positive")
-        self.c = float(c)
+    def __init__(self, value: float):
+        if not (is_real(value) and value > 0.0):
+            raise GeometryError(f"constant value must be a positive finite number, got {value!r}")
+        self.value = float(value)
 
     def profile(self, u, q):
-        return self.c
-
-    def spec(self):
-        return {"kind": "constant", "value": self.c}
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -249,6 +305,19 @@ class TrigTerm:
     u_powers: tuple[int, ...] = ()
     use_sin: bool = False
 
+    def __post_init__(self):
+        if not is_real(self.amp):
+            raise GeometryError(f"trig amp must be a finite number, got {self.amp!r}")
+        if not isinstance(self.use_sin, bool):
+            raise GeometryError(f"trig use_sin must be true or false, got {self.use_sin!r}")
+        for name, low in (("q_freq", None), ("u_powers", 0)):
+            ks = getattr(self, name)
+            if not (isinstance(ks, (list, tuple)) and len(ks) <= 3
+                    and all(is_int(k) and (low is None or k >= low) for k in ks)):
+                need = "integers" if low is None else "non-negative integers"
+                raise GeometryError(f"trig {name} must be at most 3 {need}, got {ks!r}")
+            object.__setattr__(self, name, tuple(ks))
+
 
 class TrigForm(ContactForm):
     """Constant plus a trigonometric polynomial in q and the fiber direction.
@@ -256,23 +325,21 @@ class TrigForm(ContactForm):
     Fiber dependence enters through monomials in the components of u, which
     keeps the profile automatically periodic in the fiber angle.  A term
     with a frequency or power vector of length 3 ties the form to n = 3.
+    ``terms`` holds TrigTerms or their dicts (TrigTerm's fields, no kind).
     """
 
-    def __init__(self, c0: float, terms: Sequence[TrigTerm]):
+    kind = "trig"
+
+    def __init__(self, c0: float = 1.0, terms: Sequence = ()):
         if not is_real(c0):
             raise GeometryError(f"trig c0 must be a finite number, got {c0!r}")
-        for t in terms:
-            if not is_real(t.amp):
-                raise GeometryError(f"trig amp must be a finite number, got {t.amp!r}")
-            if not isinstance(t.use_sin, bool):
-                raise GeometryError(f"trig use_sin must be true or false, got {t.use_sin!r}")
-            for name, low in (("q_freq", None), ("u_powers", 0)):
-                ks = getattr(t, name)
-                if not (len(ks) <= 3 and all(is_int(k) and (low is None or k >= low) for k in ks)):
-                    need = "integers" if low is None else "non-negative integers"
-                    raise GeometryError(f"trig {name} must be at most 3 {need}, got {ks!r}")
+        if not isinstance(terms, (list, tuple)):
+            raise GeometryError(f"trig terms must be a list, got {terms!r}")
         self.c0 = float(c0)
-        self.terms = tuple(terms)
+        self.terms = tuple(t if isinstance(t, TrigTerm) else build(
+            {"kind": "term", **t} if isinstance(t, dict) else t,
+            {"term": (TrigTerm, {})}, "term", GeometryError,
+        ) for t in terms)
         if any(len(t.q_freq) == 3 or len(t.u_powers) == 3 for t in self.terms):
             self.n = 3
         self.q_free = not any(k for t in self.terms for k in t.q_freq)
@@ -292,21 +359,6 @@ class TrigForm(ContactForm):
             total = total + term
         return total
 
-    def spec(self):
-        return {
-            "kind": "trig",
-            "c0": self.c0,
-            "terms": [
-                {
-                    "amp": t.amp,
-                    "q_freq": list(t.q_freq),
-                    "u_powers": list(t.u_powers),
-                    "use_sin": t.use_sin,
-                }
-                for t in self.terms
-            ],
-        }
-
 
 class MetricForm(ContactForm):
     """Profile of the unit codisk bundle of a flat metric G.
@@ -315,6 +367,7 @@ class MetricForm(ContactForm):
     direction u is 1/sqrt(u . G^{-1} u); the profile does not depend on q.
     """
 
+    kind = "metric"
     q_free = True
 
     def __init__(self, g: np.ndarray):
@@ -326,68 +379,38 @@ class MetricForm(ContactForm):
         w = jmatvec(self.g_inv, u)
         return 1.0 / jsqrt(jsum([ui * wi for ui, wi in zip(u, w)]))
 
-    def spec(self):
-        return {"kind": "metric", "g": self.g.tolist()}
-
 
 class PullbackForm(ContactForm):
     """The base form pulled back by the canonical lift of q -> Mq.
 
     The lifted symplectomorphism sends (p, q) to (M^{-T} p, Mq), so the
-    pulled-back profile is F(w/|w|, Mq)/|w| with w = M^{-T} u.
+    pulled-back profile is F(w/|w|, Mq)/|w| with w = M^{-T} u; ``base`` may be a descriptor.
     """
 
-    def __init__(self, matrix, base: ContactForm):
+    kind = "linear_pullback"
+
+    def __init__(self, matrix, base):
         m = as_matrix(matrix)
         if determinant(m) not in (1, -1):
             raise GeometryError("lift matrix must be unimodular")
         self.matrix = np.array(m, dtype=int)
         self.m_inv_t = np.linalg.inv(np.array(m, dtype=float)).T
-        self.base = base
+        self.base = base if isinstance(base, ContactForm) else build_form(base)
         self.n = len(m)
-        self.q_free = base.q_free
+        self.q_free = self.base.q_free
 
     def profile(self, u, q):
         w = jmatvec(self.m_inv_t, u)
         norm = jsqrt(jsum([wi * wi for wi in w]))
         return self.base.profile([wi / norm for wi in w], jmatvec(self.matrix, q)) / norm
 
-    def spec(self):
-        return {
-            "kind": "linear_pullback",
-            "matrix": self.matrix.tolist(),
-            "base": self.base.spec(),
-        }
 
-
-def _trig_form(spec: dict) -> TrigForm:
-    terms = spec.get("terms", [])
-    if not isinstance(terms, list):
-        raise GeometryError(f"trig terms must be a list, got {terms!r}")
-    terms = [
-        TrigTerm(
-            t["amp"], tuple(t["q_freq"]), tuple(t.get("u_powers", ())), t.get("use_sin", False)
-        )
-        for t in terms
-    ]
-    return TrigForm(spec.get("c0", 1.0), terms)
-
-
-# Form kind -> builder from a spec dict; ``spec()`` of the result round-trips.
-FORMS = {
-    "round": lambda spec: RoundForm(),
-    "constant": lambda spec: ConstantForm(spec["value"]),
-    "trig": _trig_form,
-    "metric": lambda spec: MetricForm(spec["g"]),
-    "linear_pullback": lambda spec: PullbackForm(spec["matrix"], build_form(spec["base"])),
-}
+# Form kind -> (class, fixed arguments); ``describe()`` of a form round-trips.
+FORMS = {cls.kind: (cls, {}) for cls in (RoundForm, ConstantForm, TrigForm, MetricForm, PullbackForm)}
 
 
 def build_form(spec: dict) -> ContactForm:
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in FORMS:
-        raise GeometryError(f"unknown form kind {kind!r}")
-    return FORMS[kind](spec)
+    return build(spec, FORMS, "form", GeometryError)
 
 
 def profile_values(form: ContactForm, u, q, error: type[Exception] = GeometryError):
@@ -398,7 +421,7 @@ def profile_values(form: ContactForm, u, q, error: type[Exception] = GeometryErr
     low, high = float(prof.min()), float(prof.max())
     if not (low > 0.0 and math.isfinite(high)):
         raise error(
-            f"profile of the {form.spec()['kind']} form is not positive and finite "
+            f"profile of the {form.kind} form is not positive and finite "
             f"(sampled min {low}, max {high})"
         )
     return prof

@@ -8,7 +8,8 @@ the composition; this is the factor the dissipation sequence accumulates.
 The jet-based extraction through the fiber charts (``conformal_factor_batch``,
 ``chart_jacobian_batch``) stays as the checking oracle and feeds the
 Lyapunov estimate.  Every entry point takes (n, N) component arrays; a single
-point is a batch of one.
+point is a batch of one.  ``PRIMITIVES`` and ``HAMILTONIANS`` map each
+descriptor kind to its class, which ``geometry.build`` builds.
 
 Every primitive and Hamiltonian declares how it meets translations of the
 base in one attribute, ``base_action = (B, axes)``: B is an integer
@@ -29,8 +30,10 @@ from . import algebra
 from .algebra import IntMatrix, is_int, is_real
 from .geometry import (
     ContactForm,
+    Described,
     Jet,
     TWO_PI,
+    build,
     chart_decode,
     chart_dim,
     chart_encode,
@@ -63,7 +66,7 @@ def translations(n: int, axes=None) -> tuple:
 # Primitives
 # ---------------------------------------------------------------------------
 
-class Primitive:
+class Primitive(Described):
     """A basic contactomorphism with exact inverse and homology matrix.
 
     ``base_action`` is its (B, axes) as the module docstring defines it; it
@@ -95,12 +98,11 @@ class Primitive:
         """
         return algebra.identity_matrix(3 if self.n == 2 else self.n)
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 class CanonicalLift(Primitive):
     """Lift of the torus automorphism q -> Mq: (u, q) -> (M^-T u / |.|, Mq)."""
+
+    kind = "canonical_lift"
 
     def __init__(self, matrix):
         m = algebra.as_matrix(matrix)
@@ -132,20 +134,18 @@ class CanonicalLift(Primitive):
         a, b = minv_t
         return ((1, 0, 0), (0, a[0], a[1]), (0, b[0], b[1]))
 
-    def describe(self):
-        return {"kind": "canonical_lift", "matrix": [list(r) for r in self.matrix]}
-
 
 class Shear(Primitive):
     """The explicit strict shears on the 3-torus.
 
     axis 0 twists q1 by theta, axis 1 twists q2; the oscillatory corrections
     cancel the dtheta component of the pullback, so the round form is
-    preserved exactly.
+    preserved exactly.  The kinds shear_a and shear_b fix the axis.
     """
 
     n = 2
     base_action = translations(2)
+    fixed = ("axis",)
 
     def __init__(self, axis: int, power: int = 1):
         if axis not in (0, 1):
@@ -154,6 +154,7 @@ class Shear(Primitive):
             raise MapError(f"shear power must be 1 or -1, got {power!r}")
         self.axis = axis
         self.power = int(power)
+        self.kind = ("shear_a", "shear_b")[axis]
 
     def transform(self, u, q):
         theta = jmod1(jatan2(u[1], u[0]) / TWO_PI)
@@ -176,13 +177,11 @@ class Shear(Primitive):
             return ((1, -self.power, 0), (0, 1, 0), (0, 0, 1))
         return ((1, 0, -self.power), (0, 1, 0), (0, 0, 1))
 
-    def describe(self):
-        kind = "shear_a" if self.axis == 0 else "shear_b"
-        return {"kind": kind, "power": self.power}
-
 
 class ReebTranslation(Primitive):
     """Time-t Reeb flow of the round form: (u, q) -> (u, q + t u)."""
+
+    kind = "reeb_translation"
 
     def __init__(self, t: float, n: int = 2):
         if not (is_int(n) and n in (2, 3)):
@@ -200,13 +199,10 @@ class ReebTranslation(Primitive):
     def inverse(self):
         return ReebTranslation(-self.t, self.n)
 
-    def describe(self):
-        return {"kind": "reeb_translation", "t": self.t, "n": self.n}
-
 
 # -- degree-1 homogeneous Hamiltonians for ContactFlow ----------------------
 
-class Hamiltonian:
+class Hamiltonian(Described):
     """``base_action`` is the (B, axes) its flows carry; B = I says that
     both gradients are invariant under translation of q along axes."""
 
@@ -217,12 +213,11 @@ class Hamiltonian:
         """Returns (dH/dp, dH/dq) as component lists; jet-compatible."""
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 class MomentumHamiltonian(Hamiltonian):
     """H = <c, p>: the flow translates the base at constant speed c."""
+
+    kind = "momentum"
 
     def __init__(self, c: Sequence[float]):
         if not (isinstance(c, (list, tuple)) and all(is_real(x) for x in c)):
@@ -236,12 +231,11 @@ class MomentumHamiltonian(Hamiltonian):
     def gradients(self, p, q):
         return list(self.c), [0.0] * self.n
 
-    def describe(self):
-        return {"kind": "momentum", "c": list(self.c)}
-
 
 class MetricHamiltonian(Hamiltonian):
     """H = sqrt(p^T G p): geodesic flow of a flat metric on the base."""
+
+    kind = "metric_norm"
 
     def __init__(self, g):
         self.g = metric_matrix(g, MapError)
@@ -255,12 +249,11 @@ class MetricHamiltonian(Hamiltonian):
         h = jsqrt(jsum([pi * gi for pi, gi in zip(p, gp)]))
         return [gi / h for gi in gp], [0.0] * self.n
 
-    def describe(self):
-        return {"kind": "metric_norm", "g": self.g.tolist()}
-
 
 class ModulatedNormHamiltonian(Hamiltonian):
     """H = |p| (1 + eps cos 2 pi q_axis): a genuinely q-dependent flow."""
+
+    kind = "modulated_norm"
 
     def __init__(self, eps: float, axis: int = 0, n: int = 2):
         if not (is_int(n) and n in (2, 3)):
@@ -282,9 +275,6 @@ class ModulatedNormHamiltonian(Hamiltonian):
         dq[self.axis] = -(TWO_PI * self.eps) * norm * jsin(TWO_PI * q[self.axis])
         return dp, dq
 
-    def describe(self):
-        return {"kind": "modulated_norm", "eps": self.eps, "axis": self.axis, "n": self.n}
-
 
 class ContactFlow(Primitive):
     """Time-t map of an equivariant Hamiltonian flow, RK4 with fixed steps.
@@ -293,13 +283,18 @@ class ContactFlow(Primitive):
     is consistent because degree-1 homogeneity makes the flow commute with
     fiber scaling.  The flow preserves p . dq, so the round-form factor is
     1/|p(t)|, the product of the inverse renormalization norms.
+    ``hamiltonian`` is a Hamiltonian or its descriptor, built in dimension n.
     """
 
-    def __init__(self, hamiltonian: Hamiltonian, t: float, steps: int = 256):
+    kind = "contact_flow"
+
+    def __init__(self, hamiltonian, t: float, steps: int = 256, *, n: int = 2):
         if not (is_int(steps) and steps >= 1):
             raise MapError(f"flow steps must be a positive integer, got {steps!r}")
         if not is_real(t):
             raise MapError(f"flow t must be a finite number, got {t!r}")
+        if not isinstance(hamiltonian, Hamiltonian):
+            hamiltonian = build_hamiltonian(hamiltonian, n=n)
         self.hamiltonian = hamiltonian
         self.t = float(t)
         self.steps = int(steps)
@@ -343,14 +338,6 @@ class ContactFlow(Primitive):
 
     def inverse(self):
         return ContactFlow(self.hamiltonian, -self.t, self.steps)
-
-    def describe(self):
-        return {
-            "kind": "contact_flow",
-            "hamiltonian": self.hamiltonian.describe(),
-            "t": self.t,
-            "steps": self.steps,
-        }
 
 
 def _hamilton_rhs(ham: Hamiltonian, p, q):
@@ -535,35 +522,23 @@ def _form_rows(form: ContactForm, u_arr, q_arr, n: int, npts: int) -> np.ndarray
 # Catalog construction from descriptors
 # ---------------------------------------------------------------------------
 
-# Kind -> builder from a descriptor; ``describe()`` of the result round-trips.
+# Kind -> (class, fixed arguments); ``describe()`` of the result round-trips.
 HAMILTONIANS = {
-    "momentum": lambda spec: MomentumHamiltonian(spec["c"]),
-    "metric_norm": lambda spec: MetricHamiltonian(spec["g"]),
-    "modulated_norm": lambda spec: ModulatedNormHamiltonian(
-        spec["eps"], spec.get("axis", 0), spec.get("n", 2)
-    ),
+    cls.kind: (cls, {}) for cls in (MomentumHamiltonian, MetricHamiltonian, ModulatedNormHamiltonian)
 }
 
 PRIMITIVES = {
-    "canonical_lift": lambda spec, n: CanonicalLift(spec["matrix"]),
-    "shear_a": lambda spec, n: Shear(0, spec.get("power", 1)),
-    "shear_b": lambda spec, n: Shear(1, spec.get("power", 1)),
-    "reeb_translation": lambda spec, n: ReebTranslation(spec["t"], spec.get("n", n)),
-    "contact_flow": lambda spec, n: ContactFlow(
-        build_hamiltonian(spec["hamiltonian"]), spec["t"], spec.get("steps", 256)
-    ),
+    "canonical_lift": (CanonicalLift, {}),
+    "shear_a": (Shear, {"axis": 0}),
+    "shear_b": (Shear, {"axis": 1}),
+    "reeb_translation": (ReebTranslation, {}),
+    "contact_flow": (ContactFlow, {}),
 }
 
 
-def build_hamiltonian(spec: dict) -> Hamiltonian:
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in HAMILTONIANS:
-        raise MapError(f"unknown hamiltonian kind {kind!r}")
-    return HAMILTONIANS[kind](spec)
+def build_hamiltonian(spec: dict, **context) -> Hamiltonian:
+    return build(spec, HAMILTONIANS, "hamiltonian", MapError, **context)
 
 
 def build_primitive(spec: dict, n: int) -> Primitive:
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in PRIMITIVES:
-        raise MapError(f"unknown primitive kind {kind!r}")
-    return PRIMITIVES[kind](spec, n)
+    return build(spec, PRIMITIVES, "primitive", MapError, n=n)

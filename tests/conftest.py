@@ -93,8 +93,8 @@ class CountingForm(ContactForm):
         self.points += int(np.prod(np.broadcast_shapes(np.shape(u[0]), np.shape(q[0]))))
         return self.form.profile(u, q)
 
-    def spec(self):
-        return self.form.spec()
+    def describe(self):
+        return self.form.describe()
 
 
 def sample_hyperbolic_lattice_matrices(

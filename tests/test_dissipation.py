@@ -230,11 +230,10 @@ def test_sign_changing_profile_rejected(f):
 class HoleForm(ContactForm):
     """Profile that is NaN on half of the base."""
 
+    kind = "hole"
+
     def profile(self, u, q):
         return np.where(np.asarray(q[0]) < 0.5, 1.0, np.nan)
-
-    def spec(self):
-        return {"kind": "hole"}
 
 
 def test_nan_profile_rejected():

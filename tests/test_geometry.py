@@ -147,6 +147,8 @@ def test_grid_points_is_direction_major():
 class OnePointForm(ContactForm):
     """Profile 1 everywhere but at the first point, where it is ``value``."""
 
+    kind = "one_point"
+
     def __init__(self, value):
         self.value = value
 
@@ -154,9 +156,6 @@ class OnePointForm(ContactForm):
         prof = np.ones(np.shape(q[0]))
         prof.flat[0] = self.value
         return prof
-
-    def spec(self):
-        return {"kind": "one_point"}
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -185,7 +184,7 @@ FORM_SPECS = [
 def test_form_registry_roundtrip():
     assert [spec["kind"] for spec in FORM_SPECS] == list(FORMS)
     for spec in FORM_SPECS:
-        assert build_form(spec).spec() == spec
+        assert build_form(spec).describe() == spec
     for bad in ({"kind": "foo"}, {"kind": ["round"]}, {}):
         with pytest.raises(GeometryError, match="unknown form kind"):
             build_form(bad)

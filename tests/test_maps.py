@@ -3,10 +3,14 @@ import pytest
 
 from contactlab import algebra as A
 from contactlab.geometry import (
+    FORMS,
+    GeometryError,
     MetricForm,
     RoundForm,
     TrigForm,
     TrigTerm,
+    build,
+    build_form,
     chart_dim,
     select_chart_batch,
 )
@@ -32,6 +36,7 @@ from contactlab.maps import (
     make_composite,
 )
 from conftest import chart_coords, fd_jacobian, random_point, random_points
+from test_geometry import FORM_SPECS
 
 CAT = [[2, 1], [1, 1]]
 N3_LIFT = [[1, 1, 0], [1, 2, 1], [0, 1, 2]]  # fixes no base axis
@@ -359,6 +364,37 @@ def test_primitive_and_hamiltonian_registries_roundtrip():
         assert build_hamiltonian(ham.describe()).describe() == ham.describe()
     with pytest.raises(MapError, match="unknown hamiltonian"):
         build_hamiltonian({"kind": "foo"})
+
+
+REGISTRIES = {
+    "form": (FORMS, GeometryError),
+    "primitive": (PRIMITIVES, MapError),
+    "hamiltonian": (HAMILTONIANS, MapError),
+}
+
+
+def described_catalog():
+    """Every form, primitive and Hamiltonian of the test catalogs, by registry."""
+    prims = [p for n in (2, 3) for p in primitive_catalog(n)]
+    return {
+        "form": [build_form(spec) for spec in FORM_SPECS],
+        "primitive": prims,
+        "hamiltonian": [p.hamiltonian for p in prims if isinstance(p, ContactFlow)],
+    }
+
+
+@pytest.mark.parametrize(
+    "what, kind", [(what, kind) for what, (kinds, _) in REGISTRIES.items() for kind in kinds]
+)
+def test_every_kind_describes_what_it_builds_and_rejects_an_extra_key(what, kind):
+    kinds, error = REGISTRIES[what]
+    found = [x for x in described_catalog()[what] if x.kind == kind]
+    assert found, f"no {what} of kind {kind} in the test catalogs"
+    for x in found:
+        spec = x.describe()
+        assert build(spec, kinds, what, error, n=x.n or 2).describe() == spec
+        with pytest.raises(error, match=f"^{kind}: unknown key 'extra'$"):
+            build(dict(spec, extra=1), kinds, what, error, n=x.n or 2)
 
 
 # ---------------------------------------------------------------------------

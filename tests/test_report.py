@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from contactlab import algebra as A
 from contactlab.cli import main
-from contactlab.geometry import FORMS
+from contactlab.geometry import FORMS, TrigTerm, descriptor_fields
 from contactlab.maps import HAMILTONIANS, PRIMITIVES
 from contactlab.report import (
     TASK_NAMES,
@@ -396,6 +396,9 @@ NUMBER_FIELD_CASES = {
         dict(MINIMAL, form={"kind": "metric", "g": [["2", "0"], ["0", "1"]]}),
         "form: metric entries",
     ),
+    "constant_bool_value": (
+        dict(MINIMAL, form={"kind": "constant", "value": True}), "form: constant value"
+    ),
     "duality_text_metric": (
         dict(MINIMAL, tasks=[{"task": "duality", "metric": [["1", "0"], ["0", "1"]]}]),
         "duality: metric entries",
@@ -474,8 +477,72 @@ UNKNOWN_KEY_CASES = {
         dict(MINIMAL, tasks=[{"task": "r_sequence", "matrix": [[2, 1], [1, 1]]}]),
         "tasks[0]: unknown key 'matrix'",
     ),
+    "shear_misspelt_power": (
+        dict(MINIMAL, map=[{"kind": "shear_a", "powr": -1}]), "map[0]: shear_a: unknown key 'powr'"
+    ),
+    "trig_term_misspelt_use_sin": (
+        dict(
+            MINIMAL,
+            form={"kind": "trig", "terms": [{"amp": 0.1, "q_freq": [1, 0], "use_sine": True}]},
+        ),
+        "form: term: unknown key 'use_sine'",
+    ),
+    "pullback_base_unknown_key": (
+        dict(
+            MINIMAL,
+            form={
+                "kind": "linear_pullback",
+                "matrix": [[1, 1], [0, 1]],
+                "base": {"kind": "constant", "value": 2.0, "c0": 1.0},
+            },
+        ),
+        "form: constant: unknown key 'c0'",
+    ),
+    "flow_hamiltonian_unknown_key": (
+        _flow({"kind": "momentum", "c": [0.2, 0.5], "cc": 1}), "map[0]: momentum: unknown key 'cc'"
+    ),
+    "round_unknown_key": (
+        dict(MINIMAL, form={"kind": "round", "c0": 2.0}), "form: round: unknown key 'c0'"
+    ),
+    "lift_unknown_key": (
+        dict(MINIMAL, map=[{"kind": "canonical_lift", "matrix": [[2, 1], [1, 1]], "power": 2}]),
+        "map[0]: canonical_lift: unknown key 'power'",
+    ),
+    "shear_fixed_axis": (
+        dict(MINIMAL, map=[{"kind": "shear_a", "axis": 1}]), "map[0]: shear_a: unknown key 'axis'"
+    ),
+    "flow_dimension_key": (_flow(MOMENTUM, n=2), "map[0]: contact_flow: unknown key 'n'"),
 }
 BAD_CONFIGS.update({name: data for name, (data, _) in UNKNOWN_KEY_CASES.items()})
+
+# Descriptors with a missing field or that are not objects, with the text
+# their error must carry; once these leaked raw Python text.
+DESCRIPTOR_CASES = {
+    "constant_missing_value": (
+        dict(MINIMAL, form={"kind": "constant"}), "form: constant needs a 'value' parameter"
+    ),
+    "trig_term_missing_q_freq": (
+        dict(MINIMAL, form={"kind": "trig", "terms": [{"amp": 0.1}]}),
+        "form: term needs a 'q_freq' parameter",
+    ),
+    "map_entry_not_object": (dict(MINIMAL, map=["shear_a"]), "map[0]: unknown primitive kind None"),
+    "trig_term_not_object": (
+        dict(MINIMAL, form={"kind": "trig", "terms": ["x"]}), "form: unknown term kind None"
+    ),
+    "flow_missing_t": (
+        dict(MINIMAL, map=[{"kind": "contact_flow", "hamiltonian": MOMENTUM}]),
+        "map[0]: contact_flow needs a 't' parameter",
+    ),
+    "flow_hamiltonian_not_object": (_flow("momentum"), "map[0]: unknown hamiltonian kind None"),
+    "momentum_missing_c": (
+        _flow({"kind": "momentum"}), "map[0]: momentum needs a 'c' parameter"
+    ),
+    "pullback_base_not_object": (
+        dict(MINIMAL, form={"kind": "linear_pullback", "matrix": [[1, 1], [0, 1]], "base": "round"}),
+        "form: unknown form kind None",
+    ),
+}
+BAD_CONFIGS.update({name: data for name, (data, _) in DESCRIPTOR_CASES.items()})
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
@@ -506,6 +573,25 @@ def test_unknown_key_is_named(tmp_path, capsys, name):
     data, message = UNKNOWN_KEY_CASES[name]
     assert main(["validate", str(write_config(tmp_path, data))]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(DESCRIPTOR_CASES))
+def test_bad_descriptor_is_named_by_validate_and_run(tmp_path, capsys, name):
+    data, message = DESCRIPTOR_CASES[name]
+    path = write_config(tmp_path, data)
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_nested_hamiltonian_takes_the_config_dimension():
+    flow = {"kind": "contact_flow", "hamiltonian": {"kind": "modulated_norm", "eps": 0.1}, "t": 0.5}
+    for n in (2, 3):
+        cfg = validate_config(dict(MINIMAL, dimension=n, map=[flow]))
+        assert cfg.build_map().describe() == [
+            dict(flow, hamiltonian={"kind": "modulated_norm", "eps": 0.1, "axis": 0, "n": n}, steps=256)
+        ]
 
 
 def test_every_unknown_key_is_reported():
@@ -574,7 +660,7 @@ def test_integral_float_matrices_and_classes_accepted():
         )
     )
     assert cfg.tasks[0]["matrix"] == ((2, 1), (1, 1)) and cfg.tasks[0]["classes"] == [(1, 0)]
-    assert cfg.build_form().spec()["matrix"] == [[1, 1], [0, 1]]
+    assert cfg.build_form().describe()["matrix"] == [[1, 1], [0, 1]]
     assert cfg.build_map().describe() == [{"kind": "canonical_lift", "matrix": [[2, 1], [1, 1]]}]
 
 
@@ -727,6 +813,54 @@ def test_validate_mutated_bundled_task_exits_0_or_2(config, index, name, params)
     task = data["tasks"][index % len(data["tasks"])]
     task.update(task=name, **params)
     assert validate_exit(data) in (0, 2)
+
+
+def descriptors(data):
+    """(descriptor, its fields) for the form, each map primitive and every
+    descriptor nested in them: a pullback base, a trig term, a Hamiltonian."""
+    out = []
+
+    def visit(spec, kinds):
+        if kinds is None:  # a trig term: TrigTerm's fields, no kind
+            out.append((spec, descriptor_fields(TrigTerm)))
+            return
+        cls, fixed = kinds[spec["kind"]]
+        out.append((spec, [name for name in descriptor_fields(cls) if name not in fixed]))
+        for term in spec.get("terms", []):
+            visit(term, None)
+        for key, inner_kinds in (("base", FORMS), ("hamiltonian", HAMILTONIANS)):
+            if key in spec:
+                visit(spec[key], inner_kinds)
+
+    visit(data.get("form", {"kind": "round"}), FORMS)
+    for prim in data.get("map", []):
+        visit(prim, PRIMITIVES)
+    return out
+
+
+DESCRIPTOR_KEYS = sorted(
+    {name for kinds in (FORMS, PRIMITIVES, HAMILTONIANS) for cls, _ in kinds.values()
+     for name in descriptor_fields(cls)} | set(descriptor_fields(TrigTerm)) | {"kind"}
+)
+DESCRIBED = BUNDLED + sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs").glob("*.json"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    config=st.sampled_from(DESCRIBED),
+    choice=st.integers(0, 9),
+    key=st.sampled_from(DESCRIPTOR_KEYS) | st.text(max_size=6),
+    value=JSON_VALUES,
+)
+def test_validate_mutated_bundled_descriptor_exits_0_or_2(config, choice, key, value):
+    data = json.loads(config.read_text())
+    targets = descriptors(data)
+    spec, known = targets[choice % len(targets)]
+    spec[key] = value
+    code = validate_exit(data)
+    assert code in (0, 2)
+    if key != "kind" and key not in known:
+        assert code == 2
 
 
 # ---------------------------------------------------------------------------
