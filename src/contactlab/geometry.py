@@ -61,7 +61,9 @@ class Jet:
 
     ``value`` may be a float or an ndarray (batched evaluation); ``partials``
     carries one leading axis per seeded input variable and broadcasts against
-    ``value``.  Arithmetic follows the exact chain and product rules.
+    ``value``.  Arithmetic follows the exact chain and product rules, and
+    ``value`` holds the bits the same arithmetic on plain values gives (a
+    quotient's value is a true division, not a product with a reciprocal).
     """
 
     __slots__ = ("value", "partials")
@@ -105,14 +107,14 @@ class Jet:
         if isinstance(other, Jet):
             inv = 1.0 / other.value
             return Jet(
-                self.value * inv,
+                self.value / other.value,
                 (self.partials - (self.value * inv) * other.partials) * inv,
             )
         return Jet(self.value / other, self.partials / other)
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.value
-        return Jet(other * inv, -(other * inv * inv) * self.partials)
+        return Jet(other / self.value, -(other * inv * inv) * self.partials)
 
 
 def jval(x):
@@ -249,6 +251,15 @@ def build(spec, kinds: dict, what: str, error: type[Exception], **context):
     return cls(**args)
 
 
+def build_at(place: str, spec, kinds: dict, what: str, error: type[Exception], **context):
+    """``build`` for a descriptor held in a field of another; an error it
+    raises starts with ``place`` (``base``, ``terms[1]``, ...)."""
+    try:
+        return build(spec, kinds, what, error, **context)
+    except (error, ValueError) as exc:
+        raise error(f"{place}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Contact forms
 # ---------------------------------------------------------------------------
@@ -336,10 +347,10 @@ class TrigForm(ContactForm):
         if not isinstance(terms, (list, tuple)):
             raise GeometryError(f"trig terms must be a list, got {terms!r}")
         self.c0 = float(c0)
-        self.terms = tuple(t if isinstance(t, TrigTerm) else build(
-            {"kind": "term", **t} if isinstance(t, dict) else t,
+        self.terms = tuple(t if isinstance(t, TrigTerm) else build_at(
+            f"terms[{i}]", {"kind": "term", **t} if isinstance(t, dict) else t,
             {"term": (TrigTerm, {})}, "term", GeometryError,
-        ) for t in terms)
+        ) for i, t in enumerate(terms))
         if any(len(t.q_freq) == 3 or len(t.u_powers) == 3 for t in self.terms):
             self.n = 3
         self.q_free = not any(k for t in self.terms for k in t.q_freq)
@@ -395,7 +406,9 @@ class PullbackForm(ContactForm):
             raise GeometryError("lift matrix must be unimodular")
         self.matrix = np.array(m, dtype=int)
         self.m_inv_t = np.linalg.inv(np.array(m, dtype=float)).T
-        self.base = base if isinstance(base, ContactForm) else build_form(base)
+        self.base = base if isinstance(base, ContactForm) else build_at(
+            "base", base, FORMS, "form", GeometryError
+        )
         self.n = len(m)
         self.q_free = self.base.q_free
 

@@ -5,9 +5,9 @@ exact inverse and declares its integer action on first cohomology in closed
 form.  Every primitive also returns the log of its conformal factor for the
 round form in closed form, and ``ContactMap.apply_batch`` sums these along
 the composition; this is the factor the dissipation sequence accumulates.
-The jet-based extraction through the fiber charts (``conformal_factor_batch``,
-``chart_jacobian_batch``) stays as the checking oracle and feeds the
-Lyapunov estimate.  Every entry point takes (n, N) component arrays; a single
+``chart_jacobian_batch`` differentiates a map through the fiber charts with
+jets; it feeds the Lyapunov estimate, and the tests check the closed forms
+against it.  Every entry point takes (n, N) component arrays; a single
 point is a batch of one.  ``PRIMITIVES`` and ``HAMILTONIANS`` map each
 descriptor kind to its class, which ``geometry.build`` builds.
 
@@ -29,11 +29,11 @@ import numpy as np
 from . import algebra
 from .algebra import IntMatrix, is_int, is_real
 from .geometry import (
-    ContactForm,
     Described,
     Jet,
     TWO_PI,
     build,
+    build_at,
     chart_decode,
     chart_dim,
     chart_encode,
@@ -46,7 +46,6 @@ from .geometry import (
     jsum,
     jval,
     metric_matrix,
-    profile_values,
     seed_jets,
     select_chart_batch,
 )
@@ -203,14 +202,27 @@ class ReebTranslation(Primitive):
 # -- degree-1 homogeneous Hamiltonians for ContactFlow ----------------------
 
 class Hamiltonian(Described):
-    """``base_action`` is the (B, axes) its flows carry; B = I says that
-    both gradients are invariant under translation of q along axes."""
+    """A degree-1 homogeneous Hamiltonian H(p, q), in two forms.
+
+    ``rates`` is the value path ``ContactFlow`` runs on plain arrays;
+    ``gradients`` is the jet-compatible oracle it runs on jets.  Both give
+    the same bits.  ``base_action`` is the (B, axes) its flows carry; B = I
+    says that both gradients are invariant under translation of q along axes.
+    """
 
     n: int
     base_action: tuple = (None, frozenset())
 
     def gradients(self, p, q):
         """Returns (dH/dp, dH/dq) as component lists; jet-compatible."""
+        raise NotImplementedError
+
+    def rates(self, x, out):
+        """Writes Hamilton's (pdot, qdot) = (-dH/dq, dH/dp) at the stacked
+        (2n, N) state x = (p, q) into the (2n, N) array out, with the
+        association of ``gradients``.  A pdot row that is identically 0 is
+        left untouched: ``ContactFlow`` fills it once, with -0.0.
+        """
         raise NotImplementedError
 
 
@@ -231,6 +243,9 @@ class MomentumHamiltonian(Hamiltonian):
     def gradients(self, p, q):
         return list(self.c), [0.0] * self.n
 
+    def rates(self, x, out):
+        out[self.n:] = np.reshape(self.c, (-1, 1))
+
 
 class MetricHamiltonian(Hamiltonian):
     """H = sqrt(p^T G p): geodesic flow of a flat metric on the base."""
@@ -248,6 +263,13 @@ class MetricHamiltonian(Hamiltonian):
         gp = jmatvec(self.g, p)
         h = jsqrt(jsum([pi * gi for pi, gi in zip(p, gp)]))
         return [gi / h for gi in gp], [0.0] * self.n
+
+    def rates(self, x, out):
+        p = x[:self.n]
+        gp = jmatvec(self.g, p)
+        h = np.sqrt(jsum([pi * gi for pi, gi in zip(p, gp)]))
+        for qdot, gi in zip(out[self.n:], gp):
+            np.divide(gi, h, out=qdot)
 
 
 class ModulatedNormHamiltonian(Hamiltonian):
@@ -275,6 +297,17 @@ class ModulatedNormHamiltonian(Hamiltonian):
         dq[self.axis] = -(TWO_PI * self.eps) * norm * jsin(TWO_PI * q[self.axis])
         return dp, dq
 
+    def rates(self, x, out):
+        n, axis = self.n, self.axis
+        p = x[:n]
+        norm = np.sqrt(jsum(list(p * p)))
+        angle = TWO_PI * x[n + axis]
+        qdot = np.divide(p, norm, out=out[n:])
+        qdot *= 1.0 + self.eps * np.cos(angle)
+        # pdot = -dH/dq = (2 pi eps |p|) sin(angle), the negated oracle bits
+        pdot = np.multiply(TWO_PI * self.eps, norm, out=out[axis])
+        pdot *= np.sin(angle)
+
 
 class ContactFlow(Primitive):
     """Time-t map of an equivariant Hamiltonian flow, RK4 with fixed steps.
@@ -284,6 +317,11 @@ class ContactFlow(Primitive):
     fiber scaling.  The flow preserves p . dq, so the round-form factor is
     1/|p(t)|, the product of the inverse renormalization norms.
     ``hamiltonian`` is a Hamiltonian or its descriptor, built in dimension n.
+
+    Plain arrays run the value path: (p, q) stacked once into a (2n, N)
+    state, ``Hamiltonian.rates`` writing each stage into one of four
+    preallocated buffers.  Jets run the component-list loop over
+    ``Hamiltonian.gradients``, the oracle; both give the same bits.
     """
 
     kind = "contact_flow"
@@ -294,7 +332,9 @@ class ContactFlow(Primitive):
         if not is_real(t):
             raise MapError(f"flow t must be a finite number, got {t!r}")
         if not isinstance(hamiltonian, Hamiltonian):
-            hamiltonian = build_hamiltonian(hamiltonian, n=n)
+            hamiltonian = build_at(
+                f"{self.kind}: hamiltonian", hamiltonian, HAMILTONIANS, "hamiltonian", MapError, n=n
+            )
         self.hamiltonian = hamiltonian
         self.t = float(t)
         self.steps = int(steps)
@@ -303,46 +343,68 @@ class ContactFlow(Primitive):
 
     def transform(self, u, q):
         # Hamilton's equations: qdot = dH/dp, pdot = -dH/dq.
-        p = list(u)
-        q = list(q)
+        if any(isinstance(c, Jet) for c in (*u, *q)):
+            return self._transform_jets(u, q)
+        n = self.n
+        state = np.array(np.broadcast_arrays(*u, *q), dtype=float)  # fresh: inputs stay
+        x = state.reshape(2 * n, -1)  # a view whose rows are arrays, even for scalars
         h = self.t / self.steps
-        ham = self.hamiltonian
+        rates = self.hamiltonian.rates
+        k1, k2, k3, k4 = np.full((4,) + x.shape, -0.0)
+        y = np.empty_like(x)
         log_c = 0.0
         for _ in range(self.steps):
-            k1p, k1q = _hamilton_rhs(ham, p, q)
-            p1 = [pi + 0.5 * h * ki for pi, ki in zip(p, k1p)]
-            q1 = [qi + 0.5 * h * ki for qi, ki in zip(q, k1q)]
-            k2p, k2q = _hamilton_rhs(ham, p1, q1)
-            p2 = [pi + 0.5 * h * ki for pi, ki in zip(p, k2p)]
-            q2 = [qi + 0.5 * h * ki for qi, ki in zip(q, k2q)]
-            k3p, k3q = _hamilton_rhs(ham, p2, q2)
-            p3 = [pi + h * ki for pi, ki in zip(p, k3p)]
-            q3 = [qi + h * ki for qi, ki in zip(q, k3q)]
-            k4p, k4q = _hamilton_rhs(ham, p3, q3)
-            p = [
-                pi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                for pi, a, b, c, d in zip(p, k1p, k2p, k3p, k4p)
+            rates(x, k1)
+            rates(np.add(x, np.multiply(0.5 * h, k1, out=y), out=y), k2)
+            rates(np.add(x, np.multiply(0.5 * h, k2, out=y), out=y), k3)
+            rates(np.add(x, np.multiply(h, k3, out=y), out=y), k4)
+            # (h/6)(((k1 + 2 k2) + 2 k3) + k4); scaling by 2 keeps the -0.0 rows
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            x += np.multiply(h / 6.0, k2, out=y)
+            p = x[:n]
+            norm2 = _checked_norm2(jsum(list(p * p)))
+            log_c = log_c - 0.5 * np.log(norm2)
+            p *= 1.0 / np.sqrt(norm2)
+        return list(state[:n]), list(state[n:]), np.reshape(log_c, state.shape[1:])
+
+    def _transform_jets(self, u, q):
+        n, h, ham = self.n, self.t / self.steps, self.hamiltonian
+        z = [*u, *q]
+        log_c = 0.0
+        for _ in range(self.steps):
+            k1 = _hamilton_rhs(ham, z)
+            k2 = _hamilton_rhs(ham, [zi + 0.5 * h * ki for zi, ki in zip(z, k1)])
+            k3 = _hamilton_rhs(ham, [zi + 0.5 * h * ki for zi, ki in zip(z, k2)])
+            k4 = _hamilton_rhs(ham, [zi + h * ki for zi, ki in zip(z, k3)])
+            z = [
+                zi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
             ]
-            q = [
-                qi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                for qi, a, b, c, d in zip(q, k1q, k2q, k3q, k4q)
-            ]
-            norm2 = jsum([pi * pi for pi in p])
-            vals = np.asarray(jval(norm2), dtype=float)
-            if not np.all(np.isfinite(vals)) or np.any(vals < 0.25) or np.any(vals > 4.0):
-                raise MapError("contact flow integration diverged; increase steps")
-            log_c = log_c - 0.5 * np.log(vals)
+            norm2 = jsum([pi * pi for pi in z[:n]])
+            log_c = log_c - 0.5 * np.log(_checked_norm2(np.asarray(jval(norm2), dtype=float)))
             inv = 1.0 / jsqrt(norm2)
-            p = [pi * inv for pi in p]
-        return p, q, log_c
+            z = [pi * inv for pi in z[:n]] + z[n:]
+        return z[:n], z[n:], log_c
 
     def inverse(self):
         return ContactFlow(self.hamiltonian, -self.t, self.steps)
 
 
-def _hamilton_rhs(ham: Hamiltonian, p, q):
-    dp, dq = ham.gradients(p, q)
-    return [-g for g in dq], dp  # (pdot, qdot)
+def _checked_norm2(norm2: np.ndarray) -> np.ndarray:
+    """|p|^2 after a step, unless some point left [0.25, 4] (NaN fails both)."""
+    if not (norm2.min() >= 0.25 and norm2.max() <= 4.0):
+        raise MapError("contact flow integration diverged; increase steps")
+    return norm2
+
+
+def _hamilton_rhs(ham: Hamiltonian, z: list) -> list:
+    """(pdot, qdot) at the state z = (p, q), from ``gradients``."""
+    dp, dq = ham.gradients(z[:ham.n], z[ham.n:])
+    return [-g for g in dq] + dp
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +495,7 @@ def homology_action(f: ContactMap) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Conformal factor
+# Chart Jacobians
 # ---------------------------------------------------------------------------
 
 def _composite_chart_phi(f: ContactMap, chart_in: int, chart_out: int):
@@ -444,27 +506,6 @@ def _composite_chart_phi(f: ContactMap, chart_in: int, chart_out: int):
         return chart_encode(f.n, chart_out, u, q)
 
     return phi
-
-
-def conformal_factor_batch(
-    f: ContactMap, form: ContactForm, u_arr: np.ndarray, q_arr: np.ndarray
-):
-    """Conformal factors at (n, N) component arrays, extracted with jets.
-
-    Returns (c, u_image, q_image).  Each factor is read off the chart
-    Jacobian's column on which the form coefficient is largest.  This is the
-    oracle for the closed-form factors that ``apply_batch`` returns.
-    """
-    npts = u_arr.shape[1]
-    jac, u2, q2 = chart_jacobian_batch(f, u_arr, q_arr)
-    lam_x = _form_rows(form, u_arr, q_arr, f.n, npts)
-    lam_y = _form_rows(form, u2, q2, f.n, npts)
-    jsel = np.argmax(np.abs(lam_x), axis=0)
-    points = np.arange(npts)
-    denom = lam_x[jsel, points]
-    if np.min(np.abs(denom)) < 1e-12:
-        raise MapError("degenerate transversal: form vanishes on chart basis")
-    return (lam_y * jac[:, jsel, points]).sum(axis=0) / denom, u2, q2
 
 
 def chart_jacobian_batch(f: ContactMap, u_arr: np.ndarray, q_arr: np.ndarray):
@@ -509,13 +550,6 @@ def _chart_groups(f: ContactMap, u_arr, q_arr, u_image):
             n, chart_in, [u_arr[i, idx] for i in range(n)], [q_arr[i, idx] for i in range(n)]
         )
         yield idx, coords, _composite_chart_phi(f, chart_in, chart_out)
-
-
-def _form_rows(form: ContactForm, u_arr, q_arr, n: int, npts: int) -> np.ndarray:
-    """Chart coefficients (fiber coordinates..., dq...) of the form at each
-    point, shape (2n - 1, N); the fiber block is always 0."""
-    f = profile_values(form, u_arr, q_arr, MapError)
-    return np.concatenate([np.zeros((n - 1, npts)), f * u_arr])
 
 
 # ---------------------------------------------------------------------------

@@ -97,18 +97,19 @@ def delta(a: StarDomain, b: StarDomain) -> float:
     return float(np.max(np.abs(np.log(a.rho) - np.log(b.rho))))
 
 
-def act(i_mat: IntMatrix, a: StarDomain) -> StarDomain:
+def act(i_mat: IntMatrix, a: StarDomain, inverse: IntMatrix | None = None) -> StarDomain:
     """Image of a star domain under a linear cohomology action.
 
     rho'(u) = rho(w/|w|)/|w| with w = I^{-1} u; the radius at w/|w| is read
     off by nearest-direction lookup on the shared grid (no interpolation).
     When rho is constant, as on a ball, every lookup returns that constant,
-    so the lookup is skipped.
+    so the lookup is skipped.  A caller that holds I^{-1} exactly passes it
+    as ``inverse``, and I is not inverted again.
     """
     i_mat = algebra.as_matrix(i_mat)
     if len(i_mat) != a.n:
         raise ShapeError("matrix and domain dimensions disagree")
-    inv = np.array(algebra.mat_inverse(i_mat), dtype=float)
+    inv = np.array(algebra.mat_inverse(i_mat) if inverse is None else inverse, dtype=float)
     w = a.dirs @ inv.T
     norms = np.linalg.norm(w, axis=1)
     if np.all(a.rho == a.rho[0]):
@@ -159,11 +160,14 @@ def displacement_estimate(i_mat: IntMatrix, a: StarDomain, k_max: int) -> float:
 def displacement_series(i_mat: IntMatrix, a: StarDomain, k_max: int) -> list[float]:
     """delta(A, I^k A) for k = 1..k_max."""
     i_mat = algebra.as_matrix(i_mat)
-    power = algebra.identity_matrix(len(i_mat))
+    i_inv = algebra.mat_inverse(i_mat)
+    power = inv_power = algebra.identity_matrix(len(i_mat))
     deltas = []
     for _ in range(k_max):
-        power = algebra.mat_mul(i_mat, power)  # exact; big ints are fine
-        deltas.append(delta(a, act(power, a)))
+        # exact, big ints included: (I^-1)^k is the inverse of I^k
+        power = algebra.mat_mul(i_mat, power)
+        inv_power = algebra.mat_mul(inv_power, i_inv)
+        deltas.append(delta(a, act(power, a, inv_power)))
     return deltas
 
 

@@ -15,10 +15,12 @@ from contactlab.geometry import (
     ContactForm,
     chart_encode,
     grid_points,
+    profile_values,
     q_lattice,
     select_chart_batch,
     sphere_grid_array,
 )
+from contactlab.maps import ContactMap, MapError, chart_jacobian_batch
 
 
 def circ_diff(a, b, periodic):
@@ -79,6 +81,34 @@ def chart_coords(f, u, q):
         chart_out = int(select_chart_batch(u_image[2])[0])
     coords = chart_encode(f.n, chart_in, list(u), list(q))
     return chart_in, chart_out, [float(c[0]) for c in coords]
+
+
+def conformal_factor_batch(
+    f: ContactMap, form: ContactForm, u_arr: np.ndarray, q_arr: np.ndarray
+):
+    """Conformal factors at (n, N) component arrays, extracted with jets.
+
+    Returns (c, u_image, q_image).  Each factor is read off the chart
+    Jacobian's column on which the form coefficient is largest.  This is the
+    oracle for the closed-form factors that ``apply_batch`` returns.
+    """
+    npts = u_arr.shape[1]
+    jac, u2, q2 = chart_jacobian_batch(f, u_arr, q_arr)
+    lam_x = form_rows(form, u_arr, q_arr, f.n, npts)
+    lam_y = form_rows(form, u2, q2, f.n, npts)
+    jsel = np.argmax(np.abs(lam_x), axis=0)
+    points = np.arange(npts)
+    denom = lam_x[jsel, points]
+    if np.min(np.abs(denom)) < 1e-12:
+        raise MapError("degenerate transversal: form vanishes on chart basis")
+    return (lam_y * jac[:, jsel, points]).sum(axis=0) / denom, u2, q2
+
+
+def form_rows(form: ContactForm, u_arr, q_arr, n: int, npts: int) -> np.ndarray:
+    """Chart coefficients (fiber coordinates..., dq...) of the form at each
+    point, shape (2n - 1, N); the fiber block is always 0."""
+    f = profile_values(form, u_arr, q_arr, MapError)
+    return np.concatenate([np.zeros((n - 1, npts)), f * u_arr])
 
 
 class CountingForm(ContactForm):

@@ -30,13 +30,13 @@ from contactlab.maps import (
     Shear,
     _composite_chart_phi,
     chart_jacobian_batch,
-    conformal_factor_batch,
     identity_map,
     make_composite,
 )
 from contactlab.report import run, validate_config
 from conftest import (
     chart_coords,
+    conformal_factor_batch,
     fd_jacobian,
     full_grid,
     random_point,

@@ -25,12 +25,11 @@ from contactlab.maps import (
     ReebTranslation,
     Shear,
     chart_jacobian_batch,
-    conformal_factor_batch,
     identity_map,
     make_composite,
 )
 
-from conftest import CountingForm, full_grid
+from conftest import CountingForm, conformal_factor_batch, full_grid
 
 CAT = [[2, 1], [1, 1]]
 CAT_S = math.log((3.0 + math.sqrt(5.0)) / 2.0)

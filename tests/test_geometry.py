@@ -36,9 +36,9 @@ from contactlab.geometry import (
     select_chart_batch,
     sphere_grid_array,
 )
-from contactlab.maps import MapError, _form_rows
+from contactlab.maps import MapError
 from contactlab.shapes import ShapeError
-from conftest import random_points
+from conftest import form_rows, random_points
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -85,6 +85,17 @@ def test_jet_batched_values():
     y = (x * x + 1.0) / x
     assert np.allclose(jval(y), np.array([2.0, 2.5, 10.0 / 3.0]))
     assert np.allclose(y.partials[0], 1.0 - 1.0 / np.array([1.0, 4.0, 9.0]))
+
+
+def test_jet_values_are_the_plain_values_bit_for_bit(rng):
+    # Division included: a jet quotient's value is the plain quotient, not
+    # a product with the reciprocal, so the flow's two paths share bits.
+    def f(x, y):
+        return (0.7 / x + x * y - 2.0) / jsqrt(x * x + y * y) + jcos(y) * jsin(x) / y
+
+    x, y = rng.uniform(0.5, 3.0, size=(2, 1000))
+    plain = f(x, y)
+    assert np.array_equal(jval(f(*seed_jets([x, y]))), plain)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +305,7 @@ def test_pullback_form_round_is_stretch():
 def test_eval_form_chart_coefficients():
     a = 2.0 * math.pi * 0.125
     u = np.array([[math.cos(a)], [math.sin(a)]])
-    coeffs = _form_rows(ConstantForm(2.0), u, np.array([[0.3], [0.4]]), 2, 1)[:, 0]
+    coeffs = form_rows(ConstantForm(2.0), u, np.array([[0.3], [0.4]]), 2, 1)[:, 0]
     s = math.sqrt(0.5)
     assert coeffs == pytest.approx([0.0, 2.0 * s, 2.0 * s])
 

@@ -12,6 +12,7 @@ from contactlab.geometry import (
     build,
     build_form,
     chart_dim,
+    seed_jets,
     select_chart_batch,
 )
 from contactlab.maps import (
@@ -30,12 +31,17 @@ from contactlab.maps import (
     build_hamiltonian,
     build_primitive,
     chart_jacobian_batch,
-    conformal_factor_batch,
     homology_action,
     identity_map,
     make_composite,
 )
-from conftest import chart_coords, fd_jacobian, random_point, random_points
+from conftest import (
+    chart_coords,
+    conformal_factor_batch,
+    fd_jacobian,
+    random_point,
+    random_points,
+)
 from test_geometry import FORM_SPECS
 
 CAT = [[2, 1], [1, 1]]
@@ -339,6 +345,97 @@ def test_contact_flow_divergence_guard():
     u = np.array([[1.0], [0.3]])
     with pytest.raises(MapError, match="diverged"):
         f.apply_batch(u / np.linalg.norm(u), np.array([[0.1], [0.2]]))
+
+
+def flow_hamiltonians(n):
+    """One Hamiltonian of each kind, the modulated one on every axis."""
+    return [
+        MomentumHamiltonian([0.2, 0.5, -0.1][:n]),
+        MetricHamiltonian(np.array([[4.0, 1.0, 0.0], [1.0, 1.0, 0.5], [0.0, 0.5, 2.0]])[:n, :n]),
+    ] + [ModulatedNormHamiltonian(0.3, axis=a, n=n) for a in range(n)]
+
+
+def flow_points(rng, n):
+    """Random unit points plus the directions +-e_i, whose zero components
+    (+0.0 off the diagonal of I, -0.0 off that of -I) meet the rows a
+    Hamiltonian leaves at 0."""
+    u, q = random_batch(rng, n, 64)
+    axes = np.eye(n)
+    q_axes = rng.random((n, 2 * n))
+    return np.concatenate([u, axes, -axes], axis=1), np.concatenate([q, q_axes], axis=1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def jet_transform(flow, u, q):
+    """The flow through its jet loop, as plain values."""
+    n = len(u)
+    jets = seed_jets([*u, *q])
+    u2, q2, log_c = flow.transform(jets[:n], jets[n:])
+    return [np.asarray(c.value) for c in u2], [np.asarray(c.value) for c in q2], log_c
+
+
+@pytest.mark.parametrize("t", [0.5, -0.5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_contact_flow_value_path_matches_the_jet_path_bit_for_bit(rng, n, t):
+    u, q = flow_points(rng, n)
+    for ham in flow_hamiltonians(n):
+        flow = ContactFlow(ham, t, steps=16)
+        u2, q2, log_c = flow.transform(list(u), list(q))
+        ju, jq, jlog = jet_transform(flow, u, q)
+        assert all(same_bits(a, b) for a, b in zip(u2 + q2, ju + jq)), ham.describe()
+        assert same_bits(log_c, jlog), ham.describe()
+
+
+def test_contact_flow_value_path_takes_scalars_and_rows():
+    flow = ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=8)
+    u, q = np.array([[0.6, 0.0], [0.8, 1.0]]), np.array([[0.1, 0.7], [0.2, 0.4]])
+    rows = flow.transform(list(u), list(q))
+    for i in range(2):
+        u2, q2, log_c = flow.transform(u[:, i].tolist(), q[:, i].tolist())
+        assert np.shape(log_c) == ()
+        got, want = u2 + q2 + [log_c], rows[0] + rows[1] + [rows[2]]
+        assert all(same_bits(a, b[i]) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_contact_flow_transform_leaves_its_inputs(rng, n):
+    u, q = flow_points(rng, n)
+    u_in, q_in = list(u.copy()), list(q.copy())
+    for ham in flow_hamiltonians(n):
+        u2, q2, _ = ContactFlow(ham, 0.5, steps=4).transform(u_in, q_in)
+        assert all(same_bits(a, b) for a, b in zip(u_in + q_in, list(u) + list(q)))
+        assert not any(np.shares_memory(a, b) for a in u2 + q2 for b in u_in + q_in)
+
+
+def _bad_inputs(ham):
+    """(u, q) batches the flow of ham must reject: NaN or inf in u, or in
+    the q component it reads, and |u| = 3, so |p|^2 is about 9 after a step."""
+    n = ham.n
+    u, q = np.zeros((n, 3)), np.full((n, 3), 0.25)
+    u[0] = 1.0
+    read = [ham.axis] if isinstance(ham, ModulatedNormHamiltonian) else []
+    for value in (np.nan, np.inf):
+        for arr, row in [(u, 1)] + [(q, axis) for axis in read]:
+            bad = arr.copy()
+            bad[row, 1] = value
+            yield (bad, q) if arr is u else (u, bad)
+    yield 3.0 * u, q
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_contact_flow_divergence_is_caught_on_both_paths(n):
+    for ham in flow_hamiltonians(n):
+        flow = ContactFlow(ham, 0.5, steps=4)
+        for u, q in _bad_inputs(ham):
+            with np.errstate(invalid="ignore", over="ignore"):
+                with pytest.raises(MapError, match="diverged"):
+                    flow.transform(list(u), list(q))
+                with pytest.raises(MapError, match="diverged"):
+                    jet_transform(flow, u, q)
 
 
 # ---------------------------------------------------------------------------

@@ -381,13 +381,13 @@ NUMBER_FIELD_CASES = {
     ),
     "reeb_bool_t": (dict(MINIMAL, map=[{"kind": "reeb_translation", "t": True}]), "map[0]: reeb t"),
     "momentum_text_and_bool_c": (
-        _flow({"kind": "momentum", "c": ["0.2", True]}), "map[0]: momentum c"
+        _flow({"kind": "momentum", "c": ["0.2", True]}), "map[0]: contact_flow: hamiltonian: momentum c"
     ),
     "metric_norm_text_g": (
-        _flow({"kind": "metric_norm", "g": [["1", "0"], ["0", "1"]]}), "map[0]: metric entries"
+        _flow({"kind": "metric_norm", "g": [["1", "0"], ["0", "1"]]}), "map[0]: contact_flow: hamiltonian: metric entries"
     ),
     "modulated_norm_bool_axis": (
-        _flow({"kind": "modulated_norm", "eps": 0.2, "axis": True}), "map[0]: modulated_norm axis"
+        _flow({"kind": "modulated_norm", "eps": 0.2, "axis": True}), "map[0]: contact_flow: hamiltonian: modulated_norm axis"
     ),
     "shear_bool_power": (
         dict(MINIMAL, map=[{"kind": "shear_a", "power": True}]), "map[0]: shear power"
@@ -485,7 +485,7 @@ UNKNOWN_KEY_CASES = {
             MINIMAL,
             form={"kind": "trig", "terms": [{"amp": 0.1, "q_freq": [1, 0], "use_sine": True}]},
         ),
-        "form: term: unknown key 'use_sine'",
+        "form: terms[0]: term: unknown key 'use_sine'",
     ),
     "pullback_base_unknown_key": (
         dict(
@@ -496,10 +496,10 @@ UNKNOWN_KEY_CASES = {
                 "base": {"kind": "constant", "value": 2.0, "c0": 1.0},
             },
         ),
-        "form: constant: unknown key 'c0'",
+        "form: base: constant: unknown key 'c0'",
     ),
     "flow_hamiltonian_unknown_key": (
-        _flow({"kind": "momentum", "c": [0.2, 0.5], "cc": 1}), "map[0]: momentum: unknown key 'cc'"
+        _flow({"kind": "momentum", "c": [0.2, 0.5], "cc": 1}), "map[0]: contact_flow: hamiltonian: momentum: unknown key 'cc'"
     ),
     "round_unknown_key": (
         dict(MINIMAL, form={"kind": "round", "c0": 2.0}), "form: round: unknown key 'c0'"
@@ -512,6 +512,48 @@ UNKNOWN_KEY_CASES = {
         dict(MINIMAL, map=[{"kind": "shear_a", "axis": 1}]), "map[0]: shear_a: unknown key 'axis'"
     ),
     "flow_dimension_key": (_flow(MOMENTUM, n=2), "map[0]: contact_flow: unknown key 'n'"),
+    "second_trig_term_unknown_key": (
+        dict(
+            MINIMAL,
+            form={
+                "kind": "trig",
+                "terms": [{"amp": 0.1, "q_freq": [1, 0]}, {"amp": 0.1, "q_freq": [0, 1], "x": 1}],
+            },
+        ),
+        "form: terms[1]: term: unknown key 'x'",
+    ),
+    "pullback_of_trig_term_unknown_key": (
+        dict(
+            MINIMAL,
+            form={
+                "kind": "linear_pullback",
+                "matrix": [[1, 1], [0, 1]],
+                "base": {"kind": "trig", "terms": [{"amp": 0.1, "q_freq": [1, 0], "use_sine": True}]},
+            },
+        ),
+        "form: base: terms[0]: term: unknown key 'use_sine'",
+    ),
+    "pullback_of_pullback_base_unknown_key": (
+        dict(
+            MINIMAL,
+            form={
+                "kind": "linear_pullback",
+                "matrix": [[1, 1], [0, 1]],
+                "base": {"kind": "linear_pullback", "matrix": [[1, 0], [1, 1]], "base": {"kind": "round", "c": 1}},
+            },
+        ),
+        "form: base: base: round: unknown key 'c'",
+    ),
+    "second_flow_hamiltonian_unknown_key": (
+        dict(
+            MINIMAL,
+            map=[
+                {"kind": "shear_a"},
+                {"kind": "contact_flow", "hamiltonian": dict(MOMENTUM, cc=1), "t": 0.5},
+            ],
+        ),
+        "map[1]: contact_flow: hamiltonian: momentum: unknown key 'cc'",
+    ),
 }
 BAD_CONFIGS.update({name: data for name, (data, _) in UNKNOWN_KEY_CASES.items()})
 
@@ -523,23 +565,41 @@ DESCRIPTOR_CASES = {
     ),
     "trig_term_missing_q_freq": (
         dict(MINIMAL, form={"kind": "trig", "terms": [{"amp": 0.1}]}),
-        "form: term needs a 'q_freq' parameter",
+        "form: terms[0]: term needs a 'q_freq' parameter",
     ),
     "map_entry_not_object": (dict(MINIMAL, map=["shear_a"]), "map[0]: unknown primitive kind None"),
     "trig_term_not_object": (
-        dict(MINIMAL, form={"kind": "trig", "terms": ["x"]}), "form: unknown term kind None"
+        dict(MINIMAL, form={"kind": "trig", "terms": ["x"]}), "form: terms[0]: unknown term kind None"
     ),
     "flow_missing_t": (
         dict(MINIMAL, map=[{"kind": "contact_flow", "hamiltonian": MOMENTUM}]),
         "map[0]: contact_flow needs a 't' parameter",
     ),
-    "flow_hamiltonian_not_object": (_flow("momentum"), "map[0]: unknown hamiltonian kind None"),
+    "flow_hamiltonian_not_object": (_flow("momentum"), "map[0]: contact_flow: hamiltonian: unknown hamiltonian kind None"),
     "momentum_missing_c": (
-        _flow({"kind": "momentum"}), "map[0]: momentum needs a 'c' parameter"
+        _flow({"kind": "momentum"}), "map[0]: contact_flow: hamiltonian: momentum needs a 'c' parameter"
+    ),
+    "trig_second_term_bad_amp": (
+        dict(
+            MINIMAL,
+            form={"kind": "trig", "terms": [{"amp": 0.1, "q_freq": [1, 0]}, {"amp": "x", "q_freq": [0, 1]}]},
+        ),
+        "form: terms[1]: trig amp must be a finite number",
+    ),
+    "pullback_base_fractional_matrix": (
+        dict(
+            MINIMAL,
+            form={
+                "kind": "linear_pullback",
+                "matrix": [[1, 1], [0, 1]],
+                "base": {"kind": "linear_pullback", "matrix": [[1.5, 0], [0, 1]], "base": {"kind": "round"}},
+            },
+        ),
+        "form: base: matrix entries must be integers",
     ),
     "pullback_base_not_object": (
         dict(MINIMAL, form={"kind": "linear_pullback", "matrix": [[1, 1], [0, 1]], "base": "round"}),
-        "form: unknown form kind None",
+        "form: base: unknown form kind None",
     ),
 }
 BAD_CONFIGS.update({name: data for name, (data, _) in DESCRIPTOR_CASES.items()})
@@ -640,7 +700,7 @@ def test_bundled_configs_and_benchmark_inputs_have_only_known_keys(path):
 def test_metric_norm_must_be_positive_definite(tmp_path, capsys):
     path = write_config(tmp_path, BAD_CONFIGS["metric_norm_indefinite_g"])
     assert main(["validate", str(path)]) == 2
-    assert "map[0]: metric must be positive definite" in capsys.readouterr().err
+    assert "map[0]: contact_flow: hamiltonian: metric must be positive definite" in capsys.readouterr().err
 
 
 def test_integral_float_sizes_accepted():

@@ -289,6 +289,30 @@ def test_displacement_matches_spectrum_random(rng, dirs2):
             assert val == pytest.approx(A.s_value(m), abs=1e-2)
 
 
+@pytest.mark.parametrize("i_mat", [CAT, CAT3], ids=["n2", "n3"])
+def test_displacement_series_inverts_once_and_matches_act(monkeypatch, rng, i_mat):
+    # Carrying (I^-1)^k gives the series that re-inverting each I^k gives.
+    dirs = S.direction_grid(len(i_mat))
+    k_max = 30
+    for a in (S.ball(dirs), random_domain(rng, dirs)):
+        expected = [
+            S.delta(a, S.act(A.mat_pow(i_mat, k), a)) for k in range(1, k_max + 1)
+        ]
+        calls = []
+        inverse = A.mat_inverse
+        monkeypatch.setattr(A, "mat_inverse", lambda m: calls.append(1) or inverse(m))
+        assert S.displacement_series(i_mat, a, k_max) == expected
+        monkeypatch.setattr(A, "mat_inverse", inverse)
+        assert len(calls) == 1
+
+
+def test_act_takes_the_inverse_it_is_given(rng):
+    a = random_domain(rng, S.direction_grid(3))
+    m = A.mat_pow(CAT3, 5)
+    given = S.act(m, a, A.mat_inverse(m))
+    assert np.array_equal(given.rho, S.act(m, a).rho)
+
+
 def test_displacement_needs_enough_iterates(dirs2):
     with pytest.raises(S.ShapeError):
         S.displacement_estimate(CAT, S.ball(dirs2), 4)
