@@ -8,10 +8,8 @@ from .algebra import (
     FreeAutomorphism,
     IntMatrix,
     a_block,
-    abelian_bar_s,
     cyclic_reduce,
     eigen_moduli,
-    free_growth,
     is_periodic,
     s_value,
 )
@@ -44,7 +42,6 @@ from .maps import (
     MomentumHamiltonian,
     ReebTranslation,
     Shear,
-    homology_action,
     identity_map,
     make_composite,
 )
@@ -54,7 +51,6 @@ from .shapes import (
     StarDomain,
     act,
     delta,
-    displacement_estimate,
     duality_check,
     flat_shape,
     stable_norm,

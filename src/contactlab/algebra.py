@@ -2,7 +2,7 @@
 
 Matrices are tuples of tuples of Python ints so that characteristic
 polynomials, inverses and powers stay exact; eigenvalue moduli go through a
-square-free split followed by simultaneous (Durand-Kerner) root iteration.
+square-free split followed by ``np.roots`` on each square-free factor.
 Also the number checks for config values: ``is_int``, ``is_real``, ``as_ints``.
 """
 from __future__ import annotations
@@ -17,8 +17,6 @@ from typing import Sequence
 import numpy as np
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-ROOT_TOL = 1e-10
 
 
 class AlgebraError(ValueError):
@@ -174,14 +172,6 @@ def poly_deriv(p: list) -> list:
     return [c * (n - i) for i, c in enumerate(p[:-1])] or [0]
 
 
-def poly_mul(p: list, q: list) -> list:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def poly_divmod(p: list, q: list):
     """Division over the rationals; exact Fractions throughout."""
     p = [Fraction(c) for c in p]
@@ -247,53 +237,16 @@ def squarefree_factors(p: list[int]) -> list[tuple[list[int], int]]:
     return factors
 
 
-def poly_eval_complex(p: list, z: complex) -> complex:
-    acc = 0j
-    for c in p:
-        acc = acc * z + c
-    return acc
-
-
-def durand_kerner(p: list[int], tol: float = ROOT_TOL, max_iter: int = 2000):
-    """All complex roots of a square-free integer polynomial."""
-    deg = len(p) - 1
-    if deg == 0:
-        return []
-    lead = p[0]
-    monic = [c / lead for c in p]
-    radius = 1.0 + max(abs(c) for c in monic[1:]) if deg else 1.0
-    roots = [radius * (0.4 + 0.9j) ** k for k in range(deg)]
-    for _ in range(max_iter):
-        shift = 0.0
-        new = []
-        for i, z in enumerate(roots):
-            denom = 1.0 + 0j
-            for j, w in enumerate(roots):
-                if i != j:
-                    denom *= z - w
-            dz = poly_eval_complex(monic, z) / denom
-            new.append(z - dz)
-            shift = max(shift, abs(dz))
-        roots = new
-        if shift < tol:
-            return roots
-    raise AlgebraError("root iteration did not converge")
-
-
 # ---------------------------------------------------------------------------
 # Spectral invariants
 # ---------------------------------------------------------------------------
 
 def eigen_moduli(m: IntMatrix) -> list[float]:
     """Sorted moduli of all complex eigenvalues, with multiplicity."""
-    m = as_matrix(m)
-    p = charpoly(m)
-    moduli: list[float] = []
-    for factor, mult in squarefree_factors(p):
-        for root in durand_kerner(factor):
-            moduli.extend([abs(root)] * mult)
-    moduli.sort()
-    return moduli
+    moduli = []
+    for factor, mult in squarefree_factors(charpoly(as_matrix(m))):
+        moduli.extend(float(abs(root)) for root in np.roots(factor) for _ in range(mult))
+    return sorted(moduli)
 
 
 def s_value(m: IntMatrix) -> float:
@@ -394,16 +347,6 @@ def growth_slope(log_values: Sequence[float], tail: float = 0.5) -> float:
     n = len(log_values)
     start = min(n - 2, int(n * (1.0 - tail)))
     return line_fit(np.arange(start, n), log_values[start:])[0]
-
-
-def abelian_bar_s(m: IntMatrix, sample_classes: Sequence[Sequence[int]], n_steps: int) -> float:
-    """Exponential growth rate of the L1 word length along iterated classes."""
-    m = as_matrix(m)
-    if n_steps < 10:
-        raise AlgebraError("need at least 10 iterations")
-    if not sample_classes:
-        raise AlgebraError("need at least one sample class")
-    return length_growth_rate(*(abelian_lengths(m, g, n_steps) for g in sample_classes))
 
 
 def length_growth_rate(*series: Sequence[int]) -> float:
@@ -573,18 +516,6 @@ class FreeAutomorphism:
 
     def apply(self, w: Sequence[int]) -> GroupWord:
         return _decode(self._image(self.encode(w)))
-
-
-def free_growth(
-    sigma: FreeAutomorphism,
-    w: Sequence[int],
-    n_steps: int,
-    cap: int = 10**6,
-) -> float:
-    """Growth rate of the cyclically reduced length under iteration."""
-    if n_steps < 5:
-        raise AlgebraError("need at least 5 iterations")
-    return length_growth_rate(free_lengths(sigma, w, n_steps, cap))
 
 
 def free_lengths(sigma: FreeAutomorphism, w: Sequence[int], n_steps: int, cap: int) -> list[int]:

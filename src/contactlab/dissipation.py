@@ -32,7 +32,7 @@ from . import algebra
 from .geometry import (
     ContactForm, grid_points, profile_values, q_lattice, read_axes, sphere_grid_array,
 )
-from .maps import ContactMap, chart_jacobian_batch, homology_action
+from .maps import ContactMap, chart_jacobian_batch
 
 
 class DissipationError(RuntimeError):
@@ -262,8 +262,8 @@ def cohomology_block(f: ContactMap) -> tuple[algebra.IntMatrix, dict]:
     n = 3 it is the full action, with no fields.
     """
     if f.n == 3:
-        return homology_action(f), {}
-    block, shear_l, shear_m = algebra.a_block(homology_action(f))
+        return f.homology_matrix, {}
+    block, shear_l, shear_m = algebra.a_block(f.homology_matrix)
     return block, {"a_block": [list(r) for r in block], "l": shear_l, "m": shear_m}
 
 

@@ -67,6 +67,7 @@ class Jet:
     """
 
     __slots__ = ("value", "partials")
+    __array_ufunc__ = None  # ndarray <op> jet defers to the jet: one batched jet
 
     def __init__(self, value, partials):
         self.value = value

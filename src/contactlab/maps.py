@@ -459,12 +459,6 @@ class ContactMap:
         prims = tuple(p.inverse() for p in reversed(self.primitives))
         return ContactMap(prims, self.n, algebra.mat_inverse(self.homology_matrix))
 
-    def power(self, k: int) -> "ContactMap":
-        if k == 0:
-            return identity_map(self.n)
-        base = self if k > 0 else self.inverse()
-        return make_composite(list(base.primitives) * abs(k), n=self.n)
-
     def describe(self) -> list[dict]:
         return [p.describe() for p in self.primitives]
 
@@ -488,10 +482,6 @@ def make_composite(primitives: Sequence[Primitive], n: int | None = None) -> Con
 
 def identity_map(n: int) -> ContactMap:
     return make_composite([], n=n)
-
-
-def homology_action(f: ContactMap) -> IntMatrix:
-    return f.homology_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +558,6 @@ PRIMITIVES = {
     "reeb_translation": (ReebTranslation, {}),
     "contact_flow": (ContactFlow, {}),
 }
-
-
-def build_hamiltonian(spec: dict, **context) -> Hamiltonian:
-    return build(spec, HAMILTONIANS, "hamiltonian", MapError, **context)
 
 
 def build_primitive(spec: dict, n: int) -> Primitive:

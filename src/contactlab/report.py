@@ -25,9 +25,9 @@ from .maps import ContactMap, MapError, build_primitive, make_composite
 
 # Numeric task parameters: name -> (default, minimum).  A minimum of None
 # admits any finite number; otherwise the value must be an integer at least
-# the minimum, which is the guard of the library function the task calls.  A
-# default of None leaves the choice to the library.  Growth has one table per
-# mode.
+# the minimum: the guard of the library function the task calls, and for the
+# growth N and the displacement k_max the only guard.  A default of None
+# leaves the choice to the library.  Growth has one table per mode.
 TASK_PARAMS = {
     "r_sequence": {"K": (30, 8)},
     "lyapunov": {"K": (20, 8)},
@@ -183,8 +183,11 @@ def validate_config(data: dict) -> ExperimentConfig:
             errors.append(f"thresholds.{fld.name}: must be a finite number, got {value!r}")
 
     seed = data.get("seed", 0)
-    if not is_int(seed):
-        errors.append(f"seed: must be an integer, got {seed!r}")
+    if not (is_int(seed) and seed >= 0):
+        errors.append(f"seed: must be a non-negative integer, got {seed!r}")
+    out_dir = data.get("out_dir", "out")
+    if not (isinstance(out_dir, str) and out_dir and "\0" not in out_dir):
+        errors.append(f"out_dir: must be a non-empty path string, got {out_dir!r}")
     conservative = data.get("conservative", False)
     if not isinstance(conservative, bool):
         errors.append(f"conservative: must be true or false, got {conservative!r}")
@@ -201,7 +204,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         grid=grid,
         lyap_grid=lyap_grid,
         thresholds=Thresholds(**values),
-        out_dir=str(data.get("out_dir", "out")),
+        out_dir=out_dir,
         raw=data,
     )
 

@@ -150,13 +150,6 @@ def _is_uniform_angle_grid(dirs: np.ndarray) -> bool:
 _UNIFORM_GRID_CACHE: dict = {}
 
 
-def displacement_estimate(i_mat: IntMatrix, a: StarDomain, k_max: int) -> float:
-    """Growth rate of delta(A, I^k A): a lower bound for the displacement."""
-    if k_max < 8:
-        raise ShapeError("need k_max >= 8")
-    return max(algebra.growth_slope(displacement_series(i_mat, a, k_max)), 0.0)
-
-
 def displacement_series(i_mat: IntMatrix, a: StarDomain, k_max: int) -> list[float]:
     """delta(A, I^k A) for k = 1..k_max."""
     i_mat = algebra.as_matrix(i_mat)

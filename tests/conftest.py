@@ -4,9 +4,12 @@ import pytest
 
 from contactlab.algebra import (
     IntMatrix,
+    abelian_lengths,
     as_matrix,
     determinant,
+    growth_slope,
     identity_matrix,
+    length_growth_rate,
     mat_inverse,
     mat_mul,
     s_value,
@@ -21,6 +24,7 @@ from contactlab.geometry import (
     sphere_grid_array,
 )
 from contactlab.maps import ContactMap, MapError, chart_jacobian_batch
+from contactlab.shapes import displacement_series
 
 
 def circ_diff(a, b, periodic):
@@ -165,6 +169,16 @@ def sample_hyperbolic_lattice_matrices(
             continue
         out.append(m)
     return out
+
+
+def abelian_rate(m, classes, n_steps: int) -> float:
+    """The growth task's abelian rate: the largest tail slope over the classes."""
+    return length_growth_rate(*(abelian_lengths(m, g, n_steps) for g in classes))
+
+
+def displacement_rate(i_mat, a, k_max: int) -> float:
+    """The displacement task's rate: the tail slope of delta(A, I^k A), floored at 0."""
+    return max(growth_slope(displacement_series(i_mat, a, k_max)), 0.0)
 
 
 @pytest.fixture

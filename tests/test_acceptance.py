@@ -35,8 +35,10 @@ from contactlab.maps import (
 )
 from contactlab.report import run, validate_config
 from conftest import (
+    abelian_rate,
     chart_coords,
     conformal_factor_batch,
+    displacement_rate,
     fd_jacobian,
     full_grid,
     random_point,
@@ -125,17 +127,19 @@ def test_criterion_4_abelian_growth_equals_spectrum():
                 tuple(int(c) for c in rng.integers(-2, 3, size=k)) for _ in range(4)
             ]
             classes = [g if any(g) else (1,) + (0,) * (k - 1) for g in classes]
-            bar_s = A.abelian_bar_s(m, classes, 40)
+            bar_s = abelian_rate(m, classes, 40)
             assert abs(bar_s - A.s_value(m)) <= 1e-2, (m, bar_s, A.s_value(m))
 
 
 def test_criterion_5_free_group_growth():
     with criterion(5, 5.0):
         fib = A.FreeAutomorphism.from_strings(["ab", "a"])
-        rate = A.free_growth(fib, A.parse_word("a"), 25)
+        lengths = A.free_lengths(fib, A.parse_word("a"), 25, 10**6)
+        rate = A.length_growth_rate(lengths)
         assert abs(rate - math.log((1 + math.sqrt(5)) / 2)) < 1e-3
         swap = A.FreeAutomorphism.from_strings(["b", "a"])
-        assert A.free_growth(swap, A.parse_word("ab"), 10) == pytest.approx(0.0, abs=1e-9)
+        lengths = A.free_lengths(swap, A.parse_word("ab"), 10, 10**6)
+        assert A.length_growth_rate(lengths) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_criterion_6_shape_calculus():
@@ -179,7 +183,7 @@ def test_criterion_7_displacement_vs_spectrum():
             dirs = S.direction_grid(dim)
             ball = S.ball(dirs)
             for m in sample_hyperbolic_lattice_matrices(rng, dim, count):
-                val = S.displacement_estimate(m, ball, 20)
+                val = displacement_rate(m, ball, 20)
                 assert abs(val - A.s_value(m)) <= 1e-2, (m, val, A.s_value(m))
 
 

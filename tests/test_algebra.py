@@ -1,12 +1,15 @@
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactlab import algebra as A
-from conftest import sample_hyperbolic_lattice_matrices
+from contactlab.report import ConfigError, load_config, validate_config
+from conftest import abelian_rate, sample_hyperbolic_lattice_matrices
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 CAT = ((2, 1), (1, 1))
@@ -45,7 +48,7 @@ def test_squarefree_decomposition_recomposes():
     recomposed = [1]
     for f, mult in factors:
         for _ in range(mult):
-            recomposed = A.poly_mul(recomposed, f)
+            recomposed = np.polymul(recomposed, f)
     lead = recomposed[0]
     assert [c // lead for c in recomposed] == p
     assert any(mult == 2 for _, mult in factors)
@@ -81,6 +84,80 @@ def test_eigen_moduli_product_is_one(rng):
         assert np.prod(A.eigen_moduli(m)) == pytest.approx(1.0, abs=1e-8)
 
 
+def unimodular_matrices(rng, k: int, count: int):
+    """count seeded integer k x k matrices with entries in [-3, 3] and det +-1."""
+    out = []
+    while len(out) < count:
+        draws = rng.integers(-3, 4, size=(4096, k, k))
+        unimodular = draws[np.abs(np.rint(np.linalg.det(draws))) == 1]
+        out += [tuple(map(tuple, m)) for m in unimodular.tolist()]
+    return out[:count]
+
+
+def reference_moduli(m) -> np.ndarray:
+    """Sorted eigenvalue moduli: numpy's where the eigenvalues lie apart, else
+    60-digit mpmath, since a float eigensolver moves a k-fold defective
+    eigenvalue by about eps^(1/k) (1e-8 for a 2x2 Jordan block)."""
+    ev = np.linalg.eigvals(np.array(m, dtype=float))
+    if np.abs(ev[:, None] - ev[None, :])[~np.eye(len(m), dtype=bool)].min() > 1e-3:
+        return np.sort(np.abs(ev))
+    with mpmath.workdps(60):
+        ev = mpmath.eig(mpmath.matrix(m), left=False, right=False)
+        return np.sort([float(abs(z)) for z in ev])
+
+
+def test_eigen_moduli_and_s_value_match_an_eigenvalue_oracle():
+    rng = np.random.default_rng(1400)
+    mats = unimodular_matrices(rng, 2, 200) + unimodular_matrices(rng, 3, 200)
+    for m in mats:
+        assert A.determinant(m) in (1, -1)
+        ref = reference_moduli(m)
+        np.testing.assert_allclose(A.eigen_moduli(m), ref, rtol=0, atol=1e-12, err_msg=str(m))
+        assert abs(A.s_value(m) - max(abs(math.log(r)) for r in ref)) <= 1e-12, m
+
+
+@pytest.mark.parametrize(
+    "m, moduli",
+    [
+        (A.identity_matrix(2), [1, 1]),
+        (((-1, 0), (0, -1)), [1, 1]),
+        (A.identity_matrix(3), [1, 1, 1]),
+        (((1, 1), (0, 1)), [1, 1]),
+        (((0, -1), (1, 0)), [1, 1]),
+        (((-1, 1, 0), (0, -1, 0), (0, 0, 1)), [1, 1, 1]),  # (t + 1)^2 (t - 1)
+        (((1, 1, 0), (0, 1, 1), (0, 0, 1)), [1, 1, 1]),  # (t - 1)^3, one Jordan block
+        (((2, 1, 0), (0, 2, 0), (0, 0, 3)), [2, 2, 3]),  # (t - 2)^2 (t - 3)
+        # (t^2 - 3t + 1)^2: the cat map twice, a repeated hyperbolic factor
+        (
+            ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1)),
+            [GOLDEN**-2, GOLDEN**-2, GOLDEN**2, GOLDEN**2],
+        ),
+    ],
+)
+def test_eigen_moduli_of_repeated_factors(m, moduli):
+    np.testing.assert_allclose(A.eigen_moduli(m), moduli, rtol=0, atol=1e-12)
+    if moduli == [1] * len(m):
+        assert A.s_value(m) <= 1e-12
+    else:
+        assert abs(A.s_value(m) - max(abs(math.log(r)) for r in moduli)) <= 1e-12
+
+
+def test_s_value_of_the_bundled_lifts_matches_the_closed_forms():
+    # The cat map [[2,1],[1,1]] has s = log((3 + sqrt 5)/2). The n=3 lift of
+    # [[1,1,0],[1,2,1],[0,1,2]] has eigenvalues (2 cos(k pi/7))^2, k = 1, 2, 3,
+    # so s = -2 log(2 cos(3 pi/7)). Both as their homology tasks see them.
+    repo = Path(__file__).resolve().parents[1]
+    with mpmath.workdps(40):
+        closed = {
+            "configs/catmap.json": mpmath.log((3 + mpmath.sqrt(5)) / 2),
+            "perfbench/inputs/n3_metric_lift.json":
+                -2 * mpmath.log(2 * mpmath.cos(3 * mpmath.pi / 7)),
+        }
+        for path, s in closed.items():
+            i_mat = load_config(repo / path).build_map().homology_matrix
+            assert abs(A.s_value(i_mat) - s) <= 2e-15, path
+
+
 def test_is_periodic_examples():
     assert A.is_periodic(A.identity_matrix(2)) == (True, 1)
     assert A.is_periodic(((0, -1), (1, 0))) == (True, 4)
@@ -113,21 +190,23 @@ def test_a_block_examples():
 # ---------------------------------------------------------------------------
 
 def test_abelian_bar_s_examples():
-    assert A.abelian_bar_s(A.identity_matrix(2), [(1, 0)], 40) == pytest.approx(0.0, abs=1e-9)
-    assert A.abelian_bar_s(CAT, [(1, 0)], 40) == pytest.approx(CAT_S, abs=1e-3)
-    assert A.abelian_bar_s(((1, 1), (0, 1)), [(0, 1)], 60) == pytest.approx(0.0, abs=0.05)
+    assert abelian_rate(A.identity_matrix(2), [(1, 0)], 40) == pytest.approx(0.0, abs=1e-9)
+    assert abelian_rate(CAT, [(1, 0)], 40) == pytest.approx(CAT_S, abs=1e-3)
+    assert abelian_rate(((1, 1), (0, 1)), [(0, 1)], 60) == pytest.approx(0.0, abs=0.05)
 
 
 def test_abelian_bar_s_big_integers():
     # 200 iterations of the cat map overflow any fixed-width integer type.
-    assert A.abelian_bar_s(CAT, [(1, 0)], 200) == pytest.approx(CAT_S, abs=1e-6)
+    assert abelian_rate(CAT, [(1, 0)], 200) == pytest.approx(CAT_S, abs=1e-6)
 
 
 def test_abelian_bar_s_errors():
-    with pytest.raises(A.AlgebraError):
-        A.abelian_bar_s(CAT, [(1, 0)], 5)
+    # Fewer than 10 iterates is a config error, through TASK_PARAMS.
+    task = {"task": "growth", "matrix": [list(r) for r in CAT], "classes": [[1, 0]], "N": 9}
+    with pytest.raises(ConfigError, match="growth N must be an integer >= 10"):
+        validate_config({"tasks": [task]})
     with pytest.raises(A.AlgebraError, match="trivial"):
-        A.abelian_bar_s(CAT, [(0, 0)], 40)
+        A.abelian_lengths(CAT, (0, 0), 40)
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +388,27 @@ def test_free_words_generator_limit():
             A.free_reduce(bad)
 
 
+def free_rate(sigma, word, n_steps):
+    """The growth task's free rate, at its default cap."""
+    return A.length_growth_rate(A.free_lengths(sigma, A.parse_word(word), n_steps, 10**6))
+
+
 def test_free_growth_fibonacci():
     sigma = A.FreeAutomorphism.from_strings(["ab", "a"])
-    rate = A.free_growth(sigma, A.parse_word("a"), 25)
-    assert rate == pytest.approx(math.log(GOLDEN), abs=1e-3)
+    assert free_rate(sigma, "a", 25) == pytest.approx(math.log(GOLDEN), abs=1e-3)
 
 
 def test_free_growth_swap_and_identity():
     swap = A.FreeAutomorphism.from_strings(["b", "a"])
-    assert A.free_growth(swap, A.parse_word("ab"), 10) == pytest.approx(0.0, abs=1e-9)
+    assert free_rate(swap, "ab", 10) == pytest.approx(0.0, abs=1e-9)
     ident = A.FreeAutomorphism.from_strings(["a", "b"])
-    assert A.free_growth(ident, A.parse_word("a"), 10) == pytest.approx(0.0, abs=1e-9)
+    assert free_rate(ident, "a", 10) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_free_growth_trivial_class_error():
     sigma = A.FreeAutomorphism.from_strings(["ab", "a"])
     with pytest.raises(A.AlgebraError, match="trivial"):
-        A.free_growth(sigma, A.parse_word("abBA"), 10)
+        free_rate(sigma, "abBA", 10)
 
 
 def test_free_rules_and_words_must_be_strings_in_a_list():

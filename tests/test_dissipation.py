@@ -488,7 +488,8 @@ def test_chi_homogeneity_under_powers():
     grid = D.GridSpec(3, 64)
     f = cat_map()
     chi1 = D.chi_estimate(D.r_sequence(f, RoundForm(), 14, grid)).chi_hat
-    chi2 = D.chi_estimate(D.r_sequence(f.power(2), RoundForm(), 14, grid)).chi_hat
+    f2 = make_composite(list(f.primitives) * 2, n=f.n)
+    chi2 = D.chi_estimate(D.r_sequence(f2, RoundForm(), 14, grid)).chi_hat
     assert chi2 == pytest.approx(2 * chi1, rel=0.05)
 
 

@@ -98,6 +98,23 @@ def test_jet_values_are_the_plain_values_bit_for_bit(rng):
     assert np.array_equal(jval(f(*seed_jets([x, y]))), plain)
 
 
+def test_an_array_on_the_left_of_a_jet_gives_one_batched_jet(rng):
+    # numpy defers to the jet's reflected method instead of building an
+    # object array of jets; the result is the one with the jet on the left.
+    y, x0 = rng.uniform(0.5, 3.0, size=(2, 100))
+    x = seed_jets([x0])[0]
+    zero = Jet(y, np.zeros_like(x.partials))  # y as a jet with no partials
+    for got, want in (
+        (jcos(y) * jsin(x), jsin(x) * jcos(y)),
+        (y - x, -(x - y)),
+        (y / x, zero / x),
+    ):
+        assert isinstance(got, Jet) and isinstance(got.value, np.ndarray)
+        assert got.value.dtype == float and got.partials.shape == (1, 100)
+        assert np.array_equal(got.value, want.value)
+        np.testing.assert_allclose(got.partials, want.partials, rtol=1e-15, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # Forms
 # ---------------------------------------------------------------------------

@@ -28,10 +28,8 @@ from contactlab.maps import (
     ReebTranslation,
     Shear,
     _composite_chart_phi,
-    build_hamiltonian,
     build_primitive,
     chart_jacobian_batch,
-    homology_action,
     identity_map,
     make_composite,
 )
@@ -90,22 +88,22 @@ def test_primitive_inverse_roundtrip(rng, n):
 
 
 def test_homology_matrices_of_the_catalog():
-    assert homology_action(make_composite([Shear(0)])) == (
+    assert make_composite([Shear(0)]).homology_matrix == (
         (1, -1, 0),
         (0, 1, 0),
         (0, 0, 1),
     )
-    assert homology_action(make_composite([Shear(1)])) == (
+    assert make_composite([Shear(1)]).homology_matrix == (
         (1, 0, -1),
         (0, 1, 0),
         (0, 0, 1),
     )
     lift = make_composite([CanonicalLift(CAT)])
     minv_t = A.mat_transpose(A.mat_inverse(A.as_matrix(CAT)))
-    assert A.a_block(homology_action(lift))[0] == minv_t
-    assert homology_action(make_composite([ReebTranslation(0.3)])) == A.identity_matrix(3)
+    assert A.a_block(lift.homology_matrix)[0] == minv_t
+    assert make_composite([ReebTranslation(0.3)]).homology_matrix == A.identity_matrix(3)
     lift3 = make_composite([CanonicalLift([[2, 1, 0], [1, 1, 0], [0, 0, 1]])])
-    assert homology_action(lift3) == A.mat_transpose(
+    assert lift3.homology_matrix == A.mat_transpose(
         A.mat_inverse(A.as_matrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]]))
     )
 
@@ -129,10 +127,14 @@ def test_composite_dimension_mismatch():
 
 def test_power_and_identity():
     f = make_composite([CanonicalLift(CAT)])
-    f2 = f.power(2)
-    assert f2.homology_matrix == A.mat_mul(f.homology_matrix, f.homology_matrix)
-    assert f.power(0).homology_matrix == A.identity_matrix(3)
-    assert f.power(-1).homology_matrix == A.mat_inverse(f.homology_matrix)
+
+    def power(k):  # f^k, composed from the primitives of f or of its inverse
+        base = f if k >= 0 else f.inverse()
+        return make_composite(list(base.primitives) * abs(k), n=f.n)
+
+    assert power(2).homology_matrix == A.mat_mul(f.homology_matrix, f.homology_matrix)
+    assert power(0).homology_matrix == A.identity_matrix(3)
+    assert power(-1).homology_matrix == A.mat_inverse(f.homology_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +459,11 @@ def test_primitive_and_hamiltonian_registries_roundtrip():
     assert {h.describe()["kind"] for h in hamiltonians} == set(HAMILTONIANS)
     for prim, n in catalog:
         assert build_primitive(prim.describe(), n).describe() == prim.describe()
-    for ham in hamiltonians:
-        assert build_hamiltonian(ham.describe()).describe() == ham.describe()
+    for ham in hamiltonians:  # the build a contact_flow's hamiltonian goes through
+        rebuilt = build(ham.describe(), HAMILTONIANS, "hamiltonian", MapError)
+        assert rebuilt.describe() == ham.describe()
     with pytest.raises(MapError, match="unknown hamiltonian"):
-        build_hamiltonian({"kind": "foo"})
+        build_primitive({"kind": "contact_flow", "hamiltonian": {"kind": "foo"}, "t": 0.5}, 2)
 
 
 REGISTRIES = {
@@ -754,4 +757,6 @@ def test_composite_base_action_holds(rng, prims):
 
 def test_momentum_hamiltonian_rejects_a_string():
     with pytest.raises(MapError, match="list"):
-        build_hamiltonian({"kind": "momentum", "c": "12"})
+        build_primitive(
+            {"kind": "contact_flow", "hamiltonian": {"kind": "momentum", "c": "12"}, "t": 0.5}, 2
+        )

@@ -301,6 +301,7 @@ BAD_CONFIGS = {
     "map_not_list": dict(MINIMAL, map={"kind": "shear_a"}),
     "form_not_object": dict(MINIMAL, form="round"),
     "growth_text_N": dict(MINIMAL, tasks=[{"task": "growth", "N": "abc"}]),
+    "growth_abelian_short_N": dict(MINIMAL, tasks=[{"task": "growth", "N": 9}]),
     "growth_free_short_N": dict(
         MINIMAL, tasks=[{"task": "growth", "mode": "free", "rules": ["ab", "a"], "word": "a", "N": 4}]
     ),
@@ -406,9 +407,16 @@ NUMBER_FIELD_CASES = {
 }
 BAD_CONFIGS.update({name: data for name, (data, _) in NUMBER_FIELD_CASES.items()})
 
-# Configs that once validated and then failed at run time (exit 3), with the
-# text their config error must carry.
+# Configs that once validated and then failed at run time (exit 3; a negative
+# seed and a NUL in out_dir ended in a traceback) or wrote elsewhere (a null or
+# numeric out_dir into a directory named after it, an empty one into the
+# working directory), with the text their config error must carry.
 RUN_TIME_CASES = {
+    "seed_negative": (dict(MINIMAL, seed=-1), "seed: must be a non-negative integer, got -1"),
+    "out_dir_null": (dict(MINIMAL, out_dir=None), "out_dir: must be a non-empty path string"),
+    "out_dir_number": (dict(MINIMAL, out_dir=5), "out_dir: must be a non-empty path string"),
+    "out_dir_empty": (dict(MINIMAL, out_dir=""), "out_dir: must be a non-empty path string"),
+    "out_dir_nul": (dict(MINIMAL, out_dir="out\0"), "out_dir: must be a non-empty path string"),
     "grid_small_fiber_res": (
         dict(MINIMAL, grid={"q_res": 4, "fiber_res": 3}), "grid: q_res must be a positive integer"
     ),
@@ -747,10 +755,12 @@ def test_growth_rates_match_the_library(tmp_path):
     ]
     doc = run(validate_config(dict(MINIMAL, tasks=tasks)), out_dir=tmp_path)
     abelian, free = doc["results"]["growth"], doc["results"]["growth_1"]
-    assert abelian["rate"] == A.abelian_bar_s(cat, [(1, 0), (1, 1)], 40)
+    assert abelian["rate"] == A.length_growth_rate(
+        *(A.abelian_lengths(cat, g, 40) for g in [(1, 0), (1, 1)])
+    )
     fib = A.FreeAutomorphism.from_strings(sigma["rules"])
-    assert free["rate"] == A.free_growth(fib, A.parse_word("a"), 25)
     lengths = A.free_lengths(fib, A.parse_word("a"), 25, 10**6)
+    assert free["rate"] == A.length_growth_rate(lengths)
     assert free["series"] == [[k, math.log(x)] for k, x in enumerate(lengths)]
 
 
@@ -962,4 +972,12 @@ def test_run_any_json_exits_0_to_3(data):
 def test_run_bundled_config_with_a_changed_task_parameter_exits_0_to_3(config, index, key, value):
     data = json.loads(config.read_text())
     data["tasks"][index % len(data["tasks"])][key] = value
+    assert run_exit(data) in (0, 1, 2, 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(JSON_VALUES)
+def test_run_identity_config_with_any_seed_exits_0_to_3(seed):
+    data = json.loads((REPO / "configs" / "identity.json").read_text())
+    data["seed"] = seed
     assert run_exit(data) in (0, 1, 2, 3)

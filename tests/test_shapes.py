@@ -5,6 +5,7 @@ import pytest
 
 from contactlab import algebra as A
 from contactlab import shapes as S
+from contactlab.report import ConfigError, validate_config
 from contactlab.geometry import (
     ConstantForm,
     MetricForm,
@@ -15,7 +16,7 @@ from contactlab.geometry import (
     q_lattice,
 )
 
-from conftest import CountingForm, sample_hyperbolic_lattice_matrices
+from conftest import CountingForm, displacement_rate, sample_hyperbolic_lattice_matrices
 
 CAT = ((2, 1), (1, 1))
 CAT3 = ((1, 1, 0), (1, 2, 1), (0, 1, 2))
@@ -271,13 +272,13 @@ def test_equivariance_of_linear_lifts():
 
 def test_displacement_identity_and_rotation(dirs2):
     ball = S.ball(dirs2)
-    assert S.displacement_estimate(A.identity_matrix(2), ball, 10) == 0.0
+    assert displacement_rate(A.identity_matrix(2), ball, 10) == 0.0
     rot = ((0, -1), (1, 0))
-    assert S.displacement_estimate(rot, ball, 12) == pytest.approx(0.0, abs=1e-9)
+    assert displacement_rate(rot, ball, 12) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_displacement_cat_map(dirs2):
-    val = S.displacement_estimate(CAT, S.ball(dirs2), 20)
+    val = displacement_rate(CAT, S.ball(dirs2), 20)
     assert val == pytest.approx(A.s_value(CAT), abs=1e-2)
 
 
@@ -285,7 +286,7 @@ def test_displacement_matches_spectrum_random(rng, dirs2):
     dirs3 = S.direction_grid(3)
     for dim, dirs in ((2, dirs2), (3, dirs3)):
         for m in sample_hyperbolic_lattice_matrices(rng, dim, 5):
-            val = S.displacement_estimate(m, S.ball(dirs), 20)
+            val = displacement_rate(m, S.ball(dirs), 20)
             assert val == pytest.approx(A.s_value(m), abs=1e-2)
 
 
@@ -313,9 +314,12 @@ def test_act_takes_the_inverse_it_is_given(rng):
     assert np.array_equal(given.rho, S.act(m, a).rho)
 
 
-def test_displacement_needs_enough_iterates(dirs2):
-    with pytest.raises(S.ShapeError):
-        S.displacement_estimate(CAT, S.ball(dirs2), 4)
+def test_displacement_needs_enough_iterates():
+    # Fewer than 8 iterates is a config error, through TASK_PARAMS.
+    task = {"task": "displacement", "matrix": [list(r) for r in CAT], "k_max": 7}
+    with pytest.raises(ConfigError, match="displacement k_max must be an integer >= 8"):
+        validate_config({"tasks": [task]})
+    validate_config({"tasks": [dict(task, k_max=8)]})
 
 
 # ---------------------------------------------------------------------------
