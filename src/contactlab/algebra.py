@@ -1,8 +1,12 @@
 """Exact integer-matrix spectral invariants and word growth in groups.
 
 Matrices are tuples of tuples of Python ints so that characteristic
-polynomials, inverses and powers stay exact; eigenvalue moduli go through a
-square-free split followed by ``np.roots`` on each square-free factor.
+polynomials, inverses and powers stay exact. Spectra are asked only of
+unimodular matrices of size <= 3 (I_f on H^1 = Z^3, its 2x2 base block). A
+repeated root of their characteristic polynomial p has a minimal polynomial
+whose square divides p, so of degree 1: the root is an integer dividing
+det = +-1. Eigenvalue moduli divide 1 and -1 out of p before ``np.roots``;
+periodicity tries the powers up to the largest finite order in GL(k, Z).
 Also the number checks for config values: ``is_int``, ``is_real``, ``as_ints``.
 """
 from __future__ import annotations
@@ -10,8 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -146,11 +149,11 @@ def trace(a: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomials (coefficient lists, highest degree first)
+# Spectral invariants
 # ---------------------------------------------------------------------------
 
 def charpoly(a: IntMatrix) -> list[int]:
-    """Monic characteristic polynomial via the Faddeev-LeVerrier recursion."""
+    """Monic characteristic polynomial, highest degree first (Faddeev-LeVerrier)."""
     k = len(a)
     coeffs = [1]
     m = identity_matrix(k)
@@ -167,86 +170,35 @@ def charpoly(a: IntMatrix) -> list[int]:
     return coeffs
 
 
-def poly_deriv(p: list) -> list:
-    n = len(p) - 1
-    return [c * (n - i) for i, c in enumerate(p[:-1])] or [0]
-
-
-def poly_divmod(p: list, q: list):
-    """Division over the rationals; exact Fractions throughout."""
-    p = [Fraction(c) for c in p]
-    q = [Fraction(c) for c in q]
-    if all(c == 0 for c in q):
-        raise ZeroDivisionError("polynomial division by zero")
-    out = []
-    while len(p) >= len(q) and any(c != 0 for c in p):
-        factor = p[0] / q[0]
-        out.append(factor)
-        for i, c in enumerate(q):
-            p[i] -= factor * c
-        p.pop(0)
-    return out or [Fraction(0)], p or [Fraction(0)]
-
-
-def poly_div_exact_int(p: list[int], q: list[int]) -> list[int] | None:
-    """Quotient if q divides p exactly over the integers, else None."""
-    quo, rem = poly_divmod(p, q)
-    if any(c != 0 for c in rem):
-        return None
-    if any(c.denominator != 1 for c in quo):
-        return None
-    return [int(c) for c in quo]
-
-
-def _poly_gcd(p: list, q: list) -> list:
-    """Monic gcd over the rationals, returned as primitive integer coeffs."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
-    while any(c != 0 for c in b):
-        _, r = poly_divmod(a, b)
-        while len(r) > 1 and r[0] == 0:
-            r.pop(0)
-        a, b = b, r if any(c != 0 for c in r) else [Fraction(0)]
-    lead = a[0]
-    monic = [c / lead for c in a]
-    denom = math.lcm(*(c.denominator for c in monic))
-    ints = [int(c * denom) for c in monic]
-    g = math.gcd(*(abs(c) for c in ints)) or 1
-    return [c // g for c in ints]
-
-
-def squarefree_factors(p: list[int]) -> list[tuple[list[int], int]]:
-    """p = prod f_i^i with f_i square-free and pairwise coprime."""
-    factors = []
-    a = list(p)
-    i = 1
-    while len(a) > 1:
-        g = _poly_gcd(a, poly_deriv(a))
-        if len(g) == 1:
-            factors.append((a, i))
-            break
-        b = poly_div_exact_int(a, g)
-        c = _poly_gcd(b, g)
-        f = poly_div_exact_int(b, c)
-        if f is None or b is None:
-            raise AlgebraError("square-free decomposition failed")
-        if len(f) > 1:
-            factors.append((f, i))
-        a = g
-        i += 1
-    return factors
-
-
-# ---------------------------------------------------------------------------
-# Spectral invariants
-# ---------------------------------------------------------------------------
-
 def eigen_moduli(m: IntMatrix) -> list[float]:
-    """Sorted moduli of all complex eigenvalues, with multiplicity."""
-    moduli = []
-    for factor, mult in squarefree_factors(charpoly(as_matrix(m))):
-        moduli.extend(float(abs(root)) for root in np.roots(factor) for _ in range(mult))
-    return sorted(moduli)
+    """Sorted moduli of all complex eigenvalues, with multiplicity, of a
+    unimodular matrix of size at most 3. Synthetic division takes the only
+    possible repeated roots, 1 and -1, out of the characteristic polynomial;
+    the factors of each multiplicity then go to ``np.roots`` together."""
+    m = as_matrix(m)
+    p = charpoly(m)
+    if len(m) > 3 or abs(p[-1]) != 1:
+        raise AlgebraError(f"eigenvalue moduli need a unimodular matrix of size at most 3, got {m}")
+    mult = {1: 0, -1: 0}
+    for e in mult:
+        while not (divided := _horner(p, e))[-1]:
+            p = divided[:-1]
+            mult[e] += 1
+    groups = {1: p}  # multiplicity -> product of the factors of that multiplicity
+    for e, k in mult.items():
+        if k:
+            f = groups.get(k, [1])
+            groups[k] = [a - e * b for a, b in zip(f + [0], [0] + f)]  # f * (t - e)
+    roots = [(np.roots(f), k) for k, f in groups.items() if len(f) > 1]
+    return sorted(float(abs(root)) for rs, k in roots for root in rs for _ in range(k))
+
+
+def _horner(p: list[int], x: int) -> list[int]:
+    """Synthetic division of p by (t - x): the quotient, then p(x)."""
+    out = [p[0]]
+    for c in p[1:]:
+        out.append(c + x * out[-1])
+    return out
 
 
 def s_value(m: IntMatrix) -> float:
@@ -254,60 +206,23 @@ def s_value(m: IntMatrix) -> float:
     return max(abs(math.log(r)) for r in eigen_moduli(m))
 
 
-@lru_cache(maxsize=None)
-def cyclotomic(d: int) -> tuple[int, ...]:
-    """Coefficients of the d-th cyclotomic polynomial."""
-    p = [1] + [0] * (d - 1) + [-1]  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            q = poly_div_exact_int(p, list(cyclotomic(e)))
-            if q is None:
-                raise AlgebraError("cyclotomic recursion failed")
-            p = q
-    return tuple(p)
-
-
-def _euler_phi(d: int) -> int:
-    return len(cyclotomic(d)) - 1
+# Largest order of a finite-order element of GL(k, Z), k = 1..6 (OEIS A005417).
+MAX_ORDER = (2, 6, 6, 12, 12, 30)
 
 
 def is_periodic(m: IntMatrix) -> tuple[bool, int | None]:
-    """Whether some power of the matrix is the identity, and its order.
-
-    Trial-divides the characteristic polynomial by cyclotomic polynomials;
-    a direct power check then also catches non-semisimple unipotent parts.
-    """
+    """Whether some power of the matrix is the identity, and its order: the
+    first power up to ``MAX_ORDER`` that is the identity."""
     m = as_matrix(m)
     if determinant(m) not in (1, -1):
         raise AlgebraError("periodicity test expects a unimodular matrix")
-    k = len(m)
-    p = charpoly(m)
-    orders = []
-    d = 1
-    while _candidates_remaining(d, k):
-        if _euler_phi(d) <= k:
-            while True:
-                q = poly_div_exact_int(p, list(cyclotomic(d)))
-                if q is None:
-                    break
-                p = q
-                orders.append(d)
-                if len(p) == 1:
-                    break
-        if len(p) == 1:
-            break
-        d += 1
-    if len(p) > 1:
-        return (False, None)
-    order = math.lcm(*orders) if orders else 1
-    if mat_pow(m, order) == identity_matrix(k):
-        return (True, order)
+    ident = identity_matrix(len(m))
+    power = m
+    for d in range(1, MAX_ORDER[len(m) - 1] + 1):
+        if power == ident:
+            return (True, d)
+        power = mat_mul(power, m)
     return (False, None)
-
-
-def _candidates_remaining(d: int, k: int) -> bool:
-    # phi(d) > k for all d > 2 k^2 + 1 comfortably; small bound for k <= 6
-    return d <= 4 * k * k + 2
 
 
 def a_block(i_mat: IntMatrix) -> tuple[IntMatrix, int, int]:

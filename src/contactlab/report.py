@@ -146,6 +146,8 @@ def validate_config(data: dict) -> ExperimentConfig:
             check_positive(form, n, sampled.q_res, sampled.fiber_res)
     except SPEC_ERRORS as exc:
         errors.append(f"form: {exc}")
+    except MemoryError:
+        errors.append("grid: too many points to sample in memory")
 
     map_spec = data.get("map", [])
     if not isinstance(map_spec, list):

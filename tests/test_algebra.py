@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -39,19 +40,6 @@ def test_charpoly_matches_numpy(rng):
         exact = A.charpoly(m)
         approx = np.poly(np.array(m, dtype=float))
         assert np.allclose(exact, approx, atol=1e-6 * max(1, np.abs(approx).max()))
-
-
-def test_squarefree_decomposition_recomposes():
-    # (t-1)^2 (t+2)
-    p = [1, 0, -3, 2]
-    factors = A.squarefree_factors(p)
-    recomposed = [1]
-    for f, mult in factors:
-        for _ in range(mult):
-            recomposed = np.polymul(recomposed, f)
-    lead = recomposed[0]
-    assert [c // lead for c in recomposed] == p
-    assert any(mult == 2 for _, mult in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +114,6 @@ def test_eigen_moduli_and_s_value_match_an_eigenvalue_oracle():
         (((0, -1), (1, 0)), [1, 1]),
         (((-1, 1, 0), (0, -1, 0), (0, 0, 1)), [1, 1, 1]),  # (t + 1)^2 (t - 1)
         (((1, 1, 0), (0, 1, 1), (0, 0, 1)), [1, 1, 1]),  # (t - 1)^3, one Jordan block
-        (((2, 1, 0), (0, 2, 0), (0, 0, 3)), [2, 2, 3]),  # (t - 2)^2 (t - 3)
-        # (t^2 - 3t + 1)^2: the cat map twice, a repeated hyperbolic factor
-        (
-            ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1)),
-            [GOLDEN**-2, GOLDEN**-2, GOLDEN**2, GOLDEN**2],
-        ),
     ],
 )
 def test_eigen_moduli_of_repeated_factors(m, moduli):
@@ -140,6 +122,20 @@ def test_eigen_moduli_of_repeated_factors(m, moduli):
         assert A.s_value(m) <= 1e-12
     else:
         assert abs(A.s_value(m) - max(abs(math.log(r)) for r in moduli)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        ((2, 1, 0), (0, 2, 0), (0, 0, 3)),  # (t - 2)^2 (t - 3), det 12
+        ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1)),  # (t^2 - 3t + 1)^2, 4x4
+    ],
+)
+def test_eigen_moduli_and_s_value_reject_a_non_unimodular_or_4x4_matrix(m):
+    # Only there can a root other than 1 and -1 repeat.
+    for func in (A.eigen_moduli, A.s_value):
+        with pytest.raises(A.AlgebraError, match="unimodular matrix of size at most 3"):
+            func(m)
 
 
 def test_s_value_of_the_bundled_lifts_matches_the_closed_forms():
@@ -163,6 +159,47 @@ def test_is_periodic_examples():
     assert A.is_periodic(((0, -1), (1, 0))) == (True, 4)
     assert A.is_periodic(((1, 1), (0, 1))) == (False, None)
     assert A.is_periodic(CAT) == (False, None)
+
+
+def brute_force_orders(mats, limit: int = 60) -> list:
+    """The first d <= limit with m^d = I for each of the k x k mats (None if
+    none), from exact powers of the whole batch as Python ints."""
+    m = np.array(mats, dtype=object)
+    first = np.zeros(len(mats), dtype=int)
+    power = m
+    for d in range(1, limit + 1):
+        first[(power == np.eye(m.shape[1], dtype=int)).all(axis=(1, 2)) & (first == 0)] = d
+        power = power @ m
+    return [int(d) or None for d in first]
+
+
+@pytest.mark.parametrize("k, entries", [(2, range(-3, 4)), (3, (-1, 0, 1))])
+def test_is_periodic_matches_brute_force_powers(k, entries):
+    mats = [
+        tuple(tuple(e[k * i:k * i + k]) for i in range(k))
+        for e in itertools.product(entries, repeat=k * k)
+    ]
+    mats = [m for m in mats if A.determinant(m) in (1, -1)]
+    orders = brute_force_orders(mats)
+    assert {1, 2, 3, 4, 6, None} <= set(orders)
+    for m, order in zip(mats, orders):
+        assert A.is_periodic(m) == (order is not None, order), m
+
+
+def companion(p):
+    """Companion matrix of the monic p, coefficients highest degree first."""
+    k = len(p) - 1
+    return tuple(
+        tuple((1 if j == i - 1 else 0) if j < k - 1 else -p[k - i] for j in range(k))
+        for i in range(k)
+    )
+
+
+def test_is_periodic_reaches_the_largest_finite_orders():
+    assert A.is_periodic(companion([1, 0, -1, 0, 1])) == (True, 12)  # Phi_12
+    phi10, phi3 = companion([1, -1, 1, -1, 1]), companion([1, 1, 1])
+    block_sum = tuple(row + (0, 0) for row in phi10) + tuple((0,) * 4 + row for row in phi3)
+    assert A.is_periodic(block_sum) == (True, 30)
 
 
 def test_periodic_implies_zero_s():

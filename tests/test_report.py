@@ -432,6 +432,20 @@ RUN_TIME_CASES = {
         dict(MINIMAL, tasks=[{"task": "duality", "metric": [[1, 0], [0, 1]], "classes": [[0, 0]]}]),
         "duality: classes must be nonzero",
     ),
+    # Sizes past any 57-bit address space (142 and 710 PiB), which numpy
+    # refuses at once whatever the host's overcommit policy.
+    "grid_q_res_past_memory": (
+        dict(
+            MINIMAL,
+            form={"kind": "trig", "c0": 2.0, "terms": [{"amp": 0.5, "q_freq": [1, 0]}]},
+            grid={"q_res": 10**8, "fiber_res": 4},
+        ),
+        "grid: too many points to sample in memory",
+    ),
+    "grid_fiber_res_past_memory": (
+        dict(MINIMAL, grid={"q_res": 4, "fiber_res": 10**17}),
+        "grid: too many points to sample in memory",
+    ),
     "trig_negative_constant": (
         dict(MINIMAL, form={"kind": "trig", "c0": -1, "terms": []}, tasks=[{"task": "homology"}]),
         "form: profile of the trig form is not positive and finite",
