@@ -310,12 +310,6 @@ def parse_word(text: str) -> GroupWord:
     return tuple(out)
 
 
-def word_str(w: GroupWord) -> str:
-    return "".join(
-        chr(ord("a") + g - 1) if g > 0 else chr(ord("A") - g - 1) for g in w
-    )
-
-
 # The free-group kernel holds a word as bytes: generator g (at most 128) is code
 # 2(g-1) and its inverse 2(g-1)+1, so inverting a letter flips bit 0 (_FLIP).
 _FLIP = bytes(c ^ 1 for c in range(256))
@@ -351,10 +345,6 @@ def _cyclic(word: bytes) -> bytes:
     while 2 * k + 1 < len(word) and word[k] ^ 1 == word[-1 - k]:
         k += 1
     return word[k : len(word) - k]
-
-
-def free_reduce(w: Sequence[int]) -> GroupWord:
-    return _decode(_reduce(_encode(w)))
 
 
 def cyclic_reduce(w: Sequence[int]) -> GroupWord:

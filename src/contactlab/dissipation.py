@@ -60,7 +60,7 @@ def default_lyapunov_grid(n: int) -> GridSpec:
     return GridSpec(8, 64) if n == 2 else GridSpec(6, 96)
 
 
-def _orbit_starts(n: int, grid: GridSpec, axes: frozenset):
+def orbit_starts(n: int, grid: GridSpec, axes: frozenset):
     """Product grid over the base rows that are 0 on ``axes``, as (n, N) arrays."""
     rows = q_lattice(n, grid.q_res, frozenset(range(n)) - axes) / grid.q_res
     return grid_points(sphere_grid_array(n, grid.fiber_res), rows)
@@ -106,7 +106,7 @@ def r_sequence(
     grid = grid or default_grid(f.n)
     g = f.inverse()
     b, axes = g.base_action
-    u, q = _orbit_starts(f.n, grid, axes)
+    u, q = orbit_starts(f.n, grid, axes)
     # Integer lattice indices of the shifts t, 0 off the axes (only t = 0
     # when the form does not read q); step k reads the profile at B^k t.
     idx = q_lattice(f.n, grid.q_res, read_axes(form, axes))
@@ -194,7 +194,7 @@ def lyapunov_estimate(
     if K < 8:
         raise DissipationError("need K >= 8")
     grid = grid or default_lyapunov_grid(f.n)
-    u, q = _orbit_starts(f.n, grid, f.base_action[1])
+    u, q = orbit_starts(f.n, grid, f.base_action[1])
     npts = u.shape[1]
     d = 2 * f.n - 1
     basis = np.broadcast_to(np.eye(d), (npts, d, d)).copy()

@@ -3,8 +3,10 @@
 A point of the contact-element space is a unit fiber direction u and a base
 point q, both held as (n, N) component arrays: every call takes a batch,
 and a single point is a batch of one.  Provides the contact-form catalog,
-the grids, the fiber-sphere charts and the forward-mode jet arithmetic that
-the map catalog and the dissipation machinery differentiate through.
+the grids, the fiber-sphere charts and the forward-mode jets.  A ``Jet``
+passes through the numpy ufuncs of one rule table (any other raises
+TypeError), so forms, charts and maps are written in plain numpy and the
+map catalog and the dissipation machinery differentiate through them.
 Everything here is a pure function over immutable values.  Forms,
 primitives and Hamiltonians come from JSON descriptors through ``build``:
 a kind's constructor signature is its one field table.
@@ -61,106 +63,99 @@ class Jet:
 
     ``value`` may be a float or an ndarray (batched evaluation); ``partials``
     carries one leading axis per seeded input variable and broadcasts against
-    ``value``.  Arithmetic follows the exact chain and product rules, and
-    ``value`` holds the bits the same arithmetic on plain values gives (a
-    quotient's value is a true division, not a product with a reciprocal).
+    ``value``.  The numpy ufuncs in ``_RULES`` and the operators + - * / take
+    jets through one rule each, the exact chain and product rules; any other
+    ufunc, a ufunc method such as ``reduce`` or a keyword such as ``out=``
+    raises TypeError.  ``value`` holds the bits the same arithmetic on plain
+    values gives (a quotient's value is a true division, not a product with
+    a reciprocal).
     """
 
     __slots__ = ("value", "partials")
-    __array_ufunc__ = None  # ndarray <op> jet defers to the jet: one batched jet
 
     def __init__(self, value, partials):
         self.value = value
-        self.partials = np.asarray(partials, dtype=float)
+        self.partials = partials
 
     def __repr__(self):
         return f"Jet({self.value!r}, {self.partials!r})"
 
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.value + other.value, self.partials + other.partials)
-        return Jet(self.value + other, self.partials)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.value, -self.partials)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.value - other.value, self.partials - other.partials)
-        return Jet(self.value - other, self.partials)
-
-    def __rsub__(self, other):
-        return Jet(other - self.value, -self.partials)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return Jet(
-                self.value * other.value,
-                self.value * other.partials + other.value * self.partials,
-            )
-        return Jet(self.value * other, self.partials * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            inv = 1.0 / other.value
-            return Jet(
-                self.value / other.value,
-                (self.partials - (self.value * inv) * other.partials) * inv,
-            )
-        return Jet(self.value / other, self.partials / other)
-
-    def __rtruediv__(self, other):
-        inv = 1.0 / self.value
-        return Jet(other / self.value, -(other * inv * inv) * self.partials)
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        rule = _RULES.get(ufunc)
+        if rule is None or method != "__call__" or kwargs:
+            return NotImplemented
+        return rule(*inputs)
 
 
-def jval(x):
-    """Plain value of a jet or pass-through for non-jets."""
-    return x.value if isinstance(x, Jet) else x
+def _add(a, b):
+    if not isinstance(a, Jet):
+        a, b = b, a  # addition commutes bit for bit
+    if isinstance(b, Jet):
+        return Jet(a.value + b.value, a.partials + b.partials)
+    return Jet(a.value + b, a.partials)
 
 
-def jsin(x):
-    if isinstance(x, Jet):
-        return Jet(np.sin(x.value), np.cos(x.value) * x.partials)
-    return np.sin(x)
+def _subtract(a, b):
+    if not isinstance(a, Jet):
+        return Jet(a - b.value, -b.partials)
+    if isinstance(b, Jet):
+        return Jet(a.value - b.value, a.partials - b.partials)
+    return Jet(a.value - b, a.partials)
 
 
-def jcos(x):
-    if isinstance(x, Jet):
-        return Jet(np.cos(x.value), -np.sin(x.value) * x.partials)
-    return np.cos(x)
+def _multiply(a, b):
+    if not isinstance(a, Jet):
+        a, b = b, a  # multiplication commutes bit for bit
+    if isinstance(b, Jet):
+        return Jet(a.value * b.value, a.value * b.partials + b.value * a.partials)
+    return Jet(a.value * b, a.partials * b)
 
 
-def jsqrt(x):
-    if isinstance(x, Jet):
-        r = np.sqrt(x.value)
-        return Jet(r, x.partials / (2.0 * r))
-    return np.sqrt(x)
+def _true_divide(a, b):
+    if not isinstance(b, Jet):
+        return Jet(a.value / b, a.partials / b)
+    inv = 1.0 / b.value
+    if not isinstance(a, Jet):
+        return Jet(a / b.value, -(a * inv * inv) * b.partials)
+    return Jet(a.value / b.value, (a.partials - (a.value * inv) * b.partials) * inv)
 
 
-def jatan2(y, x):
-    if not isinstance(y, Jet) and not isinstance(x, Jet):
-        return np.arctan2(y, x)
+def _sqrt(x):
+    r = np.sqrt(x.value)
+    return Jet(r, x.partials / (2.0 * r))
+
+
+def _arctan2(y, x):
     yv, xv = jval(y), jval(x)
-    r2 = xv * xv + yv * yv
-    val = np.arctan2(yv, xv)
     num = 0.0
     if isinstance(y, Jet):
         num = num + xv * y.partials
     if isinstance(x, Jet):
         num = num - yv * x.partials
-    return Jet(val, num / r2)
+    return Jet(np.arctan2(yv, xv), num / (xv * xv + yv * yv))
 
 
-def jmod1(x):
-    """Reduce mod 1; the derivative of the sawtooth is 1 a.e."""
-    if isinstance(x, Jet):
-        return Jet(np.mod(x.value, 1.0), x.partials)
-    return np.mod(x, 1.0)
+# numpy ufunc -> its rule, from the raw operands (each a jet or a plain value)
+# to a Jet.  np.remainder differentiates its dividend only, as the sawtooth's
+# derivative is 1 a.e.: a jet modulus gets NotImplemented, so a TypeError.
+_RULES = {
+    np.add: _add, np.subtract: _subtract, np.multiply: _multiply, np.true_divide: _true_divide,
+    np.negative: lambda x: Jet(-x.value, -x.partials),
+    np.sin: lambda x: Jet(np.sin(x.value), np.cos(x.value) * x.partials),
+    np.cos: lambda x: Jet(np.cos(x.value), -np.sin(x.value) * x.partials),
+    np.sqrt: _sqrt, np.arctan2: _arctan2,
+    np.remainder: lambda x, m: (NotImplemented if isinstance(m, Jet)
+                                else Jet(np.mod(x.value, m), x.partials)),
+}
+for _op, _rule in (("add", _add), ("sub", _subtract), ("mul", _multiply), ("truediv", _true_divide)):
+    setattr(Jet, f"__{_op}__", _rule)
+    setattr(Jet, f"__r{_op}__", lambda self, other, rule=_rule: rule(other, self))
+Jet.__neg__ = _RULES[np.negative]
+
+
+def jval(x):
+    """Plain value of a jet or pass-through for non-jets."""
+    return x.value if isinstance(x, Jet) else x
 
 
 def jmatvec(m, v) -> list:
@@ -363,7 +358,7 @@ class TrigForm(ContactForm):
             for k, qi in zip(t.q_freq, q):
                 if k:
                     phase = phase + (TWO_PI * k) * qi
-            osc = jsin(phase) if t.use_sin else jcos(phase)
+            osc = np.sin(phase) if t.use_sin else np.cos(phase)
             term = t.amp * osc
             for pw, ui in zip(t.u_powers, u):
                 for _ in range(pw):
@@ -389,7 +384,7 @@ class MetricForm(ContactForm):
 
     def profile(self, u, q):
         w = jmatvec(self.g_inv, u)
-        return 1.0 / jsqrt(jsum([ui * wi for ui, wi in zip(u, w)]))
+        return 1.0 / np.sqrt(jsum([ui * wi for ui, wi in zip(u, w)]))
 
 
 class PullbackForm(ContactForm):
@@ -415,7 +410,7 @@ class PullbackForm(ContactForm):
 
     def profile(self, u, q):
         w = jmatvec(self.m_inv_t, u)
-        norm = jsqrt(jsum([wi * wi for wi in w]))
+        norm = np.sqrt(jsum([wi * wi for wi in w]))
         return self.base.profile([wi / norm for wi in w], jmatvec(self.matrix, q)) / norm
 
 
@@ -509,7 +504,7 @@ def chart_decode(n: int, chart: int, coords):
     if n == 2:
         theta = coords[0]
         a = TWO_PI * theta
-        return [jcos(a), jsin(a)], list(coords[1:])
+        return [np.cos(a), np.sin(a)], list(coords[1:])
     a, b = coords[0], coords[1]
     denom = 1.0 + a * a + b * b
     if chart == 0:
@@ -523,10 +518,10 @@ def chart_decode(n: int, chart: int, coords):
 def chart_encode(n: int, chart: int, u, q):
     """(u, q) -> chart coordinates; torus coordinates reduced mod 1."""
     if n == 2:
-        theta = jmod1(jatan2(u[1], u[0]) / TWO_PI)
-        return [theta] + [jmod1(qi) for qi in q]
+        theta = np.mod(np.arctan2(u[1], u[0]) / TWO_PI, 1.0)
+        return [theta] + [np.mod(qi, 1.0) for qi in q]
     if chart == 0:
         denom = 1.0 - u[2]
     else:
         denom = 1.0 + u[2]
-    return [u[0] / denom, u[1] / denom] + [jmod1(qi) for qi in q]
+    return [u[0] / denom, u[1] / denom] + [np.mod(qi, 1.0) for qi in q]

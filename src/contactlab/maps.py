@@ -6,10 +6,12 @@ form.  Every primitive also returns the log of its conformal factor for the
 round form in closed form, and ``ContactMap.apply_batch`` sums these along
 the composition; this is the factor the dissipation sequence accumulates.
 ``chart_jacobian_batch`` differentiates a map through the fiber charts with
-jets; it feeds the Lyapunov estimate, and the tests check the closed forms
-against it.  Every entry point takes (n, N) component arrays; a single
-point is a batch of one.  ``PRIMITIVES`` and ``HAMILTONIANS`` map each
-descriptor kind to its class, which ``geometry.build`` builds.
+jets, which pass through the plain numpy of every transform by numpy's ufunc
+protocol (``geometry.Jet``); it feeds the Lyapunov estimate, and the tests
+check the closed forms against it.  Every entry point takes (n, N) component
+arrays; a single point is a batch of one.  ``PRIMITIVES`` and
+``HAMILTONIANS`` map each descriptor kind to its class, which
+``geometry.build`` builds.
 
 Every primitive and Hamiltonian declares how it meets translations of the
 base in one attribute, ``base_action = (B, axes)``: B is an integer
@@ -37,12 +39,7 @@ from .geometry import (
     chart_decode,
     chart_dim,
     chart_encode,
-    jatan2,
-    jcos,
     jmatvec,
-    jmod1,
-    jsin,
-    jsqrt,
     jsum,
     jval,
     metric_matrix,
@@ -119,7 +116,7 @@ class CanonicalLift(Primitive):
 
     def transform(self, u, q):
         w = jmatvec(self._minv_t, u)
-        norm = jsqrt(jsum([wi * wi for wi in w]))
+        norm = np.sqrt(jsum([wi * wi for wi in w]))
         # (M^-T u / |M^-T u|) . d(Mq) = u . dq / |M^-T u|
         return [wi / norm for wi in w], jmatvec(self._m_float, q), -np.log(jval(norm))
 
@@ -156,15 +153,15 @@ class Shear(Primitive):
         self.kind = ("shear_a", "shear_b")[axis]
 
     def transform(self, u, q):
-        theta = jmod1(jatan2(u[1], u[0]) / TWO_PI)
+        theta = np.mod(np.arctan2(u[1], u[0]) / TWO_PI, 1.0)
         angle4 = (2.0 * TWO_PI) * theta
         inv4pi = 1.0 / (2.0 * TWO_PI)
         if self.axis == 0:
-            d1 = theta - jsin(angle4) * inv4pi
-            d2 = jcos(angle4) * inv4pi
+            d1 = theta - np.sin(angle4) * inv4pi
+            d2 = np.cos(angle4) * inv4pi
         else:
-            d1 = jcos(angle4) * inv4pi
-            d2 = theta + jsin(angle4) * inv4pi
+            d1 = np.cos(angle4) * inv4pi
+            d2 = theta + np.sin(angle4) * inv4pi
         s = float(self.power)
         return [u[0], u[1]], [q[0] + s * d1, q[1] + s * d2], 0.0
 
@@ -261,7 +258,7 @@ class MetricHamiltonian(Hamiltonian):
 
     def gradients(self, p, q):
         gp = jmatvec(self.g, p)
-        h = jsqrt(jsum([pi * gi for pi, gi in zip(p, gp)]))
+        h = np.sqrt(jsum([pi * gi for pi, gi in zip(p, gp)]))
         return [gi / h for gi in gp], [0.0] * self.n
 
     def rates(self, x, out):
@@ -290,11 +287,11 @@ class ModulatedNormHamiltonian(Hamiltonian):
         self.base_action = translations(self.n, frozenset(range(self.n)) - {self.axis})
 
     def gradients(self, p, q):
-        norm = jsqrt(jsum([pi * pi for pi in p]))
-        mod = 1.0 + self.eps * jcos(TWO_PI * q[self.axis])
+        norm = np.sqrt(jsum([pi * pi for pi in p]))
+        mod = 1.0 + self.eps * np.cos(TWO_PI * q[self.axis])
         dp = [pi / norm * mod for pi in p]
         dq = [0.0] * self.n
-        dq[self.axis] = -(TWO_PI * self.eps) * norm * jsin(TWO_PI * q[self.axis])
+        dq[self.axis] = -(TWO_PI * self.eps) * norm * np.sin(TWO_PI * q[self.axis])
         return dp, dq
 
     def rates(self, x, out):
@@ -386,7 +383,7 @@ class ContactFlow(Primitive):
             ]
             norm2 = jsum([pi * pi for pi in z[:n]])
             log_c = log_c - 0.5 * np.log(_checked_norm2(np.asarray(jval(norm2), dtype=float)))
-            inv = 1.0 / jsqrt(norm2)
+            inv = 1.0 / np.sqrt(norm2)
             z = [pi * inv for pi in z[:n]] + z[n:]
         return z[:n], z[n:], log_c
 

@@ -196,7 +196,7 @@ def validate_config(data: dict) -> ExperimentConfig:
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
+    config = ExperimentConfig(
         n=n,
         seed=int(seed),
         form_spec=form_spec,
@@ -209,6 +209,13 @@ def validate_config(data: dict) -> ExperimentConfig:
         out_dir=out_dir,
         raw=data,
     )
+    if any(task["task"] == "lyapunov" for task in tasks):
+        try:  # the chain starts lyapunov_estimate builds
+            dissipation.orbit_starts(n, config.lyap_grid or dissipation.default_lyapunov_grid(n),
+                                     config.build_map().base_action[1])
+        except MemoryError:
+            raise ConfigError(["lyapunov_grid: too many points to sample in memory"]) from None
+    return config
 
 
 def _normalise_task(task, n: int, errors: list, label: str) -> dict:

@@ -45,15 +45,6 @@ class StarDomain:
     def n(self) -> int:
         return self.dirs.shape[1]
 
-    def contains(self, v: np.ndarray) -> bool:
-        """Nearest-direction membership test (conservative on the grid)."""
-        v = np.asarray(v, dtype=float)
-        r = float(np.linalg.norm(v))
-        if r == 0.0:
-            return True
-        idx = int(np.argmax(self.dirs @ (v / r)))
-        return r < float(self.rho[idx])
-
 
 def direction_grid(n: int, resolution: int | None = None) -> np.ndarray:
     if resolution is None:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from contactlab.dissipation import DissipationError
 from contactlab.geometry import (
+    _RULES,
     FORMS,
     ConstantForm,
     ContactForm,
@@ -23,12 +25,7 @@ from contactlab.geometry import (
     chart_encode,
     check_positive,
     grid_points,
-    jatan2,
-    jcos,
     jmatvec,
-    jmod1,
-    jsin,
-    jsqrt,
     jval,
     profile_values,
     q_lattice,
@@ -47,11 +44,50 @@ finite = st.floats(-10.0, 10.0, allow_nan=False)
 # Jets
 # ---------------------------------------------------------------------------
 
+# Every ufunc of the jet rule table, with a map from two draws to a point
+# inside its domain: denominators and sqrt arguments >= 0.5, and a dividend
+# of np.remainder at least 0.25 away from the jumps of the sawtooth.
+UFUNC_POINTS = {
+    np.add: lambda a, b: (a, b),
+    np.subtract: lambda a, b: (a, b),
+    np.multiply: lambda a, b: (a, b),
+    np.true_divide: lambda a, b: (a, abs(b) + 0.5),
+    np.arctan2: lambda a, b: (a, abs(b) + 0.5),
+    np.remainder: lambda a, b: (math.floor(a) + 0.25 + 0.5 * (a - math.floor(a)), 1.0),
+    np.negative: lambda a, b: (a,),
+    np.sin: lambda a, b: (a,),
+    np.cos: lambda a, b: (a,),
+    np.sqrt: lambda a, b: (abs(a) + 0.5,),
+}
+OPERATORS = {
+    np.add: operator.add, np.subtract: operator.sub, np.multiply: operator.mul,
+    np.true_divide: operator.truediv, np.negative: operator.neg,
+}
+
+
+def operand_kinds(point):
+    """The operands the protocol takes at a point: a jet for a unary ufunc;
+    for a binary one, jet with jet, jet with float, and a float, an ndarray
+    or a numpy scalar with a jet.  The jets are seeded at the point."""
+    jets = seed_jets(point)
+    if len(point) == 1:
+        return [tuple(jets)]
+    (x, y), (jx, jy) = point, jets
+    return [(jx, jy), (jx, y), (x, jy), (np.array([x]), jy), (np.float64(x), jy)]
+
+
+def central_difference(ufunc, point, i, h=1e-6):
+    up, down = list(point), list(point)
+    up[i] += h
+    down[i] -= h
+    return (ufunc(*up) - ufunc(*down)) / (2 * h)
+
+
 @settings(max_examples=50, deadline=None)
 @given(finite, finite)
 def test_jet_arithmetic_matches_finite_differences(a, b):
     def f(x, y):
-        return (x * y + 3.0) / (1.5 + x * x) - y + jsin(x) * jcos(y)
+        return (x * y + 3.0) / (1.5 + x * x) - y + np.sin(x) * np.cos(y)
 
     jx, jy = seed_jets([a, b])
     out = f(jx, jy)
@@ -61,13 +97,32 @@ def test_jet_arithmetic_matches_finite_differences(a, b):
     assert out.partials[0] == pytest.approx(dx, abs=1e-6, rel=1e-5)
     assert out.partials[1] == pytest.approx(dy, abs=1e-6, rel=1e-5)
 
+    # Each table ufunc, and its operator, on every operand kind: the plain
+    # arithmetic's bits, and partials by central differences (0 on a plain operand).
+    assert set(UFUNC_POINTS) == set(_RULES)
+    for ufunc, at in UFUNC_POINTS.items():
+        point = [float(v) for v in at(a, b)]
+        for ops in operand_kinds(point):
+            if ufunc is np.remainder and isinstance(ops[1], Jet):
+                continue  # a jet modulus raises; see the array test below
+            got = ufunc(*ops)
+            assert isinstance(got, Jet)
+            assert np.array_equal(got.value, ufunc(*map(jval, ops)))
+            for i, op in enumerate(ops):
+                want = central_difference(ufunc, point, i) if isinstance(op, Jet) else 0.0
+                assert got.partials[i] == pytest.approx(want, abs=1e-6, rel=1e-5)
+            if ufunc in OPERATORS:
+                by_operator = OPERATORS[ufunc](*ops)
+                assert np.array_equal(by_operator.value, got.value)
+                assert np.array_equal(by_operator.partials, got.partials)
+
 
 def test_jet_sqrt_and_atan2():
     (jx,) = seed_jets([4.0])
-    r = jsqrt(jx)
+    r = np.sqrt(jx)
     assert r.value == 2.0 and r.partials[0] == pytest.approx(0.25)
     jy, jx2 = seed_jets([1.0, 1.0])
-    t = jatan2(jy, jx2)
+    t = np.arctan2(jy, jx2)
     assert t.value == pytest.approx(math.pi / 4)
     assert t.partials[0] == pytest.approx(0.5)   # d atan2 / dy = x / r^2
     assert t.partials[1] == pytest.approx(-0.5)  # d atan2 / dx = -y / r^2
@@ -75,7 +130,7 @@ def test_jet_sqrt_and_atan2():
 
 def test_jet_mod1_keeps_derivative():
     (jx,) = seed_jets([1.75])
-    out = jmod1(jx)
+    out = np.mod(jx, 1.0)
     assert out.value == pytest.approx(0.75)
     assert out.partials[0] == 1.0
 
@@ -91,7 +146,7 @@ def test_jet_values_are_the_plain_values_bit_for_bit(rng):
     # Division included: a jet quotient's value is the plain quotient, not
     # a product with the reciprocal, so the flow's two paths share bits.
     def f(x, y):
-        return (0.7 / x + x * y - 2.0) / jsqrt(x * x + y * y) + jcos(y) * jsin(x) / y
+        return (0.7 / x + x * y - 2.0) / np.sqrt(x * x + y * y) + np.cos(y) * np.sin(x) / y
 
     x, y = rng.uniform(0.5, 3.0, size=(2, 1000))
     plain = f(x, y)
@@ -99,20 +154,34 @@ def test_jet_values_are_the_plain_values_bit_for_bit(rng):
 
 
 def test_an_array_on_the_left_of_a_jet_gives_one_batched_jet(rng):
-    # numpy defers to the jet's reflected method instead of building an
-    # object array of jets; the result is the one with the jet on the left.
+    # numpy hands the jet its ufunc rule instead of building an object array
+    # of jets; the result is the one with the jet on the left.
     y, x0 = rng.uniform(0.5, 3.0, size=(2, 100))
     x = seed_jets([x0])[0]
     zero = Jet(y, np.zeros_like(x.partials))  # y as a jet with no partials
     for got, want in (
-        (jcos(y) * jsin(x), jsin(x) * jcos(y)),
+        (np.cos(y) * np.sin(x), np.sin(x) * np.cos(y)),
         (y - x, -(x - y)),
         (y / x, zero / x),
+        *((ufunc(y, x), ufunc(zero, x)) for ufunc in (np.add, np.multiply, np.arctan2)),
     ):
         assert isinstance(got, Jet) and isinstance(got.value, np.ndarray)
         assert got.value.dtype == float and got.partials.shape == (1, 100)
         assert np.array_equal(got.value, want.value)
         np.testing.assert_allclose(got.partials, want.partials, rtol=1e-15, atol=0)
+
+    # Outside the table, a ufunc method, a keyword or a jet where its rule
+    # differentiates nothing: numpy raises TypeError.
+    for call in (
+        lambda: np.exp(x),
+        lambda: np.log(x),
+        lambda: np.add(x, 1.0, out=np.empty(100)),
+        lambda: np.add.reduce(x),
+        lambda: np.mod(1.0, x),
+        lambda: np.mod(x, x),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 # ---------------------------------------------------------------------------

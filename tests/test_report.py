@@ -24,6 +24,7 @@ from contactlab.report import (
     validate_config,
 )
 
+REPO = Path(__file__).resolve().parents[1]
 MINIMAL = {
     "dimension": 2,
     "seed": 0,
@@ -446,6 +447,18 @@ RUN_TIME_CASES = {
         dict(MINIMAL, grid={"q_res": 4, "fiber_res": 10**17}),
         "grid: too many points to sample in memory",
     ),
+    # The chain starts of a lyapunov task: 710 PiB of directions for the cat
+    # lift, and 16 TB of base rows along the modulated flow's own axis.
+    "lyapunov_grid_fiber_res_past_memory": (
+        dict(json.loads((REPO / "configs" / "catmap.json").read_text()),
+             lyapunov_grid={"q_res": 4, "fiber_res": 10**17}),
+        "lyapunov_grid: too many points to sample in memory",
+    ),
+    "lyapunov_grid_q_res_past_memory": (
+        dict(_flow({"kind": "modulated_norm", "eps": 0.1}), tasks=[{"task": "lyapunov", "K": 8}],
+             lyapunov_grid={"q_res": 10**12, "fiber_res": 4}),
+        "lyapunov_grid: too many points to sample in memory",
+    ),
     "trig_negative_constant": (
         dict(MINIMAL, form={"kind": "trig", "c0": -1, "terms": []}, tasks=[{"task": "homology"}]),
         "form: profile of the trig form is not positive and finite",
@@ -667,6 +680,15 @@ def test_bad_descriptor_is_named_by_validate_and_run(tmp_path, capsys, name):
     assert message in capsys.readouterr().err
 
 
+def test_lyapunov_grid_is_sampled_only_on_the_rows_the_chains_start_from(tmp_path):
+    # The cat lift covers every base axis, so its chains start from one base row.
+    data = dict(MINIMAL, map=[{"kind": "canonical_lift", "matrix": [[2, 1], [1, 1]]}],
+                tasks=[{"task": "lyapunov", "K": 8}], lyapunov_grid={"q_res": 10**12, "fiber_res": 8})
+    path = write_config(tmp_path, data)
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_nested_hamiltonian_takes_the_config_dimension():
     flow = {"kind": "contact_flow", "hamiltonian": {"kind": "modulated_norm", "eps": 0.1}, "t": 0.5}
     for n in (2, 3):
@@ -705,9 +727,6 @@ def test_every_unknown_key_is_reported():
 )
 def test_every_documented_task_key_validates(task):
     validate_config(dict(MINIMAL, tasks=[task]))
-
-
-REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
