@@ -153,10 +153,10 @@ def chi_estimate(r_series) -> ChiEstimate:
     return ChiEstimate(float(slope), float(r[-1] / k_total), rms / level)
 
 
-def classify(r_series, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> str:
-    """Growth-type verdict; never certifies ellipticity, only consistency."""
+def classify(r_series, est: ChiEstimate, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> str:
+    """Growth-type verdict from r and its ``chi_estimate``; never certifies
+    ellipticity, only consistency."""
     r = np.asarray(r_series, dtype=float)
-    est = chi_estimate(r)
     if est.chi_hat > thresholds.hyperbolic_floor and est.residual < thresholds.residual_frac:
         return "Hyperbolic"
     k_total = len(r)
@@ -235,7 +235,7 @@ def verify_bound(
     if r_series is None:
         r_series = r_sequence(f, form, K, grid)
     est = chi_estimate(r_series)
-    verdict = classify(r_series, thresholds)
+    verdict = classify(r_series, est, thresholds)
     contradiction = declared_conservative and verdict == "Hyperbolic"
     return {
         "s_target": s_target,

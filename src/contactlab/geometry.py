@@ -9,7 +9,8 @@ TypeError), so forms, charts and maps are written in plain numpy and the
 map catalog and the dissipation machinery differentiate through them.
 Everything here is a pure function over immutable values.  Forms,
 primitives and Hamiltonians come from JSON descriptors through ``build``:
-a kind's constructor signature is its one field table.
+a kind's constructor signature is its one field table; one that holds a
+matrix builds its ``matvec`` in ``__init__``, so no call reads it again.
 
 Every grid consumer takes its base points from ``q_lattice`` on the axes
 ``read_axes`` picks, its product grid from ``grid_points``, and reads the
@@ -158,16 +159,18 @@ def jval(x):
     return x.value if isinstance(x, Jet) else x
 
 
-def jmatvec(m, v) -> list:
-    """m @ v for a list v of jet-compatible components.
+def matvec(m):
+    """v -> m @ v for a list v of jet-compatible components; m is read here.
 
     Zero coefficients are skipped, 1 is not multiplied and rows are summed
     left to right from their first term: the bits of the written-out product.
-    A row holding one 1 returns that component itself, not to be changed.
+    A row holding one 1 returns that component itself, not to be changed;
+    an empty row gives 0.0.
     """
-    rows = np.asarray(m, dtype=float)
-    terms = [[vj if c == 1.0 else c * vj for c, vj in zip(row, v) if c != 0.0] for row in rows]
-    return [jsum(t) if t else 0.0 for t in terms]
+    rows = [[(j, None if c == 1.0 else c) for j, c in enumerate(row) if c != 0.0]
+            for row in np.asarray(m, dtype=float).tolist()]
+    return lambda v: [jsum([v[j] if c is None else c * v[j] for j, c in row]) if row else 0.0
+                      for row in rows]
 
 
 def jsum(terms: list):
@@ -379,11 +382,11 @@ class MetricForm(ContactForm):
 
     def __init__(self, g: np.ndarray):
         self.g = metric_matrix(g)
-        self.g_inv = np.linalg.inv(self.g)
         self.n = self.g.shape[0]
+        self._g_inv = matvec(np.linalg.inv(self.g))
 
     def profile(self, u, q):
-        w = jmatvec(self.g_inv, u)
+        w = self._g_inv(u)
         return 1.0 / np.sqrt(jsum([ui * wi for ui, wi in zip(u, w)]))
 
 
@@ -401,7 +404,8 @@ class PullbackForm(ContactForm):
         if determinant(m) not in (1, -1):
             raise GeometryError("lift matrix must be unimodular")
         self.matrix = np.array(m, dtype=int)
-        self.m_inv_t = np.linalg.inv(np.array(m, dtype=float)).T
+        self._m_inv_t = matvec(np.linalg.inv(np.array(m, dtype=float)).T)
+        self._m = matvec(self.matrix)
         self.base = base if isinstance(base, ContactForm) else build_at(
             "base", base, FORMS, "form", GeometryError
         )
@@ -409,9 +413,9 @@ class PullbackForm(ContactForm):
         self.q_free = self.base.q_free
 
     def profile(self, u, q):
-        w = jmatvec(self.m_inv_t, u)
+        w = self._m_inv_t(u)
         norm = np.sqrt(jsum([wi * wi for wi in w]))
-        return self.base.profile([wi / norm for wi in w], jmatvec(self.matrix, q)) / norm
+        return self.base.profile([wi / norm for wi in w], self._m(q)) / norm
 
 
 # Form kind -> (class, fixed arguments); ``describe()`` of a form round-trips.

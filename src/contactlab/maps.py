@@ -5,6 +5,8 @@ exact inverse and declares its integer action on first cohomology in closed
 form.  Every primitive also returns the log of its conformal factor for the
 round form in closed form, and ``ContactMap.apply_batch`` sums these along
 the composition; this is the factor the dissipation sequence accumulates.
+``apply_batch`` wraps q as q - floor(q), which is np.mod(q, 1.0) bit for bit
+without its fmod, and a map builds its inverse once, on the first call.
 ``chart_jacobian_batch`` differentiates a map through the fiber charts with
 jets, which pass through the plain numpy of every transform by numpy's ufunc
 protocol (``geometry.Jet``); it feeds the Lyapunov estimate, and the tests
@@ -24,6 +26,7 @@ until the identity is proved.  ``ContactMap.base_action`` composes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,9 +42,9 @@ from .geometry import (
     chart_decode,
     chart_dim,
     chart_encode,
-    jmatvec,
     jsum,
     jval,
+    matvec,
     metric_matrix,
     seed_jets,
     select_chart_batch,
@@ -109,16 +112,14 @@ class CanonicalLift(Primitive):
         self.matrix = m
         self.n = len(m)
         self.base_action = (np.array(m, dtype=int), frozenset(range(self.n)))
-        self._m_float = np.array(m, dtype=float)
-        self._minv_t = np.array(
-            algebra.mat_transpose(algebra.mat_inverse(m)), dtype=float
-        )
+        self._minv_t = matvec(algebra.mat_transpose(algebra.mat_inverse(m)))
+        self._m = matvec(m)
 
     def transform(self, u, q):
-        w = jmatvec(self._minv_t, u)
+        w = self._minv_t(u)
         norm = np.sqrt(jsum([wi * wi for wi in w]))
         # (M^-T u / |M^-T u|) . d(Mq) = u . dq / |M^-T u|
-        return [wi / norm for wi in w], jmatvec(self._m_float, q), -np.log(jval(norm))
+        return [wi / norm for wi in w], self._m(q), -np.log(jval(norm))
 
     def inverse(self):
         return CanonicalLift(algebra.mat_inverse(self.matrix))
@@ -255,15 +256,16 @@ class MetricHamiltonian(Hamiltonian):
         if self.n not in (2, 3):
             raise MapError("metric must be 2x2 or 3x3")
         self.base_action = translations(self.n)
+        self._g = matvec(self.g)
 
     def gradients(self, p, q):
-        gp = jmatvec(self.g, p)
+        gp = self._g(p)
         h = np.sqrt(jsum([pi * gi for pi, gi in zip(p, gp)]))
         return [gi / h for gi in gp], [0.0] * self.n
 
     def rates(self, x, out):
         p = x[:self.n]
-        gp = jmatvec(self.g, p)
+        gp = self._g(p)
         h = np.sqrt(jsum([pi * gi for pi, gi in zip(p, gp)]))
         for qdot, gi in zip(out[self.n:], gp):
             np.divide(gi, h, out=qdot)
@@ -450,9 +452,13 @@ class ContactMap:
         for i in range(self.n):
             u_out[i], q_out[i] = u[i], q[i]
         u_out /= np.sqrt((u_out * u_out).sum(axis=0))
-        return u_out, np.mod(q_out, 1.0, out=q_out), log_c
+        return u_out, np.subtract(q_out, np.floor(q_out), out=q_out), log_c
 
     def inverse(self) -> "ContactMap":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "ContactMap":  # built once per map
         prims = tuple(p.inverse() for p in reversed(self.primitives))
         return ContactMap(prims, self.n, algebra.mat_inverse(self.homology_matrix))
 

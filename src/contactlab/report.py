@@ -4,10 +4,15 @@ A config is a JSON document declaring a dimension, a contact form, a map as a
 list of primitive descriptors, and an ordered task list.  Runs are
 deterministic given the config (randomness flows from the single seed); every
 emitted number is reproducible from the config alone.
+
+Validation builds the form, each primitive and the grid each task samples;
+the config keeps the form and the composite map, and every ``run`` of it
+uses those two objects, so a map's inverse is built once per config.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, dissipation, shapes
+from . import algebra, dissipation, geometry, shapes
 from .algebra import is_int, is_real
 from .dissipation import GridSpec, Thresholds
 from .geometry import ContactForm, build_form, check_positive, metric_matrix
@@ -78,13 +83,8 @@ class ExperimentConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
     out_dir: str = "out"
     raw: dict = field(default_factory=dict)
-
-    def build_map(self) -> ContactMap:
-        prims = [build_primitive(p, self.n) for p in self.map_spec]
-        return make_composite(prims, n=self.n)
-
-    def build_form(self) -> ContactForm:
-        return build_form(self.form_spec)
+    form: ContactForm | None = field(default=None, compare=False, repr=False)
+    contact_map: ContactMap | None = field(default=None, compare=False, repr=False)
 
 
 def _parse_grid(data, errors, label) -> GridSpec | None:
@@ -153,16 +153,15 @@ def validate_config(data: dict) -> ExperimentConfig:
     if not isinstance(map_spec, list):
         errors.append("map: must be a list of primitive descriptors")
         map_spec = []
+    prims = []
     for i, prim_spec in enumerate(map_spec):
         try:
-            prim = build_primitive(prim_spec, n)
+            prims.append(build_primitive(prim_spec, n))
         except SPEC_ERRORS as exc:
             errors.append(f"map[{i}]: {exc}")
             continue
-        if prim.n != n:
-            errors.append(
-                f"map[{i}]: primitive has dimension {prim.n}, config declares {n}"
-            )
+        if prims[-1].n != n:
+            errors.append(f"map[{i}]: primitive has dimension {prims[-1].n}, config declares {n}")
 
     tasks = data.get("tasks", [])
     if not isinstance(tasks, list) or not tasks:
@@ -197,25 +196,39 @@ def validate_config(data: dict) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
     config = ExperimentConfig(
-        n=n,
-        seed=int(seed),
-        form_spec=form_spec,
-        map_spec=map_spec,
-        tasks=tasks,
-        conservative=conservative,
-        grid=grid,
-        lyap_grid=lyap_grid,
-        thresholds=Thresholds(**values),
-        out_dir=out_dir,
-        raw=data,
+        n=n, seed=int(seed), form_spec=form_spec, map_spec=map_spec, tasks=tasks,
+        conservative=conservative, grid=grid, lyap_grid=lyap_grid, thresholds=Thresholds(**values),
+        out_dir=out_dir, raw=data, form=form, contact_map=make_composite(prims, n=n),
     )
     if any(task["task"] == "lyapunov" for task in tasks):
         try:  # the chain starts lyapunov_estimate builds
             dissipation.orbit_starts(n, config.lyap_grid or dissipation.default_lyapunov_grid(n),
-                                     config.build_map().base_action[1])
+                                     config.contact_map.base_action[1])
         except MemoryError:
             raise ConfigError(["lyapunov_grid: too many points to sample in memory"]) from None
+    errors = [f"tasks[{i}]: {task['task']} grid: too many points to sample in memory"
+              for i, task in enumerate(tasks) if not _grid_fits(task, config)]
+    if errors:
+        raise ConfigError(errors)
     return config
+
+
+def _grid_fits(task: dict, config: ExperimentConfig) -> bool:
+    """Whether the grid a shape, displacement or duality task samples fits in
+    memory: it is built here, with the functions the task uses."""
+    name, n = task["task"], config.n
+    try:
+        if name == "shape":
+            qs = geometry.q_lattice(n, task["q_res"], geometry.read_axes(config.form, range(n)))
+            geometry.grid_points(shapes.direction_grid(n, task["dir_res"]), qs / task["q_res"])
+        elif name == "displacement":
+            i_mat = task["matrix"] or dissipation.cohomology_block(config.contact_map)[0]
+            shapes.direction_grid(len(i_mat), task["dir_res"])
+        elif name == "duality":
+            shapes.direction_grid(len(task["metric"]), task["dir_res"])
+    except MemoryError:
+        return False
+    return True
 
 
 def _normalise_task(task, n: int, errors: list, label: str) -> dict:
@@ -305,13 +318,11 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    f = config.build_map()
-    form = config.build_form()
+    f, form = config.contact_map, config.form
     grid = (config.grid or dissipation.default_grid(config.n)).refined(refine)
-    lyap_grid = (
-        config.lyap_grid or dissipation.default_lyapunov_grid(config.n)
-    ).refined(refine)
-    rng = np.random.default_rng(config.seed)
+    lyap_grid = (config.lyap_grid or dissipation.default_lyapunov_grid(config.n)).refined(refine)
+    # Built on first use: numpy.random's first generator adds about 5 MB of RSS.
+    rng = functools.cache(lambda: np.random.default_rng(config.seed))
 
     results: dict[str, dict] = {}
     all_pass = True
@@ -357,7 +368,7 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, artifact, cache
         K = task["K"]
         r = dissipation.r_sequence(f, form, K, grid)
         est = dissipation.chi_estimate(r)
-        verdict = dissipation.classify(r, config.thresholds)
+        verdict = dissipation.classify(r, est, config.thresholds)
         series = [[k + 1, float(v)] for k, v in enumerate(r)]
         _write_csv(artifact.with_suffix(".csv"), ["k", "r_k"], series)
         return {
@@ -440,28 +451,19 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, artifact, cache
 
     if name == "verify_bound":
         K = task["K"]
-        r_series = None
-        if cached_r is not None and cached_r[0] == K:
-            r_series = np.asarray(cached_r[1])
-        return dissipation.verify_bound(
-            f,
-            form,
-            K,
-            grid,
-            declared_conservative=config.conservative,
-            tol=task["tol"],
-            thresholds=config.thresholds,
-            r_series=r_series,
-        )
+        r_series = np.asarray(cached_r[1]) if cached_r is not None and cached_r[0] == K else None
+        return dissipation.verify_bound(f, form, K, grid, declared_conservative=config.conservative,
+                                        tol=task["tol"], thresholds=config.thresholds,
+                                        r_series=r_series)
 
     raise ValueError(f"unknown task {name!r}")
 
 
 def _sampled_classes(task: dict, k: int, count: int, rng):
-    """The task's classes, or ``count`` nonzero classes of length k from rng."""
+    """The task's classes, or ``count`` nonzero classes of length k from rng()."""
     if task["classes"]:
         return task["classes"]
-    classes = [tuple(int(c) for c in rng.integers(-3, 4, size=k)) for _ in range(count)]
+    classes = [tuple(int(c) for c in rng().integers(-3, 4, size=k)) for _ in range(count)]
     return [g if any(g) else (1,) + (0,) * (k - 1) for g in classes]
 
 

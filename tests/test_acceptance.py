@@ -111,7 +111,7 @@ def test_criterion_3_conservative_maps_never_hyperbolic():
         ]
         for f in conservative:
             r = D.r_sequence(f, RoundForm(), 12, grid)
-            verdict = D.classify(r)
+            verdict = D.classify(r, D.chi_estimate(r))
             assert verdict == "Elliptic-consistent", (f.describe(), verdict, r)
 
 

@@ -150,7 +150,7 @@ def test_s_value_of_the_bundled_lifts_matches_the_closed_forms():
                 -2 * mpmath.log(2 * mpmath.cos(3 * mpmath.pi / 7)),
         }
         for path, s in closed.items():
-            i_mat = load_config(repo / path).build_map().homology_matrix
+            i_mat = load_config(repo / path).contact_map.homology_matrix
             assert abs(A.s_value(i_mat) - s) <= 2e-15, path
 
 

@@ -475,13 +475,13 @@ def test_chi_estimate_needs_length():
 
 def test_classify_examples():
     cat_r = D.r_sequence(cat_map(), RoundForm(), 20, FAST)
-    assert D.classify(cat_r) == "Hyperbolic"
+    assert D.classify(cat_r, D.chi_estimate(cat_r)) == "Hyperbolic"
     ident_r = D.r_sequence(identity_map(2), RoundForm(), 10, FAST)
-    assert D.classify(ident_r) == "Elliptic-consistent"
+    assert D.classify(ident_r, D.chi_estimate(ident_r)) == "Elliptic-consistent"
     reeb_r = D.r_sequence(make_composite([ReebTranslation(0.3)]), RoundForm(), 10, FAST)
-    assert D.classify(reeb_r) == "Elliptic-consistent"
+    assert D.classify(reeb_r, D.chi_estimate(reeb_r)) == "Elliptic-consistent"
     noisy = [0.3 + 0.4 * ((-1) ** k) for k in range(1, 41)]
-    assert D.classify(noisy) == "Indeterminate"
+    assert D.classify(noisy, D.chi_estimate(noisy)) == "Indeterminate"
 
 
 def test_chi_homogeneity_under_powers():

@@ -258,6 +258,23 @@ def test_apply_batch_returns_fresh_arrays_and_leaves_its_inputs(rng, n):
         assert np.all((q2 >= 0.0) & (q2 < 1.0))
 
 
+def test_floor_wrap_is_np_mod_bit_for_bit(rng):
+    # apply_batch wraps q as q - floor(q), which must be np.mod(q, 1.0) bit
+    # for bit on this numpy: signed zeros, the smallest subnormal, a value
+    # whose wrap rounds to 1.0, the last float below 1, halves at 2^52,
+    # integers, NaN, and infinities (NaN both ways, each with the same
+    # "invalid value" warning).
+    edges = [0.0, 2.0**-1074, 1e-20, 1.0 - 2.0**-53, 2.0**52 - 0.5, 1.0, 2.0, 7.0, 2.0**60, np.inf]
+    edges = np.array(edges + [-e for e in edges] + [np.nan])
+    scales = 10.0 ** np.arange(-300, 301, 10)
+    draws = rng.uniform(-1.0, 1.0, size=(scales.size, 2000)) * scales[:, None]
+    for x in (edges, draws.ravel()):
+        with np.errstate(invalid="ignore"):
+            a, b = np.subtract(x, np.floor(x)), np.mod(x, 1.0)
+        same = ((a == b) & (np.signbit(a) == np.signbit(b))) | (np.isnan(a) & np.isnan(b))
+        assert same.all(), x[~same]
+
+
 def closed_form_gap(f, u, q):
     """max |closed-form log factor - log of the jet factor| for the round form."""
     _, _, log_c = f.apply_batch(u, q)

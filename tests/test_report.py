@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from contactlab import algebra as A
 from contactlab.cli import main
 from contactlab.geometry import FORMS, TrigTerm, descriptor_fields
-from contactlab.maps import HAMILTONIANS, PRIMITIVES
+from contactlab.maps import HAMILTONIANS, PRIMITIVES, CanonicalLift
 from contactlab.report import (
     TASK_NAMES,
     ConfigError,
@@ -459,6 +460,28 @@ RUN_TIME_CASES = {
              lyapunov_grid={"q_res": 10**12, "fiber_res": 4}),
         "lyapunov_grid: too many points to sample in memory",
     ),
+    # The grids the shape, displacement and duality tasks sample: 14.6 TiB of
+    # base lattice for a form reading q, and 728 TiB of directions.
+    "shape_q_res_past_memory": (
+        dict(
+            MINIMAL,
+            form={"kind": "trig", "c0": 2.0, "terms": [{"amp": 0.5, "q_freq": [1, 0]}]},
+            tasks=[{"task": "shape", "q_res": 10**6}],
+        ),
+        "tasks[0]: shape grid: too many points to sample in memory",
+    ),
+    "shape_dir_res_past_memory": (
+        dict(MINIMAL, tasks=[{"task": "shape", "dir_res": 10**14}]),
+        "tasks[0]: shape grid: too many points to sample in memory",
+    ),
+    "displacement_dir_res_past_memory": (
+        dict(MINIMAL, tasks=[{"task": "homology"}, {"task": "displacement", "dir_res": 10**14}]),
+        "tasks[1]: displacement grid: too many points to sample in memory",
+    ),
+    "duality_dir_res_past_memory": (
+        dict(MINIMAL, tasks=[{"task": "duality", "metric": [[1, 0], [0, 1]], "dir_res": 10**14}]),
+        "tasks[0]: duality grid: too many points to sample in memory",
+    ),
     "trig_negative_constant": (
         dict(MINIMAL, form={"kind": "trig", "c0": -1, "terms": []}, tasks=[{"task": "homology"}]),
         "form: profile of the trig form is not positive and finite",
@@ -689,11 +712,35 @@ def test_lyapunov_grid_is_sampled_only_on_the_rows_the_chains_start_from(tmp_pat
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_shape_of_a_q_free_form_reads_one_base_point(tmp_path):
+    # A million base points per axis, but the round form is read at q = 0.
+    path = write_config(tmp_path, dict(MINIMAL, tasks=[{"task": "shape", "q_res": 10**6}]))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_lift_is_built_at_validation_and_inverted_once(tmp_path, monkeypatch):
+    built = []
+    init = CanonicalLift.__init__
+
+    @functools.wraps(init)
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CanonicalLift, "__init__", counting_init)
+    cfg = load_config(REPO / "perfbench" / "inputs" / "lift2_round.json")
+    first = run(cfg, out_dir=tmp_path / "first")
+    second = run(cfg, out_dir=tmp_path / "second")
+    assert len(built) == 2  # f at validation, and f^-1 once over both runs
+    assert first["results"] == second["results"]
+
+
 def test_nested_hamiltonian_takes_the_config_dimension():
     flow = {"kind": "contact_flow", "hamiltonian": {"kind": "modulated_norm", "eps": 0.1}, "t": 0.5}
     for n in (2, 3):
         cfg = validate_config(dict(MINIMAL, dimension=n, map=[flow]))
-        assert cfg.build_map().describe() == [
+        assert cfg.contact_map.describe() == [
             dict(flow, hamiltonian={"kind": "modulated_norm", "eps": 0.1, "axis": 0, "n": n}, steps=256)
         ]
 
@@ -761,8 +808,8 @@ def test_integral_float_matrices_and_classes_accepted():
         )
     )
     assert cfg.tasks[0]["matrix"] == ((2, 1), (1, 1)) and cfg.tasks[0]["classes"] == [(1, 0)]
-    assert cfg.build_form().describe()["matrix"] == [[1, 1], [0, 1]]
-    assert cfg.build_map().describe() == [{"kind": "canonical_lift", "matrix": [[2, 1], [1, 1]]}]
+    assert cfg.form.describe()["matrix"] == [[1, 1], [0, 1]]
+    assert cfg.contact_map.describe() == [{"kind": "canonical_lift", "matrix": [[2, 1], [1, 1]]}]
 
 
 def test_abelian_growth_with_large_lengths_exits_0(tmp_path):
