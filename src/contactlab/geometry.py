@@ -446,14 +446,6 @@ def read_axes(form: ContactForm, axes) -> frozenset:
     return frozenset() if form.q_free else frozenset(axes)
 
 
-def check_positive(form: ContactForm, n: int, q_res: int, fiber_res: int) -> float:
-    """Smallest profile value over fiber_res directions x the q_res lattice on
-    the axes the form reads; raises GeometryError unless every value is
-    positive and finite."""
-    qs = q_lattice(n, q_res, read_axes(form, range(n))) / q_res
-    return float(np.min(profile_values(form, *grid_points(sphere_grid_array(n, fiber_res), qs))))
-
-
 # ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------

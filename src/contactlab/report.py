@@ -25,7 +25,7 @@ import numpy as np
 from . import algebra, dissipation, geometry, shapes
 from .algebra import is_int, is_real
 from .dissipation import GridSpec, Thresholds
-from .geometry import ContactForm, build_form, check_positive, metric_matrix
+from .geometry import ContactForm, build_form, metric_matrix
 from .maps import ContactMap, MapError, build_primitive, make_composite
 
 # Numeric task parameters: name -> (default, minimum).  A minimum of None
@@ -143,7 +143,8 @@ def validate_config(data: dict) -> ExperimentConfig:
         if form.n not in (None, n):
             errors.append(f"form: dimension {form.n} does not match configured {n}")
         elif sampled is not None:  # the points r_sequence reads at step 0
-            check_positive(form, n, sampled.q_res, sampled.fiber_res)
+            shapes.flat_shape(form, n, sampled.q_res).rho(
+                geometry.sphere_grid_array(n, sampled.fiber_res))
     except SPEC_ERRORS as exc:
         errors.append(f"form: {exc}")
     except MemoryError:
@@ -215,12 +216,14 @@ def validate_config(data: dict) -> ExperimentConfig:
 
 def _grid_fits(task: dict, config: ExperimentConfig) -> bool:
     """Whether the grid a shape, displacement or duality task samples fits in
-    memory: it is built here, with the functions the task uses."""
+    memory: it is built here, with the functions the task uses.  A shape
+    task's product grid is only allocated: ``np.empty`` touches no pages."""
     name, n = task["task"], config.n
     try:
         if name == "shape":
             qs = geometry.q_lattice(n, task["q_res"], geometry.read_axes(config.form, range(n)))
-            geometry.grid_points(shapes.direction_grid(n, task["dir_res"]), qs / task["q_res"])
+            size = len(shapes.direction_grid(n, task["dir_res"])) * qs.shape[1]
+            np.empty((2, n, size))  # the u and q arrays of geometry.grid_points
         elif name == "displacement":
             i_mat = task["matrix"] or dissipation.cohomology_block(config.contact_map)[0]
             shapes.direction_grid(len(i_mat), task["dir_res"])
@@ -401,20 +404,16 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, artifact, cache
 
     if name == "shape":
         dirs = shapes.direction_grid(config.n, task["dir_res"])
-        dom = shapes.flat_shape(form, dirs, task["q_res"])
+        rho = shapes.flat_shape(form, config.n, task["q_res"]).rho(dirs)
         header = [f"u{i+1}" for i in range(config.n)] + ["rho"]
-        rows = [d + [r] for d, r in zip(dom.dirs.tolist(), dom.rho.tolist())]
+        rows = [d + [r] for d, r in zip(dirs.tolist(), rho.tolist())]
         _write_csv(artifact.with_suffix(".csv"), header, rows)
-        return {
-            "directions": len(dom.rho),
-            "rho_min": float(dom.rho.min()),
-            "rho_max": float(dom.rho.max()),
-        }
+        return {"directions": len(rho), "rho_min": float(rho.min()), "rho_max": float(rho.max())}
 
     if name == "displacement":
         i_mat = task["matrix"] or dissipation.cohomology_block(f)[0]
-        dom = shapes.ball(shapes.direction_grid(len(i_mat), task["dir_res"]))
-        deltas = shapes.displacement_series(i_mat, dom, task["k_max"])
+        dirs = shapes.direction_grid(len(i_mat), task["dir_res"])
+        deltas = shapes.displacement_series(i_mat, shapes.ball(len(i_mat)), task["k_max"], dirs)
         series = [[k + 1, float(d)] for k, d in enumerate(deltas)]
         _write_csv(artifact.with_suffix(".csv"), ["k", "delta_k"], series)
         return {

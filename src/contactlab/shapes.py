@@ -1,14 +1,17 @@
 """Flat-Lagrangian shapes, the containment metric, displacement, stable norms.
 
-Shapes are stored as radial functions over a fixed direction grid.  Only the
-flat sub-shape (graphs of constant covectors contained in the domain) is
-computed; all outputs are inner approximations of the full shape.  A flat
-metric is a plain matrix g, checked by ``geometry.metric_matrix``.
+A star domain is its radius function, and each caller passes the direction
+grid it reads, so acting on a domain composes radius functions and samples
+nothing.  Only the flat sub-shape (graphs of constant covectors contained in
+the domain) is computed; all outputs are inner approximations of the full
+shape.  A flat metric is a plain matrix g, checked by
+``geometry.metric_matrix``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,24 +29,10 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class StarDomain:
-    """Open bounded star-shaped set given by radii over a direction grid."""
+    """Open bounded star-shaped set in R^n given by its radius function."""
 
-    dirs: np.ndarray  # (N, n) unit directions
-    rho: np.ndarray  # (N,) positive radii
-
-    def __post_init__(self):
-        dirs = np.asarray(self.dirs, dtype=float)
-        rho = np.asarray(self.rho, dtype=float)
-        if dirs.ndim != 2 or rho.shape != (dirs.shape[0],):
-            raise ShapeError("direction grid and radii sizes disagree")
-        if not np.all(np.isfinite(rho)) or np.min(rho) <= 0.0:
-            raise ShapeError("radial values must be positive and finite")
-        object.__setattr__(self, "dirs", dirs)
-        object.__setattr__(self, "rho", rho)
-
-    @property
-    def n(self) -> int:
-        return self.dirs.shape[1]
+    n: int
+    rho: Callable[[np.ndarray], np.ndarray]  # (N, n) unit directions -> (N,) radii
 
 
 def direction_grid(n: int, resolution: int | None = None) -> np.ndarray:
@@ -52,97 +41,75 @@ def direction_grid(n: int, resolution: int | None = None) -> np.ndarray:
     return sphere_grid_array(n, resolution)
 
 
-def ball(dirs: np.ndarray, radius: float = 1.0) -> StarDomain:
-    return StarDomain(dirs, np.full(dirs.shape[0], float(radius)))
+def ball(n: int, radius: float = 1.0) -> StarDomain:
+    radius = float(radius)
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise ShapeError(f"ball radius must be positive and finite, got {radius}")
+    return StarDomain(n, lambda dirs: np.full(dirs.shape[0], radius))
 
 
 # ---------------------------------------------------------------------------
 # Shapes of toric domains
 # ---------------------------------------------------------------------------
 
-def flat_shape(form: ContactForm, dirs: np.ndarray, q_res: int) -> StarDomain:
-    """Radial function of the flat sub-shape of the domain cut out by the form.
+def flat_shape(form: ContactForm, n: int, q_res: int) -> StarDomain:
+    """The flat sub-shape of the domain cut out by the form.
 
     The constant-covector torus with class v sits inside the domain exactly
     when |v| is below the profile at every base point, so the radius in
     direction u is the minimum of the profile over the q_res lattice.  A
-    q-free form is read at one base point.
+    q-free form is read at one base point.  Reading the radius raises
+    ShapeError unless every profile value it samples is positive and finite.
     """
-    dirs = np.asarray(dirs, dtype=float)
-    if dirs.size == 0 or q_res < 1:
+    if q_res < 1:
         raise ShapeError("grids must be nonempty")
-    n = dirs.shape[1]
-    u, q = grid_points(dirs, q_lattice(n, q_res, read_axes(form, range(n))) / q_res)
-    vals = np.broadcast_to(profile_values(form, u, q, ShapeError), u.shape[1:])
-    return StarDomain(dirs, vals.reshape(dirs.shape[0], -1).min(axis=1))
+    qs = q_lattice(n, q_res, read_axes(form, range(n))) / q_res
+
+    def rho(dirs: np.ndarray) -> np.ndarray:
+        u, q = grid_points(dirs, qs)
+        vals = np.broadcast_to(profile_values(form, u, q, ShapeError), u.shape[1:])
+        return vals.reshape(dirs.shape[0], -1).min(axis=1)
+
+    return StarDomain(n, rho)
 
 
-def delta(a: StarDomain, b: StarDomain) -> float:
-    """Log of the best mutual-containment scaling factor.
+def delta(a: StarDomain, b: StarDomain, dirs: np.ndarray) -> float:
+    """Log of the best mutual-containment scaling factor, read on dirs.
 
     Computed as max |log rho_A - log rho_B|, which equals
     log max(sup rho_A/rho_B, sup rho_B/rho_A) and is exactly symmetric.
+    Raises ShapeError unless both radius arrays are positive and finite.
     """
-    if a.dirs.shape != b.dirs.shape or not np.array_equal(a.dirs, b.dirs):
-        raise ShapeError("star domains must share the direction grid")
-    return float(np.max(np.abs(np.log(a.rho) - np.log(b.rho))))
+    radii = a.rho(dirs), b.rho(dirs)
+    for rho in radii:
+        low, high = float(rho.min()), float(rho.max())
+        if not (low > 0.0 and math.isfinite(high)):
+            raise ShapeError(f"radii must be positive and finite (sampled min {low}, max {high})")
+    return float(np.max(np.abs(np.log(radii[0]) - np.log(radii[1]))))
 
 
 def act(i_mat: IntMatrix, a: StarDomain, inverse: IntMatrix | None = None) -> StarDomain:
     """Image of a star domain under a linear cohomology action.
 
-    rho'(u) = rho(w/|w|)/|w| with w = I^{-1} u; the radius at w/|w| is read
-    off by nearest-direction lookup on the shared grid (no interpolation).
-    When rho is constant, as on a ball, every lookup returns that constant,
-    so the lookup is skipped.  A caller that holds I^{-1} exactly passes it
-    as ``inverse``, and I is not inverted again.
+    rho'(u) = rho(w/|w|)/|w| with w = I^{-1} u, with rho read at w/|w|
+    itself.  A caller that holds I^{-1} exactly passes it as ``inverse``,
+    and I is not inverted again.
     """
     i_mat = algebra.as_matrix(i_mat)
     if len(i_mat) != a.n:
         raise ShapeError("matrix and domain dimensions disagree")
-    inv = np.array(algebra.mat_inverse(i_mat) if inverse is None else inverse, dtype=float)
-    w = a.dirs @ inv.T
-    norms = np.linalg.norm(w, axis=1)
-    if np.all(a.rho == a.rho[0]):
-        return StarDomain(a.dirs, a.rho[0] / norms)
-    nearest = _nearest_directions(w / norms[:, None], a.dirs)
-    return StarDomain(a.dirs, a.rho[nearest] / norms)
+    inv_t = np.array(algebra.mat_inverse(i_mat) if inverse is None else inverse, dtype=float).T
+
+    def rho(dirs: np.ndarray) -> np.ndarray:
+        w = dirs @ inv_t
+        norms = np.linalg.norm(w, axis=1)
+        return a.rho(w / norms[:, None]) / norms
+
+    return StarDomain(a.n, rho)
 
 
-def _nearest_directions(targets: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Index of the closest grid direction for each target.
-
-    Uniform 2-D angle grids get an O(N) analytic lookup; anything else falls
-    back to a chunked inner-product argmax so the pairwise table never
-    exceeds a few hundred MB.
-    """
-    n_t = targets.shape[0]
-    if dirs.shape[1] == 2 and _is_uniform_angle_grid(dirs):
-        k = dirs.shape[0]
-        angles = np.arctan2(targets[:, 1], targets[:, 0]) / (2.0 * np.pi)
-        return np.rint(angles * k).astype(np.intp) % k
-    chunk = max(1, (1 << 24) // max(dirs.shape[0], 1))
-    out = np.empty(n_t, dtype=np.intp)
-    for start in range(0, n_t, chunk):
-        stop = min(start + chunk, n_t)
-        out[start:stop] = np.argmax(targets[start:stop] @ dirs.T, axis=1)
-    return out
-
-
-def _is_uniform_angle_grid(dirs: np.ndarray) -> bool:
-    k = dirs.shape[0]
-    cached = _UNIFORM_GRID_CACHE.get(k)
-    if cached is None:
-        cached = sphere_grid_array(2, k)
-        _UNIFORM_GRID_CACHE[k] = cached
-    return dirs.shape == cached.shape and np.array_equal(dirs, cached)
-
-
-_UNIFORM_GRID_CACHE: dict = {}
-
-
-def displacement_series(i_mat: IntMatrix, a: StarDomain, k_max: int) -> list[float]:
-    """delta(A, I^k A) for k = 1..k_max."""
+def displacement_series(i_mat: IntMatrix, a: StarDomain, k_max: int, dirs: np.ndarray) -> list[float]:
+    """delta(A, I^k A) on dirs for k = 1..k_max."""
     i_mat = algebra.as_matrix(i_mat)
     i_inv = algebra.mat_inverse(i_mat)
     power = inv_power = algebra.identity_matrix(len(i_mat))
@@ -151,7 +118,7 @@ def displacement_series(i_mat: IntMatrix, a: StarDomain, k_max: int) -> list[flo
         # exact, big ints included: (I^-1)^k is the inverse of I^k
         power = algebra.mat_mul(i_mat, power)
         inv_power = algebra.mat_mul(inv_power, i_inv)
-        deltas.append(delta(a, act(power, a, inv_power)))
+        deltas.append(delta(a, act(power, a, inv_power), dirs))
     return deltas
 
 
@@ -177,8 +144,8 @@ def duality_check(g, class_samples: Sequence[Sequence[int]], dirs: np.ndarray) -
     g = metric_matrix(g, ShapeError)
     if not class_samples:
         raise ShapeError("need at least one sample class")
-    shape = flat_shape(MetricForm(g), dirs, 1)  # q-free: one base point
-    boundary = 0.999 * shape.rho[:, None] * shape.dirs
+    rho = flat_shape(MetricForm(g), len(g), 1).rho(dirs)  # q-free: one base point
+    boundary = 0.999 * rho[:, None] * dirs
     worst = np.inf
     for gamma in class_samples:
         length = stable_norm(g, gamma)

@@ -24,7 +24,7 @@ from contactlab.geometry import (
     sphere_grid_array,
 )
 from contactlab.maps import ContactMap, MapError, chart_jacobian_batch
-from contactlab.shapes import displacement_series
+from contactlab.shapes import ShapeError, StarDomain, displacement_series
 
 
 def circ_diff(a, b, periodic):
@@ -176,9 +176,23 @@ def abelian_rate(m, classes, n_steps: int) -> float:
     return length_growth_rate(*(abelian_lengths(m, g, n_steps) for g in classes))
 
 
-def displacement_rate(i_mat, a, k_max: int) -> float:
-    """The displacement task's rate: the tail slope of delta(A, I^k A), floored at 0."""
-    return max(growth_slope(displacement_series(i_mat, a, k_max)), 0.0)
+def displacement_rate(i_mat, a, k_max: int, dirs) -> float:
+    """The displacement task's rate: the tail slope of delta(A, I^k A) on
+    dirs, floored at 0."""
+    return max(growth_slope(displacement_series(i_mat, a, k_max, dirs)), 0.0)
+
+
+def random_domain(rng, dirs):
+    """A star domain with radii drawn from [0.5, 1.5) on the grid dirs; its
+    radius function knows only that grid and raises ShapeError on any other."""
+    radii = 0.5 + rng.random(dirs.shape[0])
+
+    def rho(grid):
+        if grid.shape != dirs.shape or not np.array_equal(grid, dirs):
+            raise ShapeError("a random domain is read only on the grid it was drawn on")
+        return radii
+
+    return StarDomain(dirs.shape[1], rho)
 
 
 @pytest.fixture

@@ -41,6 +41,7 @@ from conftest import (
     displacement_rate,
     fd_jacobian,
     full_grid,
+    random_domain,
     random_point,
     sample_hyperbolic_lattice_matrices,
 )
@@ -149,31 +150,30 @@ def test_criterion_6_shape_calculus():
         q_res = 32
         # delta metric axioms on 100 random triples
         for _ in range(100):
-            a, b, c = (S.StarDomain(dirs, 0.5 + rng.random(dirs.shape[0])) for _ in range(3))
-            assert S.delta(a, b) == S.delta(b, a)
-            assert S.delta(a, a) == 0.0
-            assert S.delta(a, c) <= S.delta(a, b) + S.delta(b, c) + 1e-12
+            a, b, c = (random_domain(rng, dirs) for _ in range(3))
+            assert S.delta(a, b, dirs) == S.delta(b, a, dirs)
+            assert S.delta(a, a, dirs) == 0.0
+            assert S.delta(a, c, dirs) <= S.delta(a, b, dirs) + S.delta(b, c, dirs) + 1e-12
         # monotonicity and scaling, exact
         base = TrigForm(1.0, [TrigTerm(0.3, (1, 0))])
         bigger = TrigForm(1.4, [TrigTerm(0.3, (1, 0))])
-        r1 = S.flat_shape(base, dirs, q_res).rho
-        assert np.all(r1 <= S.flat_shape(bigger, dirs, q_res).rho)
+        r1 = S.flat_shape(base, 2, q_res).rho(dirs)
+        assert np.all(r1 <= S.flat_shape(bigger, 2, q_res).rho(dirs))
         scaled = TrigForm(2.0, [TrigTerm(0.6, (1, 0))])
-        assert np.allclose(S.flat_shape(scaled, dirs, q_res).rho, 2.0 * r1)
+        assert np.allclose(S.flat_shape(scaled, 2, q_res).rho(dirs), 2.0 * r1)
         # group-action law and linear-lift equivariance at 1e-3
         fine = S.direction_grid(2, 32768)
-        theta = np.arctan2(fine[:, 1], fine[:, 0])
-        smooth = S.StarDomain(fine, 1.0 + 0.3 * np.cos(2.0 * theta))
+        smooth = S.StarDomain(2, lambda d: 1.0 + 0.3 * np.cos(2.0 * np.arctan2(d[:, 1], d[:, 0])))
         mats = [((1, 1), (0, 1)), ((1, 0), (-1, 1)), ((0, -1), (1, 0))]
         for i_mat in mats:
             for j_mat in mats:
                 lhs = S.act(A.mat_mul(i_mat, j_mat), smooth)
                 rhs = S.act(i_mat, S.act(j_mat, smooth))
-                assert S.delta(lhs, rhs) < 1e-3
+                assert S.delta(lhs, rhs, fine) < 1e-3
         metric = MetricForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        lhs = S.flat_shape(PullbackForm(CAT, metric), fine, 4)
-        rhs = S.act(A.mat_transpose(A.as_matrix(CAT)), S.flat_shape(metric, fine, 4))
-        assert S.delta(lhs, rhs) < 1e-3
+        lhs = S.flat_shape(PullbackForm(CAT, metric), 2, 4)
+        rhs = S.act(A.mat_transpose(A.as_matrix(CAT)), S.flat_shape(metric, 2, 4))
+        assert S.delta(lhs, rhs, fine) < 1e-3
 
 
 def test_criterion_7_displacement_vs_spectrum():
@@ -181,9 +181,9 @@ def test_criterion_7_displacement_vs_spectrum():
         rng = np.random.default_rng(7)
         for dim, count in ((2, 5), (3, 5)):
             dirs = S.direction_grid(dim)
-            ball = S.ball(dirs)
+            ball = S.ball(dim)
             for m in sample_hyperbolic_lattice_matrices(rng, dim, count):
-                val = displacement_rate(m, ball, 20)
+                val = displacement_rate(m, ball, 20, dirs)
                 assert abs(val - A.s_value(m)) <= 1e-2, (m, val, A.s_value(m))
 
 

@@ -18,12 +18,9 @@ from contactlab.geometry import (
     MetricForm,
     PullbackForm,
     RoundForm,
-    TrigForm,
-    TrigTerm,
     build_form,
     chart_decode,
     chart_encode,
-    check_positive,
     grid_points,
     jval,
     matvec,
@@ -34,6 +31,7 @@ from contactlab.geometry import (
     sphere_grid_array,
 )
 from contactlab.maps import MapError
+from contactlab.report import ConfigError, validate_config
 from contactlab.shapes import ShapeError
 from conftest import form_rows, random_points
 
@@ -204,11 +202,21 @@ def test_metric_form_validation():
 
 
 def test_trig_form_positivity_check():
-    ok = TrigForm(1.0, [TrigTerm(0.4, (1, 0))])
-    assert check_positive(ok, 2, q_res=16, fiber_res=16) > 0
-    bad = TrigForm(1.0, [TrigTerm(1.5, (1, 0))])
-    with pytest.raises(GeometryError, match="not positive"):
-        check_positive(bad, 2, q_res=32, fiber_res=8)
+    # Validation reads the profile on the config's grid, through the flat
+    # shape's radius, and a form that is not positive there is a config error.
+    def config(amp, q_res, fiber_res):
+        return {
+            "form": {"kind": "trig", "c0": 1.0, "terms": [{"amp": amp, "q_freq": [1, 0]}]},
+            "grid": {"q_res": q_res, "fiber_res": fiber_res},
+            "tasks": [{"task": "homology"}],
+        }
+
+    validate_config(config(0.4, 16, 16))
+    with pytest.raises(ConfigError) as err:
+        validate_config(config(1.5, 32, 8))
+    assert err.value.errors == [
+        "form: profile of the trig form is not positive and finite (sampled min -0.5, max 2.5)"
+    ]
 
 
 # ---------------------------------------------------------------------------

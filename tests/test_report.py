@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactlab import algebra as A
+from contactlab import geometry, shapes
 from contactlab.cli import main
 from contactlab.geometry import FORMS, TrigTerm, descriptor_fields
 from contactlab.maps import HAMILTONIANS, PRIMITIVES, CanonicalLift
@@ -717,6 +718,23 @@ def test_shape_of_a_q_free_form_reads_one_base_point(tmp_path):
     path = write_config(tmp_path, dict(MINIMAL, tasks=[{"task": "shape", "q_res": 10**6}]))
     assert main(["validate", str(path)]) == 0
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_validating_a_shape_task_builds_no_product_grid(monkeypatch):
+    # Validation sizes a shape task's grid without filling it; the run
+    # builds it once.
+    calls = []
+    for module in (geometry, shapes):
+        build = module.grid_points
+        monkeypatch.setattr(module, "grid_points",
+                            lambda *args, build=build: calls.append(1) or build(*args))
+    trig = dict(MINIMAL, form={"kind": "trig", "c0": 2.0, "terms": [{"amp": 0.5, "q_freq": [1, 0]}]})
+    counts = []
+    for tasks in ([{"task": "homology"}], [{"task": "homology"}, {"task": "shape"}]):
+        calls.clear()
+        validate_config(dict(trig, tasks=tasks))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 1  # the positivity check on the config's grid
 
 
 def test_lift_is_built_at_validation_and_inverted_once(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,14 +17,12 @@ from contactlab.geometry import (
     q_lattice,
 )
 
-from conftest import CountingForm, displacement_rate, sample_hyperbolic_lattice_matrices
+from conftest import (
+    CountingForm, displacement_rate, random_domain, sample_hyperbolic_lattice_matrices,
+)
 
 CAT = ((2, 1), (1, 1))
 CAT3 = ((1, 1, 0), (1, 2, 1), (0, 1, 2))
-
-
-def random_domain(rng, dirs):
-    return S.StarDomain(dirs, 0.5 + rng.random(dirs.shape[0]))
 
 
 @pytest.fixture
@@ -40,9 +39,27 @@ def q_res():
 # StarDomain and metric validation
 # ---------------------------------------------------------------------------
 
-def test_star_domain_rejects_nonpositive_radii(dirs2):
-    with pytest.raises(S.ShapeError):
-        S.StarDomain(dirs2, np.zeros(dirs2.shape[0]))
+def test_star_domain_rejects_nonpositive_radii():
+    # A ball checks its radius once; any other domain's radii are checked
+    # where delta reads them (below).
+    for radius in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(S.ShapeError, match="radius"):
+            S.ball(2, radius)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+def test_delta_rejects_a_radius_that_is_not_positive_and_finite(dirs2, bad):
+    def rho(dirs):
+        radii = np.ones(dirs.shape[0])
+        radii[3] = bad
+        return radii
+
+    ball, broken = S.ball(2), S.StarDomain(2, rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # np.log(0) is never taken
+        for a, b in ((ball, broken), (broken, ball)):
+            with pytest.raises(S.ShapeError, match="positive and finite"):
+                S.delta(a, b, dirs2)
 
 
 def test_flat_metric_validation(dirs2):
@@ -67,28 +84,25 @@ def test_flat_metric_validation(dirs2):
 # ---------------------------------------------------------------------------
 
 def test_flat_shape_round_is_unit_ball(dirs2, q_res):
-    dom = S.flat_shape(RoundForm(), dirs2, q_res)
-    assert np.allclose(dom.rho, 1.0)
+    assert np.allclose(S.flat_shape(RoundForm(), 2, q_res).rho(dirs2), 1.0)
 
 
 def test_flat_shape_constant_scales(dirs2, q_res):
-    dom = S.flat_shape(ConstantForm(2.0), dirs2, q_res)
-    assert np.allclose(dom.rho, 2.0)
+    assert np.allclose(S.flat_shape(ConstantForm(2.0), 2, q_res).rho(dirs2), 2.0)
 
 
 def test_flat_shape_trig_min(dirs2, q_res):
     form = TrigForm(1.0, [TrigTerm(0.5, (1, 0))])
-    dom = S.flat_shape(form, dirs2, q_res)
-    assert np.allclose(dom.rho, 0.5, atol=1e-12)
+    assert np.allclose(S.flat_shape(form, 2, q_res).rho(dirs2), 0.5, atol=1e-12)
 
 
 def test_flat_shape_monotone_and_scaling(dirs2, q_res, rng):
     form1 = TrigForm(1.0, [TrigTerm(0.3, (1, 0))])
     form2 = TrigForm(1.5, [TrigTerm(0.3, (1, 0))])  # pointwise larger
-    r1 = S.flat_shape(form1, dirs2, q_res).rho
-    r2 = S.flat_shape(form2, dirs2, q_res).rho
+    r1 = S.flat_shape(form1, 2, q_res).rho(dirs2)
+    r2 = S.flat_shape(form2, 2, q_res).rho(dirs2)
     assert np.all(r1 <= r2)
-    scaled = S.flat_shape(TrigForm(2.0, [TrigTerm(0.6, (1, 0))]), dirs2, q_res).rho
+    scaled = S.flat_shape(TrigForm(2.0, [TrigTerm(0.6, (1, 0))]), 2, q_res).rho(dirs2)
     assert np.allclose(scaled, 2.0 * r1)
 
 
@@ -102,6 +116,7 @@ def brute_force_rho(form, dirs, q_res):
 
 
 G3 = [[2, 0.5, 0], [0.5, 1, 0.2], [0, 0.2, 1.5]]
+TRIG3 = TrigForm(1.0, [TrigTerm(0.4, (1, 0, 0), (1, 0, 0)), TrigTerm(0.1, (0, 2, 1))])
 
 
 @pytest.mark.parametrize(
@@ -110,34 +125,33 @@ G3 = [[2, 0.5, 0], [0.5, 1, 0.2], [0, 0.2, 1.5]]
     ids=["round", "metric", "pullback"],
 )
 def test_flat_shape_of_a_q_free_form_reads_one_base_point(form):
-    dirs = S.direction_grid(3 if form.n == 3 else 2, 256)
+    n = 3 if form.n == 3 else 2
+    dirs = S.direction_grid(n, 256)
     counted = CountingForm(form)
-    dom = S.flat_shape(counted, dirs, 8)
+    rho = S.flat_shape(counted, n, 8).rho(dirs)
     assert counted.points == len(dirs)
-    assert np.array_equal(dom.rho, brute_force_rho(form, dirs, 8))
+    assert np.array_equal(rho, brute_force_rho(form, dirs, 8))
 
 
 @pytest.mark.parametrize(
     "form, n",
-    [
-        (TrigForm(1.0, [TrigTerm(0.3, (1, 0), (1, 0)), TrigTerm(0.2, (0, 1), use_sin=True)]), 2),
-        (TrigForm(1.0, [TrigTerm(0.4, (1, 0, 0), (1, 0, 0)), TrigTerm(0.1, (0, 2, 1))]), 3),
-    ],
+    [(TrigForm(1.0, [TrigTerm(0.3, (1, 0), (1, 0)), TrigTerm(0.2, (0, 1), use_sin=True)]), 2),
+     (TRIG3, 3)],
     ids=["n2", "n3"],
 )
 def test_flat_shape_of_a_trig_form_is_the_lattice_minimum(form, n):
     dirs = S.direction_grid(n, 64)
     counted = CountingForm(form)
-    dom = S.flat_shape(counted, dirs, 6)
+    rho = S.flat_shape(counted, n, 6).rho(dirs)
     assert counted.points == len(dirs) * 6 ** n
-    assert np.array_equal(dom.rho, brute_force_rho(form, dirs, 6))
+    assert np.array_equal(rho, brute_force_rho(form, dirs, 6))
 
 
 def test_flat_shape_metric_is_dual_ball(dirs2, q_res):
-    dom = S.flat_shape(MetricForm(np.diag([4.0, 1.0])), dirs2, q_res)
+    rho = S.flat_shape(MetricForm(np.diag([4.0, 1.0])), 2, q_res).rho(dirs2)
     # boundary: b1^2/4 + b2^2 = 1, radius in direction u is 1/sqrt(u G^{-1} u)
     expected = 1.0 / np.sqrt(dirs2[:, 0] ** 2 / 4.0 + dirs2[:, 1] ** 2)
-    assert np.allclose(dom.rho, expected)
+    assert np.allclose(rho, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -145,105 +159,76 @@ def test_flat_shape_metric_is_dual_ball(dirs2, q_res):
 # ---------------------------------------------------------------------------
 
 def test_delta_examples(dirs2):
-    ball = S.ball(dirs2)
-    assert S.delta(ball, ball) == 0.0
-    assert S.delta(ball, S.ball(dirs2, 2.0)) == pytest.approx(math.log(2.0))
-    ellipse = S.StarDomain(
-        dirs2, 1.0 / np.sqrt(dirs2[:, 0] ** 2 / 4.0 + 4.0 * dirs2[:, 1] ** 2)
-    )
-    assert S.delta(ball, ellipse) == pytest.approx(math.log(2.0), abs=1e-10)
+    ball = S.ball(2)
+    assert S.delta(ball, ball, dirs2) == 0.0
+    assert S.delta(ball, S.ball(2, 2.0), dirs2) == pytest.approx(math.log(2.0))
+    ellipse = S.StarDomain(2, lambda d: 1.0 / np.sqrt(d[:, 0] ** 2 / 4.0 + 4.0 * d[:, 1] ** 2))
+    assert S.delta(ball, ellipse, dirs2) == pytest.approx(math.log(2.0), abs=1e-10)
 
 
 def test_delta_metric_axioms(rng, dirs2):
     for _ in range(100):
         a, b, c = (random_domain(rng, dirs2) for _ in range(3))
-        assert S.delta(a, b) == S.delta(b, a)
-        assert S.delta(a, a) == 0.0
-        assert S.delta(a, b) >= 0.0
-        assert S.delta(a, c) <= S.delta(a, b) + S.delta(b, c) + 1e-12
+        assert S.delta(a, b, dirs2) == S.delta(b, a, dirs2)
+        assert S.delta(a, a, dirs2) == 0.0
+        assert S.delta(a, b, dirs2) >= 0.0
+        assert S.delta(a, c, dirs2) <= S.delta(a, b, dirs2) + S.delta(b, c, dirs2) + 1e-12
     d = random_domain(rng, dirs2)
-    e = S.StarDomain(dirs2, d.rho.copy())
-    assert S.delta(d, e) == 0.0
-
-
-def test_delta_grid_mismatch(dirs2):
-    other = S.direction_grid(2, 128)
-    with pytest.raises(S.ShapeError, match="grid"):
-        S.delta(S.ball(dirs2), S.ball(other))
+    e = S.StarDomain(2, lambda dirs: d.rho(dirs).copy())
+    assert S.delta(d, e, dirs2) == 0.0
 
 
 # ---------------------------------------------------------------------------
 # act
 # ---------------------------------------------------------------------------
 
-def test_act_identity(dirs2, rng):
-    a = random_domain(rng, dirs2)
-    b = S.act(A.identity_matrix(2), a)
-    assert np.allclose(b.rho, a.rho)
+def smooth_domain():
+    return S.StarDomain(2, lambda d: 1.0 + 0.3 * np.cos(2.0 * np.arctan2(d[:, 1], d[:, 0])))
+
+
+def trig_shape3():
+    return S.flat_shape(TRIG3, 3, 4)
+
+
+def test_act_identity(dirs2):
+    a = smooth_domain()
+    assert np.allclose(S.act(A.identity_matrix(2), a).rho(dirs2), a.rho(dirs2))
 
 
 def test_act_cat_on_ball_radius_is_exact(dirs2):
-    # A ball's radius is constant, so act looks nothing up: rho'(u) = 1/|CAT^-1 u|.
-    image = S.act(CAT, S.ball(dirs2))
+    # A ball's radius is constant: rho'(u) = 1/|CAT^-1 u|.
+    image = S.act(CAT, S.ball(2))
     cat_inv = np.array(((1, -1), (-1, 2)), dtype=float)
-    assert np.array_equal(image.rho, 1.0 / np.linalg.norm(dirs2 @ cat_inv.T, axis=1))
+    assert np.array_equal(image.rho(dirs2), 1.0 / np.linalg.norm(dirs2 @ cat_inv.T, axis=1))
 
 
-def test_act_cat_on_ball_singular_values(dirs2):
-    image = S.act(CAT, S.ball(S.direction_grid(2, 4096)))
+def test_act_cat_on_ball_singular_values():
+    rho = S.act(CAT, S.ball(2)).rho(S.direction_grid(2, 4096))
     svals = np.linalg.svd(np.array(CAT, float), compute_uv=False)
-    assert image.rho.max() == pytest.approx(svals[0], abs=1e-4)
-    assert image.rho.min() == pytest.approx(svals[1], abs=1e-4)
+    assert rho.max() == pytest.approx(svals[0], abs=1e-4)
+    assert rho.min() == pytest.approx(svals[1], abs=1e-4)
 
 
-def smooth_domain(dirs):
-    theta = np.arctan2(dirs[:, 1], dirs[:, 0])
-    return S.StarDomain(dirs, 1.0 + 0.3 * np.cos(2.0 * theta))
-
-
-def test_act_group_action_law(rng):
-    # Nearest-direction resampling error scales with the grid spacing, so the
-    # composition law is checked on a smooth domain at a fine grid.
-    dirs = S.direction_grid(2, 32768)
-    a = smooth_domain(dirs)
-    mats = [((1, 1), (0, 1)), ((1, 0), (-1, 1)), ((0, -1), (1, 0))]
+def assert_group_law(mats, a, dirs):
     for i_mat in mats:
         for j_mat in mats:
             lhs = S.act(A.mat_mul(i_mat, j_mat), a)
             rhs = S.act(i_mat, S.act(j_mat, a))
-            assert S.delta(lhs, rhs) < 1e-3
-    assert np.allclose(S.act(A.identity_matrix(2), a).rho, a.rho)
+            assert S.delta(lhs, rhs, dirs) <= 1e-12
 
 
-def lookup_act(i_mat, a):
-    """act through the nearest-direction lookup, whatever the domain."""
-    inv = np.array(A.mat_inverse(A.as_matrix(i_mat)), dtype=float)
-    w = a.dirs @ inv.T
-    norms = np.linalg.norm(w, axis=1)
-    return a.rho[S._nearest_directions(w / norms[:, None], a.dirs)] / norms
+def test_act_group_action_law():
+    # act reads the radius at the exact direction, so the law holds to
+    # rounding on a coarse grid.
+    dirs = S.direction_grid(2, 256)
+    a = smooth_domain()
+    assert_group_law([((1, 1), (0, 1)), ((1, 0), (-1, 1)), ((0, -1), (1, 0)), CAT], a, dirs)
+    assert np.allclose(S.act(A.identity_matrix(2), a).rho(dirs), a.rho(dirs))
 
 
-@pytest.mark.parametrize(
-    "i_mat, radius",
-    [(CAT, 1.0), (CAT3, 1.0), (CAT3, 2.5), (A.mat_pow(CAT, 7), 0.3)],
-    ids=["n2", "n3", "n3-scaled", "n2-power-scaled"],
-)
-def test_act_on_a_constant_domain_matches_the_lookup(i_mat, radius):
-    a = S.ball(S.direction_grid(len(i_mat)), radius)
-    image = S.act(i_mat, a)
-    assert np.array_equal(image.rho, lookup_act(i_mat, a))
-    assert np.array_equal(image.dirs, a.dirs)
-
-
-def test_act_on_a_varying_domain_uses_the_lookup(monkeypatch):
-    dirs = S.direction_grid(3)
-    a = S.flat_shape(TrigForm(1.0, [TrigTerm(0.4, (1, 0, 0), (1, 0, 0))]), dirs, 4)
-    assert not np.all(a.rho == a.rho[0])
-    calls = []
-    lookup = S._nearest_directions
-    monkeypatch.setattr(S, "_nearest_directions", lambda t, d: calls.append(1) or lookup(t, d))
-    image = S.act(CAT3, a)
-    assert calls and np.array_equal(image.rho, lookup_act(CAT3, a))
+def test_act_group_action_law_on_an_n3_trig_flat_shape():
+    mats = [CAT3, ((1, 0, 1), (0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1), (1, 0, 0))]
+    assert_group_law(mats, trig_shape3(), S.direction_grid(3, 256))
 
 
 def test_equivariance_of_linear_lifts():
@@ -251,9 +236,28 @@ def test_equivariance_of_linear_lifts():
     dirs = S.direction_grid(2, 32768)
     base = MetricForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
     m = [[2, 1], [1, 1]]
-    lhs = S.flat_shape(PullbackForm(m, base), dirs, 4)
-    rhs = S.act(A.mat_transpose(A.as_matrix(m)), S.flat_shape(base, dirs, 4))
-    assert S.delta(lhs, rhs) < 1e-3
+    lhs = S.flat_shape(PullbackForm(m, base), 2, 4)
+    rhs = S.act(A.mat_transpose(A.as_matrix(m)), S.flat_shape(base, 2, 4))
+    assert S.delta(lhs, rhs, dirs) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "base, m",
+    [
+        (MetricForm(np.array(G3)), CAT3),
+        (TrigForm(1.0, [TrigTerm(0.3, (1, 0), (1, 0)), TrigTerm(0.2, (0, 1), use_sin=True)]), CAT),
+        (TRIG3, CAT3),
+    ],
+    ids=["metric-n3", "trig-n2", "trig-n3"],
+)
+def test_pullback_equivariance_is_exact(base, m):
+    # As test_equivariance_of_linear_lifts, for n = 3 and a form that reads
+    # q: the lift permutes the base lattice, so both read the same values.
+    n = len(m)
+    dirs = S.direction_grid(n, 256)
+    lhs = S.flat_shape(PullbackForm(m, base), n, 4)
+    rhs = S.act(A.mat_transpose(A.as_matrix(m)), S.flat_shape(base, n, 4))
+    assert S.delta(lhs, rhs, dirs) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +265,14 @@ def test_equivariance_of_linear_lifts():
 # ---------------------------------------------------------------------------
 
 def test_displacement_identity_and_rotation(dirs2):
-    ball = S.ball(dirs2)
-    assert displacement_rate(A.identity_matrix(2), ball, 10) == 0.0
+    ball = S.ball(2)
+    assert displacement_rate(A.identity_matrix(2), ball, 10, dirs2) == 0.0
     rot = ((0, -1), (1, 0))
-    assert displacement_rate(rot, ball, 12) == pytest.approx(0.0, abs=1e-9)
+    assert displacement_rate(rot, ball, 12, dirs2) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_displacement_cat_map(dirs2):
-    val = displacement_rate(CAT, S.ball(dirs2), 20)
+    val = displacement_rate(CAT, S.ball(2), 20, dirs2)
     assert val == pytest.approx(A.s_value(CAT), abs=1e-2)
 
 
@@ -276,32 +280,47 @@ def test_displacement_matches_spectrum_random(rng, dirs2):
     dirs3 = S.direction_grid(3)
     for dim, dirs in ((2, dirs2), (3, dirs3)):
         for m in sample_hyperbolic_lattice_matrices(rng, dim, 5):
-            val = displacement_rate(m, S.ball(dirs), 20)
+            val = displacement_rate(m, S.ball(dim), 20, dirs)
             assert val == pytest.approx(A.s_value(m), abs=1e-2)
 
 
 @pytest.mark.parametrize("i_mat", [CAT, CAT3], ids=["n2", "n3"])
-def test_displacement_series_inverts_once_and_matches_act(monkeypatch, rng, i_mat):
+def test_displacement_series_on_a_ball_is_the_written_out_log_norm(i_mat):
+    # delta(B, I^k B) = max |log 1 - log(1/|(I^-k) u|)|, bit for bit.
+    n = len(i_mat)
+    dirs = S.direction_grid(n)
+    i_inv = A.mat_inverse(A.as_matrix(i_mat))
+    expected = []
+    for k in range(1, 31):
+        inv_k = np.array(A.mat_pow(i_inv, k), dtype=float)
+        image = 1.0 / np.linalg.norm(dirs @ inv_k.T, axis=1)
+        expected.append(float(np.max(np.abs(np.log(1.0) - np.log(image)))))
+    assert S.displacement_series(i_mat, S.ball(n), 30, dirs) == expected
+
+
+@pytest.mark.parametrize("i_mat", [CAT, CAT3], ids=["n2", "n3"])
+def test_displacement_series_inverts_once_and_matches_act(monkeypatch, i_mat):
     # Carrying (I^-1)^k gives the series that re-inverting each I^k gives.
-    dirs = S.direction_grid(len(i_mat))
+    n = len(i_mat)
+    dirs = S.direction_grid(n)
     k_max = 30
-    for a in (S.ball(dirs), random_domain(rng, dirs)):
+    for a in (S.ball(n), smooth_domain() if n == 2 else trig_shape3()):
         expected = [
-            S.delta(a, S.act(A.mat_pow(i_mat, k), a)) for k in range(1, k_max + 1)
+            S.delta(a, S.act(A.mat_pow(i_mat, k), a), dirs) for k in range(1, k_max + 1)
         ]
         calls = []
         inverse = A.mat_inverse
         monkeypatch.setattr(A, "mat_inverse", lambda m: calls.append(1) or inverse(m))
-        assert S.displacement_series(i_mat, a, k_max) == expected
+        assert S.displacement_series(i_mat, a, k_max, dirs) == expected
         monkeypatch.setattr(A, "mat_inverse", inverse)
         assert len(calls) == 1
 
 
-def test_act_takes_the_inverse_it_is_given(rng):
-    a = random_domain(rng, S.direction_grid(3))
+def test_act_takes_the_inverse_it_is_given():
+    a, dirs = trig_shape3(), S.direction_grid(3)
     m = A.mat_pow(CAT3, 5)
     given = S.act(m, a, A.mat_inverse(m))
-    assert np.array_equal(given.rho, S.act(m, a).rho)
+    assert np.array_equal(given.rho(dirs), S.act(m, a).rho(dirs))
 
 
 def test_displacement_needs_enough_iterates():
