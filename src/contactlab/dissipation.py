@@ -216,26 +216,18 @@ def lyapunov_estimate(
 # ---------------------------------------------------------------------------
 
 def verify_bound(
-    f: ContactMap,
-    form: ContactForm,
-    K: int,
-    grid: GridSpec | None = None,
-    declared_conservative: bool = False,
-    tol: float = 0.05,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-    r_series: np.ndarray | None = None,
+    f: ContactMap, est: ChiEstimate, verdict: str,
+    declared_conservative: bool = False, tol: float = 0.05,
 ) -> dict:
     """Check the spectral lower bound chi >= s on the map's homology action.
 
+    ``est`` and ``verdict`` are the ``chi_estimate`` and ``classify`` of f's
+    r_k series; the check compares that fit with s and computes no r_k.
     For maps over the 2-torus the bound is taken on the base block of the
     3x3 action; for the 3-torus on the full action.
     """
     block, block_info = cohomology_block(f)
     s_target = algebra.s_value(block)
-    if r_series is None:
-        r_series = r_sequence(f, form, K, grid)
-    est = chi_estimate(r_series)
-    verdict = classify(r_series, est, thresholds)
     contradiction = declared_conservative and verdict == "Hyperbolic"
     return {
         "s_target": s_target,

@@ -438,10 +438,11 @@ class ContactMap:
     def apply_batch(self, u_arr: np.ndarray, q_arr: np.ndarray):
         """Vectorized apply on (n, N) component arrays.
 
-        Returns (u, q, log_c): the image in fresh (n, N) arrays, u normalized
-        and q wrapped, and the log round-form conformal factor of the map at
-        each point, summed over the primitives (the cocycle rule).  Inputs are
-        never changed: even a component a transform hands back is copied.
+        Returns (u, q, log_c): the image in fresh (n, N) arrays, q wrapped,
+        and the log round-form conformal factor of the map at each point,
+        summed over the primitives (the cocycle rule).  Every primitive maps
+        unit u to unit u, so u is not normalized again.  Inputs are never
+        changed: even a component a transform hands back is copied.
         """
         u, q = list(u_arr), list(q_arr)
         log_c = np.zeros(u_arr.shape[1:])
@@ -451,7 +452,6 @@ class ContactMap:
         u_out, q_out = np.empty(u_arr.shape), np.empty(q_arr.shape)
         for i in range(self.n):
             u_out[i], q_out[i] = u[i], q[i]
-        u_out /= np.sqrt((u_out * u_out).sum(axis=0))
         return u_out, np.subtract(q_out, np.floor(q_out), out=q_out), log_c
 
     def inverse(self) -> "ContactMap":
@@ -506,43 +506,21 @@ def chart_jacobian_batch(f: ContactMap, u_arr: np.ndarray, q_arr: np.ndarray):
 
     J has shape (d, d, N); entry [i, j] is d out_i / d x_j at each point.
     """
-    d = chart_dim(f.n)
+    n, d, npts = f.n, chart_dim(f.n), u_arr.shape[1]
     u2, q2, _ = f.apply_batch(u_arr, q_arr)
-    jac = np.empty((d, d, u_arr.shape[1]))
-    for idx, coords, phi in _chart_groups(f, u_arr, q_arr, u2):
-        for i, o in enumerate(phi(seed_jets(coords))):
-            if isinstance(o, Jet):
-                jac[i, :, idx] = o.partials.T
-            else:
-                jac[i, :, idx] = 0.0
+    jac = np.empty((d, d, npts))
+    # Input and output chart of each point, grouped by the pair; n = 2 has one chart.
+    charts = np.zeros((2, npts), int) if n == 2 else select_chart_batch(np.stack([u_arr[2], u2[2]]))
+    for chart_in in range(n - 1):
+        for chart_out in range(n - 1):
+            idx = np.nonzero((charts[0] == chart_in) & (charts[1] == chart_out))[0]
+            if idx.size == 0:
+                continue
+            coords = chart_encode(n, chart_in, list(u_arr[:, idx]), list(q_arr[:, idx]))
+            phi = _composite_chart_phi(f, chart_in, chart_out)
+            for i, o in enumerate(phi(seed_jets(coords))):
+                jac[i, :, idx] = o.partials.T if isinstance(o, Jet) else 0.0
     return jac, u2, q2
-
-
-def _chart_groups(f: ContactMap, u_arr, q_arr, u_image):
-    """Points grouped by (input chart, output chart).
-
-    Yields (idx, coords, phi) per nonempty group: the point indices, their
-    input chart coordinates, and the composite in those two charts.
-    """
-    n = f.n
-    npts = u_arr.shape[1]
-    if n == 2:
-        pairs = [(0, 0, np.arange(npts))]
-    else:
-        cin = select_chart_batch(u_arr[2])
-        cout = select_chart_batch(u_image[2])
-        pairs = [
-            (a, b, np.nonzero((cin == a) & (cout == b))[0])
-            for a in (0, 1)
-            for b in (0, 1)
-        ]
-    for chart_in, chart_out, idx in pairs:
-        if idx.size == 0:
-            continue
-        coords = chart_encode(
-            n, chart_in, [u_arr[i, idx] for i in range(n)], [q_arr[i, idx] for i in range(n)]
-        )
-        yield idx, coords, _composite_chart_phi(f, chart_in, chart_out)
 
 
 # ---------------------------------------------------------------------------

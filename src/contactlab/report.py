@@ -7,7 +7,9 @@ emitted number is reproducible from the config alone.
 
 Validation builds the form, each primitive and the grid each task samples;
 the config keeps the form and the composite map, and every ``run`` of it
-uses those two objects, so a map's inverse is built once per config.
+uses those two objects, so a map's inverse is built once per config.  Within
+a run, the ``r_sequence`` and ``verify_bound`` tasks read one r_k series, chi
+fit and verdict per K, computed by whichever task asks first.
 """
 from __future__ import annotations
 
@@ -327,21 +329,23 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
     # Built on first use: numpy.random's first generator adds about 5 MB of RSS.
     rng = functools.cache(lambda: np.random.default_rng(config.seed))
 
+    @functools.cache
+    def series(K):
+        """The r_k series of f, its chi fit and its verdict, once per K."""
+        r = dissipation.r_sequence(f, form, K, grid)
+        est = dissipation.chi_estimate(r)
+        return r, est, dissipation.classify(r, est, config.thresholds)
+
     results: dict[str, dict] = {}
     all_pass = True
-    cached_r: tuple[int, list[float]] | None = None
 
     for i, task in enumerate(config.tasks):
         name = task["task"]
         task_id = name if name not in results else f"{name}_{i}"
         try:
-            res = _run_task(
-                name, task, config, f, form, grid, lyap_grid, rng, out / task_id, cached_r
-            )
+            res = _run_task(name, task, config, f, form, lyap_grid, rng, series, out / task_id)
         except Exception as exc:
             raise TaskError(task_id, exc) from exc
-        if name == "r_sequence":
-            cached_r = (res["K"], res["r_series"])
         if res.get("pass") is False:
             all_pass = False
         results[task_id] = res
@@ -365,22 +369,21 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
     return document
 
 
-def _run_task(name, task, config, f, form, grid, lyap_grid, rng, artifact, cached_r):
-    """One task's result; its file, if any, is ``artifact`` (out dir / task id) + suffix."""
+def _run_task(name, task, config, f, form, lyap_grid, rng, series, artifact):
+    """One task's result; its file, if any, is ``artifact`` (out dir / task id) + suffix.
+
+    ``series(K)`` is the run's (r, ChiEstimate, verdict) for K."""
     if name == "r_sequence":
-        K = task["K"]
-        r = dissipation.r_sequence(f, form, K, grid)
-        est = dissipation.chi_estimate(r)
-        verdict = dissipation.classify(r, est, config.thresholds)
-        series = [[k + 1, float(v)] for k, v in enumerate(r)]
-        _write_csv(artifact.with_suffix(".csv"), ["k", "r_k"], series)
+        r, est, verdict = series(task["K"])
+        rows = [[k + 1, float(v)] for k, v in enumerate(r)]
+        _write_csv(artifact.with_suffix(".csv"), ["k", "r_k"], rows)
         return {
-            "K": K,
+            "K": task["K"],
             "r_series": [float(v) for v in r],
             "chi_hat": est.chi_hat,
             "chi_last": est.chi_last,
             "verdict": verdict,
-            "series": series,
+            "series": rows,
         }
 
     if name == "lyapunov":
@@ -449,11 +452,8 @@ def _run_task(name, task, config, f, form, grid, lyap_grid, rng, artifact, cache
         return res
 
     if name == "verify_bound":
-        K = task["K"]
-        r_series = np.asarray(cached_r[1]) if cached_r is not None and cached_r[0] == K else None
-        return dissipation.verify_bound(f, form, K, grid, declared_conservative=config.conservative,
-                                        tol=task["tol"], thresholds=config.thresholds,
-                                        r_series=r_series)
+        _, est, verdict = series(task["K"])
+        return dissipation.verify_bound(f, est, verdict, config.conservative, task["tol"])
 
     raise ValueError(f"unknown task {name!r}")
 

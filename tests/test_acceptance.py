@@ -70,10 +70,11 @@ def test_criterion_1_spectral_bound_on_cat_map():
     with criterion(1, 30.0):
         f = make_composite([CanonicalLift(CAT)])
         r = D.r_sequence(f, RoundForm(), 30)  # default grids
-        chi = D.chi_estimate(r).chi_hat
+        est = D.chi_estimate(r)
+        chi = est.chi_hat
         assert 0.94 <= chi <= 0.99
         assert abs(chi - CAT_S) < 0.03
-        res = D.verify_bound(f, RoundForm(), 30, r_series=r)
+        res = D.verify_bound(f, est, D.classify(r, est))
         assert res["pass"] and res["verdict"] == "Hyperbolic"
 
 

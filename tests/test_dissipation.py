@@ -591,15 +591,22 @@ def test_reduced_lyapunov_equals_the_full_grid(jacobian_sizes, name):
 # verify_bound and reports
 # ---------------------------------------------------------------------------
 
+def bound_check(f, K, grid, declared_conservative=False):
+    """verify_bound on the chi fit and verdict of f's round-form r_k series."""
+    r = D.r_sequence(f, RoundForm(), K, grid)
+    est = D.chi_estimate(r)
+    return D.verify_bound(f, est, D.classify(r, est), declared_conservative)
+
+
 def test_verify_bound_cat_map():
-    res = D.verify_bound(cat_map(), RoundForm(), 30, D.GridSpec(4, 128))
+    res = bound_check(cat_map(), 30, D.GridSpec(4, 128))
     assert res["s_target"] == pytest.approx(CAT_S, abs=1e-9)
     assert res["chi_hat"] == pytest.approx(CAT_S, abs=0.03)
     assert res["pass"] and res["verdict"] == "Hyperbolic"
 
 
 def test_verify_bound_shear_sharpness():
-    res = D.verify_bound(make_composite([Shear(0)]), RoundForm(), 10, D.GridSpec(6, 32))
+    res = bound_check(make_composite([Shear(0)]), 10, D.GridSpec(6, 32))
     assert res["s_target"] == pytest.approx(0.0, abs=1e-10)
     assert res["a_block"] == [[1, 0], [0, 1]]
     assert (res["l"], res["m"]) == (-1, 0)
@@ -607,15 +614,13 @@ def test_verify_bound_shear_sharpness():
 
 
 def test_verify_bound_identity():
-    res = D.verify_bound(identity_map(2), RoundForm(), 10, FAST)
+    res = bound_check(identity_map(2), 10, FAST)
     assert res["pass"] and res["s_target"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_verify_bound_conservative_contradiction_flag():
     # A declared-conservative map classified Hyperbolic must raise the flag.
-    res = D.verify_bound(
-        cat_map(), RoundForm(), 20, FAST, declared_conservative=True
-    )
+    res = bound_check(cat_map(), 20, FAST, declared_conservative=True)
     assert res["conservative_contradiction"]
     assert not res["pass"]
     assert "conservative" in res["note"]

@@ -258,6 +258,18 @@ def test_apply_batch_returns_fresh_arrays_and_leaves_its_inputs(rng, n):
         assert np.all((q2 >= 0.0) & (q2 < 1.0))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_catalog_keeps_u_unit_over_30_steps(rng, n):
+    # apply_batch does not normalize u again: every primitive, and their
+    # composite, maps unit u to unit u on its own, step after step.
+    catalog = primitive_catalog(n)
+    for f in [make_composite([prim]) for prim in catalog] + [make_composite(catalog)]:
+        u, q = random_batch(rng, n, 50)
+        for _ in range(30):
+            u, q, _ = f.apply_batch(u, q)
+            assert np.allclose(np.linalg.norm(u, axis=0), 1.0, rtol=0, atol=1e-15)
+
+
 def test_floor_wrap_is_np_mod_bit_for_bit(rng):
     # apply_batch wraps q as q - floor(q), which must be np.mod(q, 1.0) bit
     # for bit on this numpy: signed zeros, the smallest subnormal, a value

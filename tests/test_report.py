@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactlab import algebra as A
-from contactlab import geometry, shapes
+from contactlab import dissipation, geometry, shapes
 from contactlab.cli import main
 from contactlab.geometry import FORMS, TrigTerm, descriptor_fields
 from contactlab.maps import HAMILTONIANS, PRIMITIVES, CanonicalLift
@@ -752,6 +752,46 @@ def test_lift_is_built_at_validation_and_inverted_once(tmp_path, monkeypatch):
     second = run(cfg, out_dir=tmp_path / "second")
     assert len(built) == 2  # f at validation, and f^-1 once over both runs
     assert first["results"] == second["results"]
+
+
+@pytest.fixture
+def r_sequence_calls(monkeypatch):
+    """The K of every dissipation.r_sequence call the runner makes."""
+    calls = []
+    r_sequence = dissipation.r_sequence
+
+    def counting(f, form, K, grid=None):
+        calls.append(K)
+        return r_sequence(f, form, K, grid)
+
+    monkeypatch.setattr(dissipation, "r_sequence", counting)
+    return calls
+
+
+CAT_LIFT = dict(MINIMAL, map=[{"kind": "canonical_lift", "matrix": [[2, 1], [1, 1]]}])
+
+
+def test_one_r_sequence_per_k_in_either_task_order(tmp_path, r_sequence_calls):
+    tasks = [{"task": "r_sequence", "K": 10}, {"task": "verify_bound", "K": 10}]
+    docs = []
+    for order, name in ((tasks, "usual"), (tasks[::-1], "swapped")):
+        r_sequence_calls.clear()
+        docs.append(run(validate_config(dict(CAT_LIFT, tasks=order)), out_dir=tmp_path / name))
+        assert r_sequence_calls == [10]
+    assert docs[1]["results"] == docs[0]["results"]
+    for artifact in ("r_sequence.csv", "report.json"):
+        assert (tmp_path / "swapped" / artifact).read_text() == (tmp_path / "usual" / artifact).read_text()
+
+
+def test_verify_bound_fits_its_own_k(tmp_path, r_sequence_calls):
+    tasks = [{"task": "r_sequence", "K": 10}, {"task": "verify_bound", "K": 12}]
+    cfg = validate_config(dict(CAT_LIFT, tasks=tasks))
+    res = run(cfg, out_dir=tmp_path)["results"]["verify_bound"]
+    assert r_sequence_calls == [10, 12]
+    r = dissipation.r_sequence(cfg.contact_map, cfg.form, 12, cfg.grid)
+    est = dissipation.chi_estimate(r)
+    assert res["chi_hat"] == est.chi_hat and res["chi_last"] == est.chi_last
+    assert res["verdict"] == dissipation.classify(r, est, cfg.thresholds)
 
 
 def test_nested_hamiltonian_takes_the_config_dimension():
