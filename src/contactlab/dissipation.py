@@ -17,8 +17,8 @@ positivity and finiteness check (``geometry.profile_values``), is read at
 every shift t of each orbit point, which the loop carries as integer
 lattice indices (B^k t mod 1), so r_k still reads every grid point; a form
 that does not read q (``q_free``) needs only the zero shift.  The Lyapunov
-estimate chains chart Jacobians extracted with jets, from the same reduced
-base rows.
+estimate pushes ambient tangent frames through the map with jets
+(``ContactMap.push_frame``), from the same reduced base rows.
 """
 from __future__ import annotations
 
@@ -31,8 +31,9 @@ import numpy as np
 from . import algebra
 from .geometry import (
     ContactForm, grid_points, profile_values, q_lattice, read_axes, sphere_grid_array,
+    tangent_frame,
 )
-from .maps import ContactMap, chart_jacobian_batch
+from .maps import ContactMap
 
 
 class DissipationError(RuntimeError):
@@ -173,16 +174,20 @@ def classify(r_series, est: ChiEstimate, thresholds: Thresholds = DEFAULT_THRESH
 def lyapunov_estimate(
     f: ContactMap, K: int, grid: GridSpec | None = None
 ) -> float:
-    """(1/K) max over seeds of |log operator norm| of the chained Jacobians.
+    """(1/K) max over seeds of |log operator norm| of the tangent map of f^K.
 
-    The chained product is rescaled by its Frobenius norm after each step
-    and its operator norm is taken once, after the last: the logs of the
-    scales telescope to log |J_K ... J_1|.
+    Each chain pushes an orthonormal frame of T(S^{n-1}) + R^n at its seed
+    (``geometry.tangent_frame``) through f (``ContactMap.push_frame``), so
+    the norms are those of the round metric of the ambient space.  The frame
+    is rescaled by its Frobenius norm after each step and its operator norm
+    is taken once, after the last: the logs of the scales telescope to
+    log |Df^K|.  A scale that is not positive and finite raises
+    DissipationError.
 
     Chains start only from the base rows that are 0 on the axes of f's
     ``base_action``, as in ``r_sequence``.  They give the same chains: along
     those axes f(u, q + t) = (u', q' + B t), so u' does not read q and
-    dq'/dq = B, and the chart Jacobian at (u, q + t) is the one at (u, q).
+    dq'/dq = B, and the tangent map at (u, q + t) is the one at (u, q).
     When f covers every axis that is one base point and the chain depends
     on the fiber orbit alone.
 
@@ -195,19 +200,17 @@ def lyapunov_estimate(
         raise DissipationError("need K >= 8")
     grid = grid or default_lyapunov_grid(f.n)
     u, q = orbit_starts(f.n, grid, f.base_action[1])
-    npts = u.shape[1]
-    d = 2 * f.n - 1
-    basis = np.broadcast_to(np.eye(d), (npts, d, d)).copy()
-    acc = np.zeros(npts)
+    frame = tangent_frame(u)
+    acc = np.zeros(u.shape[1])
     for k in range(K):
-        jac, u, q = chart_jacobian_batch(f, u, q)
-        basis = np.matmul(np.moveaxis(jac, 2, 0), basis)
-        if k < K - 1:
-            norms = np.sqrt(np.einsum("pij,pij->p", basis, basis))
-        else:
-            norms = np.linalg.svd(basis, compute_uv=False)[:, 0]
+        u, q, frame = f.push_frame(u, q, frame)
+        norms = np.sqrt(np.einsum("ijp,ijp->p", frame, frame))
+        if not (norms.min() > 0.0 and math.isfinite(norms.max())):
+            raise DissipationError(f"tangent frame norm is not positive and finite at k = {k + 1}")
+        if k == K - 1:  # the operator norm is at least Frobenius / sqrt(2n - 1) > 0
+            norms = np.linalg.svd(np.moveaxis(frame, 2, 0), compute_uv=False)[:, 0]
         acc += np.log(norms)
-        basis /= norms[:, None, None]
+        frame /= norms
     return float(np.max(np.abs(acc)) / K)
 
 

@@ -3,10 +3,11 @@
 A point of the contact-element space is a unit fiber direction u and a base
 point q, both held as (n, N) component arrays: every call takes a batch,
 and a single point is a batch of one.  Provides the contact-form catalog,
-the grids, the fiber-sphere charts and the forward-mode jets.  A ``Jet``
+the grids, the ambient tangent frames and the forward-mode jets.  A ``Jet``
 passes through the numpy ufuncs of one rule table (any other raises
-TypeError), so forms, charts and maps are written in plain numpy and the
-map catalog and the dissipation machinery differentiate through them.
+TypeError), so forms and maps are written in plain numpy and a tangent frame
+is pushed through a map's transforms as the jets' partials
+(``maps.ContactMap.push_frame``).
 Everything here is a pure function over immutable values.  Forms,
 primitives and Hamiltonians come from JSON descriptors through ``build``:
 a kind's constructor signature is its one field table; one that holds a
@@ -29,10 +30,6 @@ import numpy as np
 from .algebra import as_matrix, determinant, is_int, is_real
 
 TWO_PI = 2.0 * math.pi
-
-# n=3 fiber charts hand over when the direction comes this close to the
-# projection pole of the active chart.
-CHART_SWITCH = 0.1
 
 
 class GeometryError(ValueError):
@@ -176,19 +173,6 @@ def matvec(m):
 def jsum(terms: list):
     """Left-to-right sum of a nonempty list, from its first term (no 0 +)."""
     return sum(terms[1:], terms[0])
-
-
-def seed_jets(values: Sequence) -> list[Jet]:
-    """Turn m scalars (or arrays) into jets carrying the identity seed."""
-    vals = [np.asarray(v, dtype=float) for v in values]
-    m = len(vals)
-    shape = np.broadcast_shapes(*(v.shape for v in vals)) if vals else ()
-    jets = []
-    for i, v in enumerate(vals):
-        d = np.zeros((m,) + shape)
-        d[i] = 1.0
-        jets.append(Jet(v if v.shape else float(v), d))
-    return jets
 
 
 # ---------------------------------------------------------------------------
@@ -484,40 +468,27 @@ def grid_points(dirs: np.ndarray, qs: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Fiber charts
+# Tangent frames
 # ---------------------------------------------------------------------------
 
-def chart_dim(n: int) -> int:
-    return 2 * n - 1
+def tangent_frame(u: np.ndarray) -> np.ndarray:
+    """Orthonormal frames of T_u S^{n-1} + R^n at (n, N) unit directions u.
 
-
-def select_chart_batch(u3: np.ndarray) -> np.ndarray:
-    return (u3 >= 1.0 - CHART_SWITCH).astype(int)
-
-
-def chart_decode(n: int, chart: int, coords):
-    """Chart coordinates -> (u components, q components), jet-compatible."""
+    Returns a (2n, 2n - 1, N) array: row i is ambient component i of
+    (du, dq), column j is frame vector j.  The first n - 1 columns span
+    u-perp in the fiber, the last n are the base axes.  For n = 3 the fiber
+    pair is the branchless basis of Duff et al. (JCGT 6(1), 2017).
+    """
+    n, npts = u.shape
+    frame = np.zeros((2 * n, 2 * n - 1, npts))
     if n == 2:
-        theta = coords[0]
-        a = TWO_PI * theta
-        return [np.cos(a), np.sin(a)], list(coords[1:])
-    a, b = coords[0], coords[1]
-    denom = 1.0 + a * a + b * b
-    if chart == 0:
-        # Stereographic from the north pole; singular only at u3 = +1.
-        u = [2.0 * a / denom, 2.0 * b / denom, (a * a + b * b - 1.0) / denom]
+        frame[0, 0], frame[1, 0] = -u[1], u[0]
     else:
-        u = [2.0 * a / denom, 2.0 * b / denom, (1.0 - a * a - b * b) / denom]
-    return u, list(coords[2:])
-
-
-def chart_encode(n: int, chart: int, u, q):
-    """(u, q) -> chart coordinates; torus coordinates reduced mod 1."""
-    if n == 2:
-        theta = np.mod(np.arctan2(u[1], u[0]) / TWO_PI, 1.0)
-        return [theta] + [np.mod(qi, 1.0) for qi in q]
-    if chart == 0:
-        denom = 1.0 - u[2]
-    else:
-        denom = 1.0 + u[2]
-    return [u[0] / denom, u[1] / denom] + [np.mod(qi, 1.0) for qi in q]
+        x, y, z = u
+        sign = np.copysign(1.0, z)
+        a = -1.0 / (sign + z)
+        b = x * y * a
+        frame[:3, 0] = 1.0 + sign * x * x * a, sign * b, -sign * x
+        frame[:3, 1] = b, sign + y * y * a, -y
+    frame[n:, n - 1:] = np.eye(n)[:, :, None]
+    return frame

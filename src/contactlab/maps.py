@@ -7,13 +7,13 @@ round form in closed form, and ``ContactMap.apply_batch`` sums these along
 the composition; this is the factor the dissipation sequence accumulates.
 ``apply_batch`` wraps q as q - floor(q), which is np.mod(q, 1.0) bit for bit
 without its fmod, and a map builds its inverse once, on the first call.
-``chart_jacobian_batch`` differentiates a map through the fiber charts with
-jets, which pass through the plain numpy of every transform by numpy's ufunc
-protocol (``geometry.Jet``); it feeds the Lyapunov estimate, and the tests
-check the closed forms against it.  Every entry point takes (n, N) component
-arrays; a single point is a batch of one.  ``PRIMITIVES`` and
-``HAMILTONIANS`` map each descriptor kind to its class, which
-``geometry.build`` builds.
+``ContactMap.push_frame`` pushes ambient tangent vectors (du, dq) through
+the same transforms as jets, which pass through their plain numpy by numpy's
+ufunc protocol (``geometry.Jet``); it feeds the Lyapunov estimate, and the
+tests read the conformal factors off it to check the closed forms.  Every
+entry point takes (n, N) component arrays; a single point is a batch of one.
+``PRIMITIVES`` and ``HAMILTONIANS`` map each descriptor kind to its class,
+which ``geometry.build`` builds.
 
 Every primitive and Hamiltonian declares how it meets translations of the
 base in one attribute, ``base_action = (B, axes)``: B is an integer
@@ -39,15 +39,10 @@ from .geometry import (
     TWO_PI,
     build,
     build_at,
-    chart_decode,
-    chart_dim,
-    chart_encode,
     jsum,
     jval,
     matvec,
     metric_matrix,
-    seed_jets,
-    select_chart_batch,
 )
 
 
@@ -81,8 +76,7 @@ class Primitive(Described):
         Returns (u', q', log_c): u' is a unit vector when u is, q' is not
         wrapped, and log_c is the log of the conformal factor for the round
         form at (u, q).  log_c is computed from values only (a float or an
-        array, never a jet); chart-map callers differentiating through
-        jets ignore it.
+        array, never a jet); ``ContactMap.push_frame`` ignores it.
         """
         raise NotImplementedError
 
@@ -454,6 +448,27 @@ class ContactMap:
             u_out[i], q_out[i] = u[i], q[i]
         return u_out, np.subtract(q_out, np.floor(q_out), out=q_out), log_c
 
+    def push_frame(self, u_arr: np.ndarray, q_arr: np.ndarray, frame: np.ndarray):
+        """One step of a tangent frame along the map, on (n, N) arrays.
+
+        ``frame`` is (2n, m, N): m ambient tangent vectors (du, dq) at each
+        point, row i holding component i of (u, q).  Each component enters
+        the transforms as a jet whose partials are its frame row, so the
+        image's partials are the pushed frame Df . frame.  Returns (u, q,
+        frame) in fresh arrays: the image as ``apply_batch`` gives it (the
+        jets' values, q wrapped the same way) and the pushed (2n, m, N)
+        frame; the log factors are not kept.  Inputs are never changed.
+        """
+        comps = [Jet(v, d) for v, d in zip((*u_arr, *q_arr), frame)]
+        u, q = comps[:self.n], comps[self.n:]
+        for prim in self.primitives:
+            u, q, _ = prim.transform(u, q)
+        points, pushed = np.empty((2 * self.n,) + u_arr.shape[1:]), np.empty(frame.shape)
+        for i, c in enumerate(u + q):
+            points[i], pushed[i] = c.value, c.partials
+        q_out = points[self.n:]
+        return points[:self.n], np.subtract(q_out, np.floor(q_out), out=q_out), pushed
+
     def inverse(self) -> "ContactMap":
         return self._inverse
 
@@ -485,42 +500,6 @@ def make_composite(primitives: Sequence[Primitive], n: int | None = None) -> Con
 
 def identity_map(n: int) -> ContactMap:
     return make_composite([], n=n)
-
-
-# ---------------------------------------------------------------------------
-# Chart Jacobians
-# ---------------------------------------------------------------------------
-
-def _composite_chart_phi(f: ContactMap, chart_in: int, chart_out: int):
-    def phi(coords):
-        u, q = chart_decode(f.n, chart_in, coords)
-        for prim in f.primitives:
-            u, q, _ = prim.transform(u, q)
-        return chart_encode(f.n, chart_out, u, q)
-
-    return phi
-
-
-def chart_jacobian_batch(f: ContactMap, u_arr: np.ndarray, q_arr: np.ndarray):
-    """Full chart Jacobians at (n, N) arrays: returns (J, u_image, q_image).
-
-    J has shape (d, d, N); entry [i, j] is d out_i / d x_j at each point.
-    """
-    n, d, npts = f.n, chart_dim(f.n), u_arr.shape[1]
-    u2, q2, _ = f.apply_batch(u_arr, q_arr)
-    jac = np.empty((d, d, npts))
-    # Input and output chart of each point, grouped by the pair; n = 2 has one chart.
-    charts = np.zeros((2, npts), int) if n == 2 else select_chart_batch(np.stack([u_arr[2], u2[2]]))
-    for chart_in in range(n - 1):
-        for chart_out in range(n - 1):
-            idx = np.nonzero((charts[0] == chart_in) & (charts[1] == chart_out))[0]
-            if idx.size == 0:
-                continue
-            coords = chart_encode(n, chart_in, list(u_arr[:, idx]), list(q_arr[:, idx]))
-            phi = _composite_chart_phi(f, chart_in, chart_out)
-            for i, o in enumerate(phi(seed_jets(coords))):
-                jac[i, :, idx] = o.partials.T if isinstance(o, Jet) else 0.0
-    return jac, u2, q2
 
 
 # ---------------------------------------------------------------------------

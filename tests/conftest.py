@@ -1,4 +1,6 @@
 """Shared numerical oracles for the test suite."""
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -16,40 +18,47 @@ from contactlab.algebra import (
 )
 from contactlab.geometry import (
     ContactForm,
-    chart_encode,
+    Jet,
     grid_points,
     profile_values,
     q_lattice,
-    select_chart_batch,
     sphere_grid_array,
+    tangent_frame,
 )
-from contactlab.maps import ContactMap, MapError, chart_jacobian_batch
+from contactlab.maps import ContactMap, MapError
 from contactlab.shapes import ShapeError, StarDomain, displacement_series
 
 
-def circ_diff(a, b, periodic):
-    """Componentwise difference; periodic components measured on the circle."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = a - b
-    per = np.asarray(periodic, dtype=bool)
-    d[per] = (d[per] + 0.5) % 1.0 - 0.5
-    return d
+def seed_jets(values: Sequence) -> list[Jet]:
+    """Turn m scalars (or arrays) into jets carrying the identity seed."""
+    vals = [np.asarray(v, dtype=float) for v in values]
+    m = len(vals)
+    shape = np.broadcast_shapes(*(v.shape for v in vals)) if vals else ()
+    jets = []
+    for i, v in enumerate(vals):
+        d = np.zeros((m,) + shape)
+        d[i] = 1.0
+        jets.append(Jet(v if v.shape else float(v), d))
+    return jets
 
 
-def fd_jacobian(phi, x, periodic_out, h=1e-5):
-    """Central finite differences of a chart map; wrap-aware in the outputs."""
-    x = np.asarray(x, dtype=float)
-    m = len(x)
-    cols = []
-    for j in range(m):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp = np.array([float(v) for v in phi(list(xp))])
-        fm = np.array([float(v) for v in phi(list(xm))])
-        cols.append(circ_diff(fp, fm, periodic_out) / (2.0 * h))
+def fd_frame(f: ContactMap, u, q, frame, h=1e-5):
+    """Central differences of ``apply_batch`` along each column (du, dq) of
+    a (2n, m, 1) frame at a batch of one, as a (2n, m) array.
+
+    Column j runs the curve ((u + s du) / |u + s du|, q + s dq), whose
+    velocity at s = 0 is (du, dq) when du is perpendicular to u; image q
+    differences are taken on the circle.
+    """
+    n, cols = f.n, []
+    for j in range(frame.shape[1]):
+        ends = []
+        for s in (h, -h):
+            us = u + s * frame[:n, j]
+            ends.append(f.apply_batch(us / np.linalg.norm(us, axis=0), q + s * frame[n:, j])[:2])
+        (u_plus, q_plus), (u_minus, q_minus) = ends
+        dq = (q_plus - q_minus + 0.5) % 1.0 - 0.5
+        cols.append(np.concatenate([u_plus - u_minus, dq])[:, 0] / (2.0 * h))
     return np.stack(cols, axis=1)
 
 
@@ -74,45 +83,47 @@ def full_grid(n, grid):
     return grid_points(sphere_grid_array(n, grid.fiber_res), qs)
 
 
-def chart_coords(f, u, q):
-    """(chart_in, chart_out, coords) of the map f at a batch of one: the
-    charts at the point and at its image, and the point's input chart
-    coordinates as floats."""
-    u_image, _, _ = f.apply_batch(u, q)
-    chart_in = chart_out = 0
-    if f.n == 3:
-        chart_in = int(select_chart_batch(u[2])[0])
-        chart_out = int(select_chart_batch(u_image[2])[0])
-    coords = chart_encode(f.n, chart_in, list(u), list(q))
-    return chart_in, chart_out, [float(c[0]) for c in coords]
-
-
 def conformal_factor_batch(
     f: ContactMap, form: ContactForm, u_arr: np.ndarray, q_arr: np.ndarray
 ):
     """Conformal factors at (n, N) component arrays, extracted with jets.
 
-    Returns (c, u_image, q_image).  Each factor is read off the chart
-    Jacobian's column on which the form coefficient is largest.  This is the
-    oracle for the closed-form factors that ``apply_batch`` returns.
+    Returns (c, u_image, q_image).  One jet per point is seeded with the
+    Reeb vector (0, u) of the round form alpha_0 = u . dq, on which alpha_0
+    reads 1; f^* alpha_0 reads u' . dq' on it, so the factor of F alpha_0
+    is c = (F(y) / F(x)) u' . dq'.  This is the oracle for the closed-form
+    factors that ``apply_batch`` returns.
     """
-    npts = u_arr.shape[1]
-    jac, u2, q2 = chart_jacobian_batch(f, u_arr, q_arr)
-    lam_x = form_rows(form, u_arr, q_arr, f.n, npts)
-    lam_y = form_rows(form, u2, q2, f.n, npts)
-    jsel = np.argmax(np.abs(lam_x), axis=0)
-    points = np.arange(npts)
-    denom = lam_x[jsel, points]
-    if np.min(np.abs(denom)) < 1e-12:
-        raise MapError("degenerate transversal: form vanishes on chart basis")
-    return (lam_y * jac[:, jsel, points]).sum(axis=0) / denom, u2, q2
+    reeb = np.concatenate([np.zeros_like(u_arr), u_arr])[:, None, :]
+    u2, q2, pushed = f.push_frame(u_arr, q_arr, reeb)
+    ratio = profile_values(form, u2, q2, MapError) / profile_values(form, u_arr, q_arr, MapError)
+    return ratio * (u2 * pushed[f.n:, 0]).sum(axis=0), u2, q2
 
 
-def form_rows(form: ContactForm, u_arr, q_arr, n: int, npts: int) -> np.ndarray:
-    """Chart coefficients (fiber coordinates..., dq...) of the form at each
-    point, shape (2n - 1, N); the fiber block is always 0."""
-    f = profile_values(form, u_arr, q_arr, MapError)
-    return np.concatenate([np.zeros((n - 1, npts)), f * u_arr])
+def frame_lyapunov(f: ContactMap, K: int, grid, rng=None, per_step_svd=False) -> float:
+    """``lyapunov_estimate``'s chain on every point of the full grid.
+
+    With ``rng`` each point's ``tangent_frame`` is first turned by its own
+    seeded random orthogonal matrix; with ``per_step_svd`` the frame is
+    renormalised by its operator norm at every step, not by its Frobenius
+    norm with one operator norm after the last.
+    """
+    u, q = full_grid(f.n, grid)
+    frame = tangent_frame(u)
+    if rng is not None:
+        d = frame.shape[1]
+        turn, _ = np.linalg.qr(rng.normal(size=(u.shape[1], d, d)))
+        frame = np.einsum("ikp,pkj->ijp", frame, turn)
+    acc = np.zeros(u.shape[1])
+    for k in range(K):
+        u, q, frame = f.push_frame(u, q, frame)
+        if per_step_svd or k == K - 1:
+            norms = np.linalg.svd(np.moveaxis(frame, 2, 0), compute_uv=False)[:, 0]
+        else:
+            norms = np.sqrt((frame * frame).sum(axis=(0, 1)))
+        acc += np.log(norms)
+        frame /= norms
+    return float(np.max(np.abs(acc)) / K)
 
 
 class CountingForm(ContactForm):

@@ -24,12 +24,11 @@ from contactlab.maps import (
     Primitive,
     ReebTranslation,
     Shear,
-    chart_jacobian_batch,
     identity_map,
     make_composite,
 )
 
-from conftest import CountingForm, conformal_factor_batch, full_grid
+from conftest import CountingForm, conformal_factor_batch, frame_lyapunov, full_grid
 
 CAT = [[2, 1], [1, 1]]
 CAT_S = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -516,46 +515,59 @@ def test_lyapunov_shear_decays():
     assert long < 0.1
 
 
-def per_step_svd_lyapunov(f, K, grid):
-    """The Lyapunov chain renormalised by its operator norm at every step."""
-    u, q = full_grid(f.n, grid)
-    d = 2 * f.n - 1
-    basis = np.broadcast_to(np.eye(d), (u.shape[1], d, d)).copy()
-    acc = np.zeros(u.shape[1])
-    for _ in range(K):
-        jac, u, q = chart_jacobian_batch(f, u, q)
-        basis = np.matmul(np.moveaxis(jac, 2, 0), basis)
-        norms = np.linalg.svd(basis, compute_uv=False)[:, 0]
-        acc += np.log(norms)
-        basis /= norms[:, None, None]
-    return float(np.max(np.abs(acc)) / K)
+LYAPUNOV_CHAINS = {
+    "cat": ([CanonicalLift(CAT)], D.GridSpec(4, 32)),
+    "shear_flow": ([Shear(0), ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=16)], D.GridSpec(3, 16)),
+    "n3_lift": ([CanonicalLift([[1, 1, 0], [1, 2, 1], [0, 1, 2]])], D.GridSpec(2, 24)),
+}
 
 
-@pytest.mark.parametrize(
-    "prims, grid",
-    [
-        ([CanonicalLift(CAT)], D.GridSpec(4, 32)),
-        ([Shear(0), ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=16)], D.GridSpec(3, 16)),
-        ([CanonicalLift([[1, 1, 0], [1, 2, 1], [0, 1, 2]])], D.GridSpec(2, 24)),
-    ],
-    ids=["cat", "shear_flow", "n3_lift"],
-)
+@pytest.mark.parametrize("prims, grid", LYAPUNOV_CHAINS.values(), ids=LYAPUNOV_CHAINS)
 def test_lyapunov_matches_the_per_step_svd_chain(prims, grid):
     f = make_composite(prims)
     got = D.lyapunov_estimate(f, 12, grid)
-    assert got == pytest.approx(per_step_svd_lyapunov(f, 12, grid), rel=1e-12, abs=1e-14)
+    assert got == pytest.approx(frame_lyapunov(f, 12, grid, per_step_svd=True), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("prims, grid", LYAPUNOV_CHAINS.values(), ids=LYAPUNOV_CHAINS)
+def test_lyapunov_does_not_depend_on_the_frame(prims, grid):
+    # The operator norm of Df^K on T(S^{n-1}) + R^n is the same in every
+    # orthonormal frame: start each chain from a random turn of its frame.
+    f = make_composite(prims)
+    got = D.lyapunov_estimate(f, 12, grid)
+    turned = frame_lyapunov(f, 12, grid, rng=np.random.default_rng(4))
+    assert got == pytest.approx(turned, rel=1e-12)
+
+
+class NanStep(Primitive):
+    """Sends every point to NaN."""
+
+    n = 2
+    kind = "nan_step"
+
+    def transform(self, u, q):
+        return [ui * np.nan for ui in u], list(q), 0.0
+
+    def inverse(self):
+        return self
+
+
+def test_lyapunov_rejects_a_frame_that_is_not_finite():
+    with pytest.raises(D.DissipationError, match="not positive and finite at k = 1"):
+        D.lyapunov_estimate(make_composite([NanStep()]), 8, D.GridSpec(2, 8))
 
 
 @pytest.fixture
-def jacobian_sizes(monkeypatch):
-    """Number of points in each chart Jacobian batch of lyapunov_estimate."""
+def frame_sizes(monkeypatch):
+    """Number of points in each frame step of lyapunov_estimate."""
     sizes = []
+    push_frame = ContactMap.push_frame
 
-    def spy(f, u, q):
+    def spy(f, u, q, frame):
         sizes.append(u.shape[1])
-        return chart_jacobian_batch(f, u, q)
+        return push_frame(f, u, q, frame)
 
-    monkeypatch.setattr(D, "chart_jacobian_batch", spy)
+    monkeypatch.setattr(ContactMap, "push_frame", spy)
     return sizes
 
 
@@ -573,14 +585,14 @@ LYAPUNOV_MAPS = {
 
 
 @pytest.mark.parametrize("name", sorted(LYAPUNOV_MAPS))
-def test_reduced_lyapunov_equals_the_full_grid(jacobian_sizes, name):
+def test_reduced_lyapunov_equals_the_full_grid(frame_sizes, name):
     prims, base_points = LYAPUNOV_MAPS[name]
     f = make_composite(prims)
     grid = D.GridSpec(3, 16) if f.n == 2 else D.GridSpec(2, 24)
     reduced = D.lyapunov_estimate(f, 8, grid)
-    assert jacobian_sizes == [base_points * grid.fiber_res] * 8
+    assert frame_sizes == [base_points * grid.fiber_res] * 8
     full = D.lyapunov_estimate(pinned(f), 8, grid)
-    assert jacobian_sizes[8:] == [grid.q_res ** f.n * grid.fiber_res] * 8
+    assert frame_sizes[8:] == [grid.q_res ** f.n * grid.fiber_res] * 8
     if base_points == 1:
         assert reduced == full  # the chain reads the fiber orbit alone
     else:

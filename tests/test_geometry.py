@@ -19,21 +19,18 @@ from contactlab.geometry import (
     PullbackForm,
     RoundForm,
     build_form,
-    chart_decode,
-    chart_encode,
     grid_points,
     jval,
     matvec,
     profile_values,
     q_lattice,
-    seed_jets,
-    select_chart_batch,
     sphere_grid_array,
+    tangent_frame,
 )
 from contactlab.maps import MapError
 from contactlab.report import ConfigError, validate_config
 from contactlab.shapes import ShapeError
-from conftest import form_rows, random_points
+from conftest import random_points, seed_jets
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -397,16 +394,8 @@ def test_pullback_form_round_is_stretch():
     assert float(jval(form.profile(list(u), [0.0, 0.0]))) == pytest.approx(expected)
 
 
-def test_eval_form_chart_coefficients():
-    a = 2.0 * math.pi * 0.125
-    u = np.array([[math.cos(a)], [math.sin(a)]])
-    coeffs = form_rows(ConstantForm(2.0), u, np.array([[0.3], [0.4]]), 2, 1)[:, 0]
-    s = math.sqrt(0.5)
-    assert coeffs == pytest.approx([0.0, 2.0 * s, 2.0 * s])
-
-
 # ---------------------------------------------------------------------------
-# Sphere grids and charts
+# Sphere grids and tangent frames
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,res", [(2, 32), (3, 200)])
@@ -416,36 +405,18 @@ def test_sphere_grid_unit_norm(n, res):
     assert np.allclose(np.linalg.norm(g, axis=1), 1.0)
 
 
-def chart_roundtrip(n, chart, u, q):
-    """Decoded (u, q) of the encoded points, stacked as (n, N) arrays."""
-    u2, q2 = chart_decode(n, chart, chart_encode(n, chart, list(u), list(q)))
-    return np.stack(u2), np.mod(np.stack(q2), 1.0)
-
-
-def test_chart_roundtrip_n2(rng):
-    u, q = random_points(rng, 2, 50)
-    u2, q2 = chart_roundtrip(2, 0, u, q)
-    assert np.allclose(u2, u, atol=1e-12)
-    assert np.allclose(q2, q, atol=1e-12)
-
-
-def test_chart_roundtrip_n3_both_charts(rng):
-    u, q = random_points(rng, 3, 100)
-    charts = select_chart_batch(u[2])
-    for chart in (0, 1):
-        idx = charts == chart
-        u2, q2 = chart_roundtrip(3, chart, u[:, idx], q[:, idx])
-        assert np.allclose(u2, u[:, idx], atol=1e-10)
-        assert np.allclose(q2, q[:, idx], atol=1e-12)
-    # near-pole directions must land in the second chart
-    pole = np.array([0.01, 0.0, 1.0])
-    assert select_chart_batch(pole[2:] / np.linalg.norm(pole))[0] == 1
-
-
-def test_chart_encode_decode_consistency_n3():
-    u = [0.6, 0.0, 0.8]
-    for chart in (0, 1):
-        coords = chart_encode(3, chart, u, [0.1, 0.2, 0.3])
-        u2, q2 = chart_decode(3, chart, [float(jval(c)) for c in coords])
-        assert np.allclose([float(jval(c)) for c in u2], u, atol=1e-12)
-        assert np.allclose([float(jval(c)) for c in q2], [0.1, 0.2, 0.3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_tangent_frame_is_orthonormal_and_tangent(rng, n):
+    # Random directions plus the axes and their negatives (the poles of
+    # the n = 3 construction, and -0.0 components).
+    u, _ = random_points(rng, n, 100)
+    axes = np.eye(n)
+    u = np.concatenate([u, axes, -axes, -axes + 0.0], axis=1)
+    frame = tangent_frame(u)
+    d = 2 * n - 1
+    assert frame.shape == (2 * n, d, u.shape[1])
+    gram = np.einsum("ijp,ikp->pjk", frame, frame)
+    assert np.abs(gram - np.eye(d)).max() <= 4e-16
+    assert np.abs(np.einsum("ip,ijp->jp", u, frame[:n])).max() <= 4e-16
+    assert np.array_equal(frame[n:, n - 1:], np.broadcast_to(np.eye(n)[:, :, None], (n, n, u.shape[1])))
+    assert not frame[n:, :n - 1].any() and not frame[:n, n - 1:].any()

@@ -11,9 +11,7 @@ from contactlab.geometry import (
     TrigTerm,
     build,
     build_form,
-    chart_dim,
-    seed_jets,
-    select_chart_batch,
+    tangent_frame,
 )
 from contactlab.maps import (
     HAMILTONIANS,
@@ -27,18 +25,16 @@ from contactlab.maps import (
     Primitive,
     ReebTranslation,
     Shear,
-    _composite_chart_phi,
     build_primitive,
-    chart_jacobian_batch,
     identity_map,
     make_composite,
 )
 from conftest import (
-    chart_coords,
     conformal_factor_batch,
-    fd_jacobian,
+    fd_frame,
     random_point,
     random_points,
+    seed_jets,
 )
 from test_geometry import FORM_SPECS
 
@@ -198,23 +194,23 @@ def test_conformal_factor_batch_n3(rng):
     ],
     ids=["trig", "metric"],
 )
-def test_n3_chart_groups_match_batches_of_one(rng, form):
-    # Points in every (chart in, chart out) group of an n=3 map give, bit for
-    # bit, the Jacobian and factor of their own batch of one.  Directions
-    # near the pole and M^T times them fill the groups that use chart 1.
+def test_n3_frames_match_batches_of_one(rng, form):
+    # Every point of a batch gets, bit for bit, the image, pushed frame and
+    # factor of its own batch of one.  Directions near the pole and M^T
+    # times them meet both signs of the n = 3 frame construction.
     m = np.array(N3_LIFT, float)
     f = make_composite([CanonicalLift(N3_LIFT), ReebTranslation(0.3, n=3)])
     near_pole = rng.normal(size=(3, 20)) * 0.2 + np.array([[0.0], [0.0], [1.0]])
-    u = np.hstack([rng.normal(size=(3, 20)), near_pole, m.T @ near_pole])
+    u = np.hstack([rng.normal(size=(3, 20)), near_pole, -near_pole, m.T @ near_pole])
     u /= np.linalg.norm(u, axis=0)
-    q = rng.random((3, 60))
-    jac, u2, _ = chart_jacobian_batch(f, u, q)
+    q = rng.random((3, 80))
+    u2, q2, pushed = f.push_frame(u, q, tangent_frame(u))
     c, _, _ = conformal_factor_batch(f, form, u, q)
-    groups = select_chart_batch(u[2]) * 2 + select_chart_batch(u2[2])
-    assert set(groups) == {0, 1, 2, 3}
-    for i in range(60):
+    for i in range(80):
         one = (u[:, i : i + 1], q[:, i : i + 1])
-        np.testing.assert_array_equal(chart_jacobian_batch(f, *one)[0][:, :, 0], jac[:, :, i])
+        got = f.push_frame(*one, tangent_frame(one[0]))
+        for a, b in zip(got, (u2, q2, pushed)):
+            np.testing.assert_array_equal(a[..., 0], b[..., i])
         assert conformal_factor_batch(f, form, *one)[0][0] == c[i]
 
 
@@ -346,27 +342,45 @@ def test_contact_flow_closed_form_converges_to_jets(rng, ham):
 
 
 # ---------------------------------------------------------------------------
-# AD vs finite differences through the charts
+# Pushed tangent frames: AD vs finite differences, the contact condition
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_chart_jacobians_match_finite_differences(rng, n):
-    d = chart_dim(n)
-    periodic_out = [True] * d if n == 2 else [False, False, True, True, True]
+def test_frame_partials_match_finite_differences(rng, n):
     for prim in primitive_catalog(n):
         f = make_composite([prim])
         for _ in range(3):
             u, q = random_point(rng, n)
-            chart_in, chart_out, coords = chart_coords(f, u, q)
-            phi = _composite_chart_phi(f, chart_in, chart_out)
-            jac, _, _ = chart_jacobian_batch(f, u, q)
-            fd = fd_jacobian(
-                lambda cs: [float(np.asarray(v.value if hasattr(v, "value") else v)) for v in phi(cs)],
-                coords,
-                periodic_out,
-            )
+            frame = tangent_frame(u)
+            pushed = f.push_frame(u, q, frame)[2][:, :, 0]
+            fd = fd_frame(f, u, q, frame)
             scale = max(1.0, np.abs(fd).max())
-            assert np.abs(jac[:, :, 0] - fd).max() / scale < 1e-5
+            assert np.abs(pushed - fd).max() / scale < 1e-5
+
+
+def contact_catalog(n):
+    """Every catalog kind in dimension n, each alone, then all composed."""
+    extra = [] if n == 2 else [ContactFlow(MetricHamiltonian(np.diag([4.0, 1.0, 2.0])), 0.4, steps=32)]
+    prims = primitive_catalog(n) + extra
+    return [([prim], isinstance(prim, ContactFlow)) for prim in prims] + [(prims, True)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pushed_kernel_stays_in_the_kernel(rng, n):
+    # f^* alpha_0 = c alpha_0 with alpha_0 = u . dq, so f^* alpha_0 vanishes
+    # on ker alpha_0: pushing du perpendicular to u (dq = 0), then dq
+    # perpendicular to u (du = 0), gives u' . dq' = 0.  Exact up to rounding
+    # for the closed forms; RK4 flows are contact up to O(h^4).
+    u, q = random_batch(rng, n, 100)
+    fiber = tangent_frame(u)[:n, :n - 1]
+    kernel = np.zeros((2 * n, 2 * n - 2, u.shape[1]))
+    kernel[:n, :n - 1] = fiber
+    kernel[n:, n - 1:] = fiber
+    for prims, has_flow in contact_catalog(n):
+        f = make_composite(prims)
+        u2, _, pushed = f.push_frame(u, q, kernel)
+        pairing = np.einsum("ip,ijp->jp", u2, pushed[n:])
+        assert np.abs(pairing).max() <= (1e-7 if has_flow else 1e-13), f.describe()
 
 
 def test_contact_flow_divergence_guard():

@@ -25,6 +25,7 @@ from contactlab.report import (
     run,
     validate_config,
 )
+from test_dissipation import NanStep
 
 REPO = Path(__file__).resolve().parents[1]
 MINIMAL = {
@@ -921,6 +922,17 @@ def test_repeated_tasks_write_one_artifact_each(tmp_path):
     assert results["growth"]["series"] != results["growth_3"]["series"]
     for task_id in ("duality", "duality_5"):
         assert json.loads((tmp_path / f"{task_id}.json").read_text()) == results[task_id]
+
+
+def test_non_finite_lyapunov_frame_exits_3(tmp_path, capsys, monkeypatch):
+    # A map that sends points to NaN validates; its Lyapunov chain is a
+    # runtime error, never a NaN lyap_hat.
+    monkeypatch.setitem(PRIMITIVES, NanStep.kind, (NanStep, {}))
+    data = dict(MINIMAL, map=[{"kind": NanStep.kind}], tasks=[{"task": "lyapunov", "K": 8}])
+    path = write_config(tmp_path, data)
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "tangent frame norm is not positive and finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
