@@ -9,9 +9,10 @@ the composition; this is the factor the dissipation sequence accumulates.
 without its fmod, and a map builds its inverse once, on the first call.
 ``ContactMap.push_frame`` pushes ambient tangent vectors (du, dq) through
 the same transforms as jets, which pass through their plain numpy by numpy's
-ufunc protocol (``geometry.Jet``); it feeds the Lyapunov estimate, and the
-tests read the conformal factors off it to check the closed forms.  Every
-entry point takes (n, N) component arrays; a single point is a batch of one.
+ufunc protocol (``geometry.Jet``), a contact flow's one RK4 loop included;
+it feeds the Lyapunov estimate, and the tests read the conformal factors
+off it to check the closed forms.  Every entry point takes (n, N)
+component arrays; a single point is a batch of one.
 ``PRIMITIVES`` and ``HAMILTONIANS`` map each descriptor kind to its class,
 which ``geometry.build`` builds.
 
@@ -37,12 +38,14 @@ from .geometry import (
     Described,
     Jet,
     TWO_PI,
+    buffers,
     build,
     build_at,
     jsum,
     jval,
     matvec,
     metric_matrix,
+    stacked,
 )
 
 
@@ -194,26 +197,19 @@ class ReebTranslation(Primitive):
 # -- degree-1 homogeneous Hamiltonians for ContactFlow ----------------------
 
 class Hamiltonian(Described):
-    """A degree-1 homogeneous Hamiltonian H(p, q), in two forms.
-
-    ``rates`` is the value path ``ContactFlow`` runs on plain arrays;
-    ``gradients`` is the jet-compatible oracle it runs on jets.  Both give
-    the same bits.  ``base_action`` is the (B, axes) its flows carry; B = I
-    says that both gradients are invariant under translation of q along axes.
-    """
+    """A degree-1 homogeneous Hamiltonian H(p, q), given by its one
+    right-hand side, ``rates``.  ``base_action`` is the (B, axes) its flows
+    carry; B = I says that the rates are invariant under translation of q
+    along axes."""
 
     n: int
     base_action: tuple = (None, frozenset())
 
-    def gradients(self, p, q):
-        """Returns (dH/dp, dH/dq) as component lists; jet-compatible."""
-        raise NotImplementedError
-
     def rates(self, x, out):
-        """Writes Hamilton's (pdot, qdot) = (-dH/dq, dH/dp) at the stacked
-        (2n, N) state x = (p, q) into the (2n, N) array out, with the
-        association of ``gradients``.  A pdot row that is identically 0 is
-        left untouched: ``ContactFlow`` fills it once, with -0.0.
+        """Writes Hamilton's (pdot, qdot) = (-dH/dq, dH/dp) at the state
+        x = (p, q) into out, both (2n, N) arrays or both stacked jets.  A pdot
+        row that is identically 0 is left untouched: ``ContactFlow`` fills
+        it once, with -0.0.
         """
         raise NotImplementedError
 
@@ -232,9 +228,6 @@ class MomentumHamiltonian(Hamiltonian):
             raise MapError("dimension must be 2 or 3")
         self.base_action = translations(self.n)
 
-    def gradients(self, p, q):
-        return list(self.c), [0.0] * self.n
-
     def rates(self, x, out):
         out[self.n:] = np.reshape(self.c, (-1, 1))
 
@@ -251,11 +244,6 @@ class MetricHamiltonian(Hamiltonian):
             raise MapError("metric must be 2x2 or 3x3")
         self.base_action = translations(self.n)
         self._g = matvec(self.g)
-
-    def gradients(self, p, q):
-        gp = self._g(p)
-        h = np.sqrt(jsum([pi * gi for pi, gi in zip(p, gp)]))
-        return [gi / h for gi in gp], [0.0] * self.n
 
     def rates(self, x, out):
         p = x[:self.n]
@@ -282,14 +270,6 @@ class ModulatedNormHamiltonian(Hamiltonian):
         self.n = int(n)
         self.base_action = translations(self.n, frozenset(range(self.n)) - {self.axis})
 
-    def gradients(self, p, q):
-        norm = np.sqrt(jsum([pi * pi for pi in p]))
-        mod = 1.0 + self.eps * np.cos(TWO_PI * q[self.axis])
-        dp = [pi / norm * mod for pi in p]
-        dq = [0.0] * self.n
-        dq[self.axis] = -(TWO_PI * self.eps) * norm * np.sin(TWO_PI * q[self.axis])
-        return dp, dq
-
     def rates(self, x, out):
         n, axis = self.n, self.axis
         p = x[:n]
@@ -297,7 +277,7 @@ class ModulatedNormHamiltonian(Hamiltonian):
         angle = TWO_PI * x[n + axis]
         qdot = np.divide(p, norm, out=out[n:])
         qdot *= 1.0 + self.eps * np.cos(angle)
-        # pdot = -dH/dq = (2 pi eps |p|) sin(angle), the negated oracle bits
+        # pdot = -dH/dq = (2 pi eps |p|) sin(angle)
         pdot = np.multiply(TWO_PI * self.eps, norm, out=out[axis])
         pdot *= np.sin(angle)
 
@@ -311,10 +291,9 @@ class ContactFlow(Primitive):
     1/|p(t)|, the product of the inverse renormalization norms.
     ``hamiltonian`` is a Hamiltonian or its descriptor, built in dimension n.
 
-    Plain arrays run the value path: (p, q) stacked once into a (2n, N)
-    state, ``Hamiltonian.rates`` writing each stage into one of four
-    preallocated buffers.  Jets run the component-list loop over
-    ``Hamiltonian.gradients``, the oracle; both give the same bits.
+    Arrays and jets run one loop on the stacked (2n, N) state: ``rates``
+    writes each stage into a buffer carved from one block with the scratch
+    state (``geometry.buffers``), and every update is in place, by ``out=``.
     """
 
     kind = "contact_flow"
@@ -336,15 +315,11 @@ class ContactFlow(Primitive):
 
     def transform(self, u, q):
         # Hamilton's equations: qdot = dH/dp, pdot = -dH/dq.
-        if any(isinstance(c, Jet) for c in (*u, *q)):
-            return self._transform_jets(u, q)
         n = self.n
-        state = np.array(np.broadcast_arrays(*u, *q), dtype=float)  # fresh: inputs stay
-        x = state.reshape(2 * n, -1)  # a view whose rows are arrays, even for scalars
+        x = stacked([*u, *q])  # fresh: inputs stay
         h = self.t / self.steps
         rates = self.hamiltonian.rates
-        k1, k2, k3, k4 = np.full((4,) + x.shape, -0.0)
-        y = np.empty_like(x)
+        k1, k2, k3, k4, y = buffers(x, 5)
         log_c = 0.0
         for _ in range(self.steps):
             rates(x, k1)
@@ -359,45 +334,16 @@ class ContactFlow(Primitive):
             k2 += k4
             x += np.multiply(h / 6.0, k2, out=y)
             p = x[:n]
-            norm2 = _checked_norm2(jsum(list(p * p)))
-            log_c = log_c - 0.5 * np.log(norm2)
+            norm2 = jsum(list(p * p))
+            v = jval(norm2)
+            if not (v.min() >= 0.25 and v.max() <= 4.0):  # |p|^2 left [0.25, 4]; NaN fails both
+                raise MapError("contact flow integration diverged; increase steps")
+            log_c = log_c - 0.5 * np.log(v)
             p *= 1.0 / np.sqrt(norm2)
-        return list(state[:n]), list(state[n:]), np.reshape(log_c, state.shape[1:])
-
-    def _transform_jets(self, u, q):
-        n, h, ham = self.n, self.t / self.steps, self.hamiltonian
-        z = [*u, *q]
-        log_c = 0.0
-        for _ in range(self.steps):
-            k1 = _hamilton_rhs(ham, z)
-            k2 = _hamilton_rhs(ham, [zi + 0.5 * h * ki for zi, ki in zip(z, k1)])
-            k3 = _hamilton_rhs(ham, [zi + 0.5 * h * ki for zi, ki in zip(z, k2)])
-            k4 = _hamilton_rhs(ham, [zi + h * ki for zi, ki in zip(z, k3)])
-            z = [
-                zi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
-            ]
-            norm2 = jsum([pi * pi for pi in z[:n]])
-            log_c = log_c - 0.5 * np.log(_checked_norm2(np.asarray(jval(norm2), dtype=float)))
-            inv = 1.0 / np.sqrt(norm2)
-            z = [pi * inv for pi in z[:n]] + z[n:]
-        return z[:n], z[n:], log_c
+        return list(x[:n]), list(x[n:]), log_c
 
     def inverse(self):
         return ContactFlow(self.hamiltonian, -self.t, self.steps)
-
-
-def _checked_norm2(norm2: np.ndarray) -> np.ndarray:
-    """|p|^2 after a step, unless some point left [0.25, 4] (NaN fails both)."""
-    if not (norm2.min() >= 0.25 and norm2.max() <= 4.0):
-        raise MapError("contact flow integration diverged; increase steps")
-    return norm2
-
-
-def _hamilton_rhs(ham: Hamiltonian, z: list) -> list:
-    """(pdot, qdot) at the state z = (p, q), from ``gradients``."""
-    dp, dq = ham.gradients(z[:ham.n], z[ham.n:])
-    return [-g for g in dq] + dp
 
 
 # ---------------------------------------------------------------------------

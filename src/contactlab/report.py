@@ -145,6 +145,8 @@ def validate_config(data: dict) -> ExperimentConfig:
         if form.n not in (None, n):
             errors.append(f"form: dimension {form.n} does not match configured {n}")
         elif sampled is not None:  # the points r_sequence reads at step 0
+            if not _fits(n, sampled.fiber_res, sampled.q_res, geometry.read_axes(form, range(n))):
+                raise MemoryError  # refused by its size, before the form is read
             shapes.flat_shape(form, n, sampled.q_res).rho(
                 geometry.sphere_grid_array(n, sampled.fiber_res))
     except SPEC_ERRORS as exc:
@@ -204,11 +206,10 @@ def validate_config(data: dict) -> ExperimentConfig:
         out_dir=out_dir, raw=data, form=form, contact_map=make_composite(prims, n=n),
     )
     if any(task["task"] == "lyapunov" for task in tasks):
-        try:  # the chain starts lyapunov_estimate builds
-            dissipation.orbit_starts(n, config.lyap_grid or dissipation.default_lyapunov_grid(n),
-                                     config.contact_map.base_action[1])
-        except MemoryError:
-            raise ConfigError(["lyapunov_grid: too many points to sample in memory"]) from None
+        lyap = config.lyap_grid or dissipation.default_lyapunov_grid(n)
+        rows = frozenset(range(n)) - config.contact_map.base_action[1]  # as orbit_starts reads
+        if not _fits(n, lyap.fiber_res, lyap.q_res, rows):
+            raise ConfigError(["lyapunov_grid: too many points to sample in memory"])
     errors = [f"tasks[{i}]: {task['task']} grid: too many points to sample in memory"
               for i, task in enumerate(tasks) if not _grid_fits(task, config)]
     if errors:
@@ -216,23 +217,27 @@ def validate_config(data: dict) -> ExperimentConfig:
     return config
 
 
-def _grid_fits(task: dict, config: ExperimentConfig) -> bool:
-    """Whether the grid a shape, displacement or duality task samples fits in
-    memory: it is built here, with the functions the task uses.  A shape
-    task's product grid is only allocated: ``np.empty`` touches no pages."""
-    name, n = task["task"], config.n
+def _fits(n: int, dirs: int, q_res: int = 1, axes=()) -> bool:
+    """Whether numpy allocates the (n, N) u and q arrays of the grid of dirs
+    directions times the q_res lattice on ``axes``.  ``np.empty`` touches no
+    pages; past numpy's index range it raises ValueError, not MemoryError."""
     try:
-        if name == "shape":
-            qs = geometry.q_lattice(n, task["q_res"], geometry.read_axes(config.form, range(n)))
-            size = len(shapes.direction_grid(n, task["dir_res"])) * qs.shape[1]
-            np.empty((2, n, size))  # the u and q arrays of geometry.grid_points
-        elif name == "displacement":
-            i_mat = task["matrix"] or dissipation.cohomology_block(config.contact_map)[0]
-            shapes.direction_grid(len(i_mat), task["dir_res"])
-        elif name == "duality":
-            shapes.direction_grid(len(task["metric"]), task["dir_res"])
-    except MemoryError:
+        np.empty((2, n, dirs * q_res ** len(axes)))
+    except (MemoryError, ValueError):
         return False
+    return True
+
+
+def _grid_fits(task: dict, config: ExperimentConfig) -> bool:
+    """Whether the grid a shape, displacement or duality task samples fits in memory."""
+    name, n = task["task"], config.n
+    if name == "shape":
+        axes = geometry.read_axes(config.form, range(n))
+        return _fits(n, shapes.direction_count(n, task["dir_res"]), task["q_res"], axes)
+    if name in ("displacement", "duality"):
+        dim = len(task["metric"] if name == "duality"
+                  else task["matrix"] or dissipation.cohomology_block(config.contact_map)[0])
+        return _fits(dim, shapes.direction_count(dim, task["dir_res"]))
     return True
 
 

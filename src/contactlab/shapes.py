@@ -35,10 +35,13 @@ class StarDomain:
     rho: Callable[[np.ndarray], np.ndarray]  # (N, n) unit directions -> (N,) radii
 
 
+def direction_count(n: int, resolution: int | None = None) -> int:
+    """The directions in ``direction_grid``: 256 for n = 2, 1024 otherwise, unless given."""
+    return (256 if n == 2 else 1024) if resolution is None else resolution
+
+
 def direction_grid(n: int, resolution: int | None = None) -> np.ndarray:
-    if resolution is None:
-        resolution = 256 if n == 2 else 1024
-    return sphere_grid_array(n, resolution)
+    return sphere_grid_array(n, direction_count(n, resolution))
 
 
 def ball(n: int, radius: float = 1.0) -> StarDomain:

@@ -17,15 +17,26 @@ from contactlab.algebra import (
     s_value,
 )
 from contactlab.geometry import (
+    TWO_PI,
     ContactForm,
     Jet,
     grid_points,
+    jsum,
+    jval,
+    matvec,
     profile_values,
     q_lattice,
     sphere_grid_array,
     tangent_frame,
 )
-from contactlab.maps import ContactMap, MapError
+from contactlab.maps import (
+    ContactFlow,
+    ContactMap,
+    MapError,
+    MetricHamiltonian,
+    ModulatedNormHamiltonian,
+    MomentumHamiltonian,
+)
 from contactlab.shapes import ShapeError, StarDomain, displacement_series
 
 
@@ -60,6 +71,52 @@ def fd_frame(f: ContactMap, u, q, frame, h=1e-5):
         dq = (q_plus - q_minus + 0.5) % 1.0 - 0.5
         cols.append(np.concatenate([u_plus - u_minus, dq])[:, 0] / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def hamiltonian_gradients(ham, p, q):
+    """(dH/dp, dH/dq) of a catalog Hamiltonian as component lists, written
+    out from its closed form on jets or arrays: the oracle for ``rates``."""
+    zero = [0.0] * ham.n
+    if isinstance(ham, MomentumHamiltonian):
+        return list(ham.c), zero
+    if isinstance(ham, MetricHamiltonian):
+        gp = matvec(ham.g)(p)
+        h = np.sqrt(jsum([pi * gi for pi, gi in zip(p, gp)]))
+        return [gi / h for gi in gp], zero
+    assert isinstance(ham, ModulatedNormHamiltonian)
+    norm = np.sqrt(jsum([pi * pi for pi in p]))
+    mod = 1.0 + ham.eps * np.cos(TWO_PI * q[ham.axis])
+    dq = list(zero)
+    dq[ham.axis] = -(TWO_PI * ham.eps) * norm * np.sin(TWO_PI * q[ham.axis])
+    return [pi / norm * mod for pi in p], dq
+
+
+def reference_flow(flow: ContactFlow, u: list, q: list):
+    """``ContactFlow.transform`` as a component-list RK4 loop over
+    ``hamiltonian_gradients``, one jet or array per component, in the same
+    association orders: the oracle for the stacked loop."""
+    n, h = flow.n, flow.t / flow.steps
+
+    def rhs(z):
+        dp, dq = hamiltonian_gradients(flow.hamiltonian, z[:n], z[n:])
+        return [-g for g in dq] + dp
+
+    z = [*u, *q]
+    log_c = 0.0
+    for _ in range(flow.steps):
+        k1 = rhs(z)
+        k2 = rhs([zi + 0.5 * h * ki for zi, ki in zip(z, k1)])
+        k3 = rhs([zi + 0.5 * h * ki for zi, ki in zip(z, k2)])
+        k4 = rhs([zi + h * ki for zi, ki in zip(z, k3)])
+        z = [
+            zi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
+        ]
+        norm2 = jsum([pi * pi for pi in z[:n]])
+        log_c = log_c - 0.5 * np.log(jval(norm2))
+        inv = 1.0 / np.sqrt(norm2)
+        z = [pi * inv for pi in z[:n]] + z[n:]
+    return z[:n], z[n:], log_c
 
 
 def random_point(rng, n=2):

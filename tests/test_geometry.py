@@ -18,6 +18,7 @@ from contactlab.geometry import (
     MetricForm,
     PullbackForm,
     RoundForm,
+    buffers,
     build_form,
     grid_points,
     jval,
@@ -25,6 +26,7 @@ from contactlab.geometry import (
     profile_values,
     q_lattice,
     sphere_grid_array,
+    stacked,
     tangent_frame,
 )
 from contactlab.maps import MapError
@@ -177,6 +179,102 @@ def test_an_array_on_the_left_of_a_jet_gives_one_batched_jet(rng):
     ):
         with pytest.raises(TypeError):
             call()
+
+
+def same_jet(a, b) -> bool:
+    """Whether two jets hold the same shapes and bits."""
+    return all(
+        np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        for x, y in ((a.value, b.value), (a.partials, b.partials))
+    )
+
+
+def row_jets(rng, count, m=3, npts=40):
+    """``count`` row jets: values in [0.5, 3) with (m, N) random partials."""
+    return [Jet(rng.uniform(0.5, 3.0, npts), rng.normal(size=(m, npts))) for _ in range(count)]
+
+
+def test_stacked_jet_ops_equal_the_per_row_ops_bit_for_bit(rng):
+    rows = row_jets(rng, 4)
+    s = stacked(rows)
+    assert s.value.shape == (4, 40) and s.partials.shape == (4, 3, 40)
+    row, plain = row_jets(rng, 1)[0], rng.uniform(0.5, 3.0, 40)
+    for ufunc, at in UFUNC_POINTS.items():
+        if len(at(0.0, 0.0)) == 1:
+            cases = [((s,), lambda i: (rows[i],))]
+        elif ufunc is np.remainder:
+            cases = [((s, 1.0), lambda i: (rows[i], 1.0))]
+        else:
+            cases = [((a, b), lambda i, a=a, b=b: tuple(rows[i] if o is s else o for o in (a, b)))
+                     for other in (row, plain) for a, b in ((s, other), (other, s))]
+        for ops, row_ops in cases:
+            got = ufunc(*ops)
+            assert all(same_jet(got[i], ufunc(*row_ops(i))) for i in range(4)), ufunc
+
+
+def test_jet_out_and_in_place_ops_write_the_returned_bits(rng):
+    rows = row_jets(rng, 4)
+    s = stacked(rows)
+    for ufunc, args in ((np.multiply, (s, rows[0])), (np.true_divide, (rows[1], s)),
+                        (np.sin, (s,)), (np.arctan2, (s, s))):
+        want = ufunc(*args)
+        (target,) = buffers(s, 1)
+        assert ufunc(*args, out=target) is target and same_jet(target, want)
+        assert ufunc(*args, out=(s,)) is s and same_jet(s, want)  # out may be an input
+        s = stacked(rows)
+
+    # An in-place op on a row view writes into the stack and nowhere else.
+    for op, ufunc in ((operator.iadd, np.add), (operator.isub, np.subtract),
+                      (operator.imul, np.multiply), (operator.itruediv, np.true_divide)):
+        s = stacked(rows)
+        view = s[2]
+        assert op(view, rows[3]) is view
+        assert same_jet(s[2], ufunc(rows[2], rows[3]))
+        assert all(same_jet(s[i], rows[i]) for i in (0, 1, 3))
+    s = stacked(rows)
+    s[1:3] *= 2.0
+    assert same_jet(s[1], rows[1] * 2.0) and same_jet(s[0], rows[0])
+
+    # out= takes only a 1-tuple holding a jet, and no other keyword.
+    x = rows[0]
+    for call in (
+        lambda: np.add(x, 1.0, out=np.empty(40)),
+        lambda: np.add(s, 1.0, out=np.empty((4, 40))),
+        lambda: np.add(x, 1.0, out=x, where=True),
+        lambda: np.exp(x, out=x),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_jet_indexing_never_reads_the_seed_axis(rng):
+    # A stacked jet is indexed on its rows; a row jet, whose first partials
+    # axis is the seed axis, is not indexed at all.
+    x = row_jets(rng, 1, m=3, npts=5)[0]
+    s = stacked([x, 1.0, x])
+    assert same_jet(s[0], x) and same_jet(s[1], Jet(np.ones(5), np.zeros((3, 5))))
+    assert same_jet(s[1:], Jet(s.value[1:], s.partials[1:]))
+    assert [same_jet(r, s[i]) for i, r in enumerate(s)] == [True] * 3
+    for call in (lambda: x[0], lambda: list(x), lambda: s[0, 1], lambda: x.__setitem__(0, 1.0)):
+        with pytest.raises(TypeError):
+            call()
+    s[1] = 7.0  # a plain value has 0 partials
+    assert np.array_equal(s.value[1], np.full(5, 7.0)) and not np.any(s.partials[1])
+    s[1] = x
+    assert same_jet(s[1], x)
+
+
+def test_stacked_and_buffers_give_fresh_blocks(rng):
+    rows = [rng.random(6), 2.0, rng.random(6)]
+    s = stacked(rows)
+    assert isinstance(s, np.ndarray) and s.shape == (3, 6) and s.dtype == float
+    assert not any(np.shares_memory(s, r) for r in rows)
+    for x in (s, stacked(row_jets(rng, 3, npts=6))):
+        bufs = buffers(x, 5)
+        arrays = [b.value if isinstance(b, Jet) else b for b in bufs]
+        assert all(a.shape == (3, 6) and a.base is arrays[0].base for a in arrays)
+        assert all(np.signbit(a).all() and not a.any() for a in arrays)  # -0.0
+        assert not any(np.shares_memory(a, jval(x)) for a in arrays)
 
 
 # ---------------------------------------------------------------------------

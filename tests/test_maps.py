@@ -5,12 +5,15 @@ from contactlab import algebra as A
 from contactlab.geometry import (
     FORMS,
     GeometryError,
+    Jet,
     MetricForm,
     RoundForm,
     TrigForm,
     TrigTerm,
+    buffers,
     build,
     build_form,
+    stacked,
     tangent_frame,
 )
 from contactlab.maps import (
@@ -34,6 +37,7 @@ from conftest import (
     fd_frame,
     random_point,
     random_points,
+    reference_flow,
     seed_jets,
 )
 from test_geometry import FORM_SPECS
@@ -435,15 +439,37 @@ def test_contact_flow_value_path_matches_the_jet_path_bit_for_bit(rng, n, t):
         assert same_bits(log_c, jlog), ham.describe()
 
 
-def test_contact_flow_value_path_takes_scalars_and_rows():
+@pytest.mark.parametrize("t", [0.5, -0.5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_contact_flow_push_frame_matches_the_reference_flow(rng, n, t):
+    # The stacked jet loop against the component-list loop over the
+    # closed-form gradients: values bit for bit, partials equal as numbers.
+    # Only a zero partial's sign may differ: a constant rate row adds -0.0
+    # or 0.0 partials where the reference adds a float, and the modulated
+    # pdot is written directly where the reference negates -dH/dq.
+    u, q = flow_points(rng, n)
+    frame = tangent_frame(u)
+    for ham in flow_hamiltonians(n):
+        flow = ContactFlow(ham, t, steps=16)
+        u2, q2, pushed = make_composite([flow]).push_frame(u, q, frame)
+        jets = [Jet(v, d) for v, d in zip((*u, *q), frame)]
+        ru, rq, _ = reference_flow(flow, jets[:n], jets[n:])
+        ref = stacked(ru + rq)
+        ref_q = ref.value[n:]
+        assert same_bits(u2, ref.value[:n]), ham.describe()
+        assert same_bits(q2, ref_q - np.floor(ref_q)), ham.describe()
+        assert np.array_equal(pushed, ref.partials), ham.describe()
+
+
+def test_contact_flow_batch_of_one_matches_its_column():
     flow = ContactFlow(ModulatedNormHamiltonian(0.3), 0.5, steps=8)
     u, q = np.array([[0.6, 0.0], [0.8, 1.0]]), np.array([[0.1, 0.7], [0.2, 0.4]])
     rows = flow.transform(list(u), list(q))
     for i in range(2):
-        u2, q2, log_c = flow.transform(u[:, i].tolist(), q[:, i].tolist())
-        assert np.shape(log_c) == ()
+        u2, q2, log_c = flow.transform(list(u[:, i:i + 1]), list(q[:, i:i + 1]))
+        assert np.shape(log_c) == (1,)
         got, want = u2 + q2 + [log_c], rows[0] + rows[1] + [rows[2]]
-        assert all(same_bits(a, b[i]) for a, b in zip(got, want))
+        assert all(same_bits(a, b[i:i + 1]) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -561,6 +587,14 @@ def _stacked(components, shape):
     return np.stack([np.broadcast_to(c, shape) for c in components])
 
 
+def _gradients(ham, p, q):
+    """(dH/dp, dH/dq) at (n, N) p and q, read off ``rates`` in a -0.0 buffer."""
+    x = np.concatenate([p, np.broadcast_to(q, p.shape)])
+    (out,) = buffers(x, 1)
+    ham.rates(x, out)
+    return out[ham.n:], -out[:ham.n]
+
+
 def _unit_points(rng, n, npts=200):
     u = rng.normal(size=(n, npts))
     return u / np.linalg.norm(u, axis=0), rng.random((n, npts))
@@ -649,8 +683,8 @@ def test_q_free_hamiltonians_ignore_q(rng):
         MetricHamiltonian(np.diag([4.0, 1.0])),
         ModulatedNormHamiltonian(0.3),
     ):
-        dp_ref, dq_ref = (_stacked(c, (100,)) for c in ham.gradients(list(p), list(q)))
-        dp, dq = (_stacked(c, (100,)) for c in ham.gradients(list(p), list(q + 0.3)))
+        dp_ref, dq_ref = _gradients(ham, p, q)
+        dp, dq = _gradients(ham, p, q + 0.3)
         if ham.base_action[1] == {0, 1}:
             np.testing.assert_array_equal(dp, dp_ref)
             assert not np.any(dq) and not np.any(dq_ref)
@@ -667,11 +701,11 @@ def test_hamiltonian_gradients_are_invariant_along_declared_axes(rng, n):
     ] + [ModulatedNormHamiltonian(0.3, axis=a, n=n) for a in range(n)]
     for ham in hams:
         assert np.array_equal(ham.base_action[0], EYE[n])
-        ref = [_stacked(c, (100,)) for c in ham.gradients(list(p), list(q))]
+        ref = _gradients(ham, p, q)
         for axis in range(n):
             e = np.zeros((n, 1))
             e[axis] = rng.uniform(0.1, 0.9)  # a whole-period shift would leave any H alone
-            got = [_stacked(c, (100,)) for c in ham.gradients(list(p), list(q + e))]
+            got = _gradients(ham, p, q + e)
             same = all(np.allclose(a, b, rtol=0, atol=1e-12) for a, b in zip(got, ref))
             assert same is (axis in ham.base_action[1]), (ham.describe(), axis)
 

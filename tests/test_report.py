@@ -347,6 +347,7 @@ def _flow(hamiltonian, **fields):
 
 
 MOMENTUM = {"kind": "momentum", "c": [0.2, 0.5]}
+TRIG_Q = {"kind": "trig", "c0": 2.0, "terms": [{"amp": 0.5, "q_freq": [1, 0]}]}  # reads q
 
 # A fractional integer or a string or bool number, with the text its error
 # must carry; once these were truncated or converted silently.
@@ -482,6 +483,37 @@ RUN_TIME_CASES = {
     ),
     "duality_dir_res_past_memory": (
         dict(MINIMAL, tasks=[{"task": "duality", "metric": [[1, 0], [0, 1]], "dir_res": 10**14}]),
+        "tasks[0]: duality grid: too many points to sample in memory",
+    ),
+    # Sizes past numpy's index range, which it refuses with ValueError, not
+    # MemoryError; the grid cases once blamed the form with numpy's message.
+    "grid_q_res_past_index_range": (
+        dict(MINIMAL, form=TRIG_Q, grid={"q_res": 10**20, "fiber_res": 4}),
+        "grid: too many points to sample in memory",
+    ),
+    "grid_fiber_res_past_index_range": (
+        dict(MINIMAL, grid={"q_res": 4, "fiber_res": 10**20}),
+        "grid: too many points to sample in memory",
+    ),
+    "lyapunov_grid_q_res_past_index_range": (
+        dict(_flow({"kind": "modulated_norm", "eps": 0.1}), tasks=[{"task": "lyapunov", "K": 8}],
+             lyapunov_grid={"q_res": 10**20, "fiber_res": 4}),
+        "lyapunov_grid: too many points to sample in memory",
+    ),
+    "shape_q_res_past_index_range": (
+        dict(MINIMAL, form=TRIG_Q, tasks=[{"task": "shape", "q_res": 10**9}]),
+        "tasks[0]: shape grid: too many points to sample in memory",
+    ),
+    "shape_q_res_far_past_index_range": (
+        dict(MINIMAL, form=TRIG_Q, tasks=[{"task": "shape", "q_res": 10**20}]),
+        "tasks[0]: shape grid: too many points to sample in memory",
+    ),
+    "displacement_dir_res_past_index_range": (
+        dict(MINIMAL, tasks=[{"task": "homology"}, {"task": "displacement", "dir_res": 10**20}]),
+        "tasks[1]: displacement grid: too many points to sample in memory",
+    ),
+    "duality_dir_res_past_index_range": (
+        dict(MINIMAL, tasks=[{"task": "duality", "metric": [[1, 0], [0, 1]], "dir_res": 10**20}]),
         "tasks[0]: duality grid: too many points to sample in memory",
     ),
     "trig_negative_constant": (
