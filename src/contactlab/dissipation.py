@@ -17,7 +17,7 @@ positivity and finiteness check (``geometry.profile_values``), is read at
 every shift t of each orbit point, which the loop carries as integer
 lattice indices (B^k t mod 1), so r_k still reads every grid point; a form
 that does not read q (``q_free``) needs only the zero shift.  The Lyapunov
-estimate pushes ambient tangent frames through the map with jets
+estimate pushes ambient tangent frames through the map by a complex step
 (``ContactMap.push_frame``), from the same reduced base rows.
 """
 from __future__ import annotations

@@ -3,12 +3,10 @@
 A point of the contact-element space is a unit fiber direction u and a base
 point q, both held as (n, N) component arrays: every call takes a batch,
 and a single point is a batch of one.  Provides the contact-form catalog,
-the grids, the ambient tangent frames and the forward-mode jets.  A ``Jet``
-passes through the numpy ufuncs of one rule table (any other raises
-TypeError), so forms and maps are written in plain numpy and a tangent frame
-is pushed through a map's transforms as the jets' partials
-(``maps.ContactMap.push_frame``).  Jets stack (``stacked``) and take
-``out=``, so a contact flow runs one in-place loop on arrays and jets alike.
+the grids and the ambient tangent frames.  Forms and maps are written in
+plain numpy that also takes complex points, so a tangent frame is pushed
+through a map's transforms as a complex step (``maps.ContactMap.push_frame``);
+a contact flow runs its stacked state in place (``stacked``, ``buffers``).
 Everything here is a pure function over immutable values.  Forms,
 primitives and Hamiltonians come from JSON descriptors through ``build``:
 a kind's constructor signature is its one field table; one that holds a
@@ -54,153 +52,23 @@ def metric_matrix(g, error: type[Exception] = GeometryError) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Forward-mode jets
+# Stacked states and component arithmetic
 # ---------------------------------------------------------------------------
 
-class Jet:
-    """Value plus a vector of partial derivatives.
-
-    ``value`` is a float or an ndarray; ``partials`` holds the seed axis just
-    before the value's last (point) axis: (m, N) for an (N,) row, (k, m, N)
-    for a stack of k rows (``stacked``), whose rows alone are indexed.  The
-    numpy ufuncs in ``_RULES`` and + - * / take jets through one rule each,
-    the exact chain and product rules; ``out=`` takes a 1-tuple holding a
-    jet, and += -= *= /= write in place through it.  Any other ufunc, keyword
-    or ``out``, or a ufunc method such as ``reduce``, raises TypeError.  A
-    value has the bits of the same plain arithmetic (true division too)."""
-
-    __slots__ = ("value", "partials")
-
-    def __init__(self, value, partials):
-        self.value = value
-        self.partials = partials
-
-    def __repr__(self):
-        return f"Jet({self.value!r}, {self.partials!r})"
-
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        rule = _RULES.get(ufunc)
-        if (rule is None or method != "__call__" or kwargs
-                or not (out is None or len(out) == 1 and isinstance(out[0], Jet))):
-            return NotImplemented
-        result = rule(*inputs)
-        if out is None or result is NotImplemented:
-            return result
-        target = out[0]  # written once the result is whole, so it may be an input
-        target.value[...], target.partials[...] = result.value, result.partials
-        return target
-
-    def _rows(self, key):
-        if np.ndim(self.value) < 2 or isinstance(key, tuple):
-            raise TypeError("only the rows of a stacked jet are indexed")
-        return key
-
-    def __getitem__(self, key):
-        return Jet(self.value[self._rows(key)], self.partials[key])
-
-    def __setitem__(self, key, x):
-        self.partials[self._rows(key)] = x.partials if isinstance(x, Jet) else 0.0
-        self.value[key] = jval(x)
-
-
-def _at(v):
-    """v laid out against partials: a seed axis before its last, if it has two or more."""
-    return v[..., None, :] if getattr(v, "ndim", 0) > 1 else v
-
-
-def _add(a, b):
-    if not isinstance(a, Jet):
-        a, b = b, a  # addition commutes bit for bit
-    if isinstance(b, Jet):
-        return Jet(a.value + b.value, a.partials + b.partials)
-    return Jet(a.value + b, a.partials)
-
-
-def _subtract(a, b):
-    if not isinstance(a, Jet):
-        return Jet(a - b.value, -b.partials)
-    if isinstance(b, Jet):
-        return Jet(a.value - b.value, a.partials - b.partials)
-    return Jet(a.value - b, a.partials)
-
-
-def _multiply(a, b):
-    if not isinstance(a, Jet):
-        a, b = b, a  # multiplication commutes bit for bit
-    if isinstance(b, Jet):
-        return Jet(a.value * b.value, _at(a.value) * b.partials + _at(b.value) * a.partials)
-    return Jet(a.value * b, a.partials * _at(b))
-
-
-def _true_divide(a, b):
-    if not isinstance(b, Jet):
-        return Jet(a.value / b, a.partials / _at(b))
-    inv = 1.0 / b.value
-    if not isinstance(a, Jet):
-        return Jet(a / b.value, _at(-(a * inv * inv)) * b.partials)
-    return Jet(a.value / b.value, (a.partials - _at(a.value * inv) * b.partials) * _at(inv))
-
-
-def _sqrt(x):
-    r = np.sqrt(x.value)
-    return Jet(r, x.partials / _at(2.0 * r))
-
-
-def _arctan2(y, x):
-    yv, xv = jval(y), jval(x)
-    num = 0.0
-    if isinstance(y, Jet):
-        num = num + _at(xv) * y.partials
-    if isinstance(x, Jet):
-        num = num - _at(yv) * x.partials
-    return Jet(np.arctan2(yv, xv), num / _at(xv * xv + yv * yv))
-
-
-# numpy ufunc -> its rule, from the raw operands (each a jet or a plain value)
-# to a Jet.  np.remainder differentiates its dividend only, as the sawtooth's
-# derivative is 1 a.e.: a jet modulus gets NotImplemented, so a TypeError.
-_RULES = {
-    np.add: _add, np.subtract: _subtract, np.multiply: _multiply, np.true_divide: _true_divide,
-    np.negative: lambda x: Jet(-x.value, -x.partials),
-    np.sin: lambda x: Jet(np.sin(x.value), _at(np.cos(x.value)) * x.partials),
-    np.cos: lambda x: Jet(np.cos(x.value), _at(-np.sin(x.value)) * x.partials),
-    np.sqrt: _sqrt, np.arctan2: _arctan2,
-    np.remainder: lambda x, m: (NotImplemented if isinstance(m, Jet)
-                                else Jet(np.mod(x.value, m), x.partials)),
-}
-for _op, _ufunc in (("add", np.add), ("sub", np.subtract), ("mul", np.multiply),
-                    ("truediv", np.true_divide)):
-    _rule = _RULES[_ufunc]
-    setattr(Jet, f"__{_op}__", _rule)
-    setattr(Jet, f"__r{_op}__", lambda self, other, rule=_rule: rule(other, self))
-    setattr(Jet, f"__i{_op}__", lambda self, other, ufunc=_ufunc: ufunc(self, other, out=(self,)))
-Jet.__neg__ = _RULES[np.negative]
-
-
 def stacked(rows):
-    """(N,) rows (arrays, floats or jets) as a fresh (k, N) float array, or
-    as a jet with (k, m, N) partials when a row is one (0 for the others)."""
-    values = np.array(np.broadcast_arrays(*map(jval, rows)), dtype=float)
-    if not any(isinstance(r, Jet) for r in rows):
-        return values
-    return Jet(values, np.array(np.broadcast_arrays(
-        *(r.partials if isinstance(r, Jet) else 0.0 for r in rows))))
+    """(N,) rows (arrays or floats) as a fresh (k, N) array of their common
+    dtype: float, or complex when a row is complex."""
+    return np.array(np.broadcast_arrays(*rows), dtype=np.result_type(float, *rows))
 
 
 def buffers(x, count: int) -> list:
-    """``count`` arrays, or jets, shaped like x, carved from one block filled with -0.0."""
-    if isinstance(x, Jet):
-        return [Jet(v, d) for v, d in zip(buffers(x.value, count), buffers(x.partials, count))]
-    return list(np.full((count,) + x.shape, -0.0))
-
-
-def jval(x):
-    """Plain value of a jet or pass-through for non-jets."""
-    return x.value if isinstance(x, Jet) else x
+    """``count`` arrays shaped and typed like x, carved from one block filled with -0.0."""
+    return list(np.full((count,) + x.shape, -0.0, dtype=x.dtype))
 
 
 def matvec(m):
-    """v -> m @ v for a list v of jet-compatible components; m is read here.
+    """v -> m @ v for a list v of components (floats, real or complex
+    arrays, or anything numpy's arithmetic takes); m is read here.
 
     Zero coefficients are skipped, 1 is not multiplied and rows are summed
     left to right from their first term: the bits of the written-out product.
@@ -294,7 +162,7 @@ class ContactForm(Described):
     """Positive profile multiplying the round contact form.
 
     Subclasses implement ``profile(u, q)`` where ``u`` and ``q`` are sequences
-    of jet-compatible scalars; the result must be positive everywhere and
+    of components written in plain numpy arithmetic; the result must be positive everywhere and
     periodic in the base and fiber variables.  ``n`` is the torus dimension
     the form is tied to, or None when it fits both.
 

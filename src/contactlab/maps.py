@@ -8,11 +8,10 @@ the composition; this is the factor the dissipation sequence accumulates.
 ``apply_batch`` wraps q as q - floor(q), which is np.mod(q, 1.0) bit for bit
 without its fmod, and a map builds its inverse once, on the first call.
 ``ContactMap.push_frame`` pushes ambient tangent vectors (du, dq) through
-the same transforms as jets, which pass through their plain numpy by numpy's
-ufunc protocol (``geometry.Jet``), a contact flow's one RK4 loop included;
-it feeds the Lyapunov estimate, and the tests read the conformal factors
-off it to check the closed forms.  Every entry point takes (n, N)
-component arrays; a single point is a batch of one.
+the same plain-numpy transforms by a complex step, a contact flow's one RK4
+loop included: each point enters as x + i STEP v, and the frame is read off
+the image's imaginary parts.  It feeds the Lyapunov estimate.  Every entry
+point takes (n, N) component arrays; a single point is a batch of one.
 ``PRIMITIVES`` and ``HAMILTONIANS`` map each descriptor kind to its class,
 which ``geometry.build`` builds.
 
@@ -36,13 +35,11 @@ from . import algebra
 from .algebra import IntMatrix, is_int, is_real
 from .geometry import (
     Described,
-    Jet,
     TWO_PI,
     buffers,
     build,
     build_at,
     jsum,
-    jval,
     matvec,
     metric_matrix,
     stacked,
@@ -51,6 +48,11 @@ from .geometry import (
 
 class MapError(RuntimeError):
     pass
+
+
+# The complex step of ``ContactMap.push_frame``.  A power of two scales the
+# frame exactly, and its squared terms stay below the real parts' ulps.
+STEP = 2.0**-80
 
 
 def translations(n: int, axes=None) -> tuple:
@@ -74,12 +76,13 @@ class Primitive(Described):
     base_action: tuple = (None, frozenset())
 
     def transform(self, u, q):
-        """Map fiber/base components; jet- and array-compatible.
+        """Map fiber/base components, written in plain numpy so that real
+        and complex arrays both pass (and the tests' jets).
 
         Returns (u', q', log_c): u' is a unit vector when u is, q' is not
         wrapped, and log_c is the log of the conformal factor for the round
-        form at (u, q).  log_c is computed from values only (a float or an
-        array, never a jet); ``ContactMap.push_frame`` ignores it.
+        form at (u, q).  On complex points log_c is complex too;
+        ``ContactMap.push_frame`` ignores it.
         """
         raise NotImplementedError
 
@@ -116,7 +119,7 @@ class CanonicalLift(Primitive):
         w = self._minv_t(u)
         norm = np.sqrt(jsum([wi * wi for wi in w]))
         # (M^-T u / |M^-T u|) . d(Mq) = u . dq / |M^-T u|
-        return [wi / norm for wi in w], self._m(q), -np.log(jval(norm))
+        return [wi / norm for wi in w], self._m(q), -np.log(norm)
 
     def inverse(self):
         return CanonicalLift(algebra.mat_inverse(self.matrix))
@@ -127,6 +130,19 @@ class CanonicalLift(Primitive):
             return minv_t
         a, b = minv_t
         return ((1, 0, 0), (0, a[0], a[1]), (0, b[0], b[1]))
+
+
+def turns(x, y):
+    """The angle of (x, y) in turns, arctan2(y, x) / 2 pi mod 1.
+
+    np.arctan2 and np.mod take no complex input, so complex points
+    (x + i dx, y + i dy) give the angle of the real parts plus
+    i (x dy - y dx) / (x^2 + y^2) / 2 pi, the complex step of the angle.
+    """
+    if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
+        return np.mod(np.arctan2(y, x) / TWO_PI, 1.0)
+    xr, yr = x.real, y.real
+    return turns(xr, yr) + 1j * ((xr * y.imag - yr * x.imag) / (xr * xr + yr * yr) / TWO_PI)
 
 
 class Shear(Primitive):
@@ -151,7 +167,7 @@ class Shear(Primitive):
         self.kind = ("shear_a", "shear_b")[axis]
 
     def transform(self, u, q):
-        theta = np.mod(np.arctan2(u[1], u[0]) / TWO_PI, 1.0)
+        theta = turns(u[0], u[1])
         angle4 = (2.0 * TWO_PI) * theta
         inv4pi = 1.0 / (2.0 * TWO_PI)
         if self.axis == 0:
@@ -207,9 +223,9 @@ class Hamiltonian(Described):
 
     def rates(self, x, out):
         """Writes Hamilton's (pdot, qdot) = (-dH/dq, dH/dp) at the state
-        x = (p, q) into out, both (2n, N) arrays or both stacked jets.  A pdot
-        row that is identically 0 is left untouched: ``ContactFlow`` fills
-        it once, with -0.0.
+        x = (p, q) into out, both (2n, N) arrays of one dtype, real or
+        complex.  A pdot row that is identically 0 is left untouched:
+        ``ContactFlow`` fills it once, with -0.0.
         """
         raise NotImplementedError
 
@@ -291,9 +307,10 @@ class ContactFlow(Primitive):
     1/|p(t)|, the product of the inverse renormalization norms.
     ``hamiltonian`` is a Hamiltonian or its descriptor, built in dimension n.
 
-    Arrays and jets run one loop on the stacked (2n, N) state: ``rates``
-    writes each stage into a buffer carved from one block with the scratch
-    state (``geometry.buffers``), and every update is in place, by ``out=``.
+    Real and complex points run one loop on the stacked (2n, N) state:
+    ``rates`` writes each stage into a buffer carved from one block with the
+    scratch state (``geometry.buffers``), and every update is in place, by
+    ``out=``.  The divergence check reads the real part of |p|^2.
     """
 
     kind = "contact_flow"
@@ -335,7 +352,7 @@ class ContactFlow(Primitive):
             x += np.multiply(h / 6.0, k2, out=y)
             p = x[:n]
             norm2 = jsum(list(p * p))
-            v = jval(norm2)
+            v = norm2.real
             if not (v.min() >= 0.25 and v.max() <= 4.0):  # |p|^2 left [0.25, 4]; NaN fails both
                 raise MapError("contact flow integration diverged; increase steps")
             log_c = log_c - 0.5 * np.log(v)
@@ -398,22 +415,22 @@ class ContactMap:
         """One step of a tangent frame along the map, on (n, N) arrays.
 
         ``frame`` is (2n, m, N): m ambient tangent vectors (du, dq) at each
-        point, row i holding component i of (u, q).  Each component enters
-        the transforms as a jet whose partials are its frame row, so the
-        image's partials are the pushed frame Df . frame.  Returns (u, q,
-        frame) in fresh arrays: the image as ``apply_batch`` gives it (the
-        jets' values, q wrapped the same way) and the pushed (2n, m, N)
-        frame; the log factors are not kept.  Inputs are never changed.
+        point, row i holding component i of (u, q).  The transforms run once
+        on the (2n, m N) complex state x + i STEP v, one column per frame
+        vector v at each point, and the pushed frame Df . v is the image's
+        imaginary part over STEP (the complex step: no difference is taken,
+        so nothing cancels).  Returns (u, q, frame) in fresh arrays: the
+        image from ``apply_batch``, whose bits the complex real parts need
+        not keep, and the pushed (2n, m, N) frame.  Inputs are never changed.
         """
-        comps = [Jet(v, d) for v, d in zip((*u_arr, *q_arr), frame)]
+        z = np.empty(frame.shape, complex)
+        z.real, z.imag = np.concatenate([u_arr, q_arr])[:, None, :], STEP * frame
+        comps = list(z.reshape(2 * self.n, -1))
         u, q = comps[:self.n], comps[self.n:]
         for prim in self.primitives:
             u, q, _ = prim.transform(u, q)
-        points, pushed = np.empty((2 * self.n,) + u_arr.shape[1:]), np.empty(frame.shape)
-        for i, c in enumerate(u + q):
-            points[i], pushed[i] = c.value, c.partials
-        q_out = points[self.n:]
-        return points[:self.n], np.subtract(q_out, np.floor(q_out), out=q_out), pushed
+        pushed = stacked(u + q).imag.reshape(frame.shape) / STEP
+        return (*self.apply_batch(u_arr, q_arr)[:2], pushed)
 
     def inverse(self) -> "ContactMap":
         return self._inverse

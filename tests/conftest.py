@@ -19,10 +19,8 @@ from contactlab.algebra import (
 from contactlab.geometry import (
     TWO_PI,
     ContactForm,
-    Jet,
     grid_points,
     jsum,
-    jval,
     matvec,
     profile_values,
     q_lattice,
@@ -38,6 +36,111 @@ from contactlab.maps import (
     MomentumHamiltonian,
 )
 from contactlab.shapes import ShapeError, StarDomain, displacement_series
+
+
+# ---------------------------------------------------------------------------
+# Forward-mode jets: the derivative oracle
+# ---------------------------------------------------------------------------
+
+class Jet:
+    """Value plus a vector of partial derivatives.
+
+    ``value`` is a float or an (N,) array; ``partials`` carries one leading
+    axis per seeded input variable, (m,) or (m, N), and broadcasts against
+    ``value``.  The numpy ufuncs in ``_RULES`` and the operators + - * / take
+    jets through one rule each, the exact chain and product rules; any other
+    ufunc, a ufunc method such as ``reduce`` or a keyword such as ``out=``
+    raises TypeError.  ``value`` holds the bits the same arithmetic on plain
+    values gives (a quotient's value is a true division, not a product with
+    a reciprocal).
+    """
+
+    __slots__ = ("value", "partials")
+
+    def __init__(self, value, partials):
+        self.value = value
+        self.partials = partials
+
+    def __repr__(self):
+        return f"Jet({self.value!r}, {self.partials!r})"
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        rule = _RULES.get(ufunc)
+        if rule is None or method != "__call__" or kwargs:
+            return NotImplemented
+        return rule(*inputs)
+
+
+def _add(a, b):
+    if not isinstance(a, Jet):
+        a, b = b, a  # addition commutes bit for bit
+    if isinstance(b, Jet):
+        return Jet(a.value + b.value, a.partials + b.partials)
+    return Jet(a.value + b, a.partials)
+
+
+def _subtract(a, b):
+    if not isinstance(a, Jet):
+        return Jet(a - b.value, -b.partials)
+    if isinstance(b, Jet):
+        return Jet(a.value - b.value, a.partials - b.partials)
+    return Jet(a.value - b, a.partials)
+
+
+def _multiply(a, b):
+    if not isinstance(a, Jet):
+        a, b = b, a  # multiplication commutes bit for bit
+    if isinstance(b, Jet):
+        return Jet(a.value * b.value, a.value * b.partials + b.value * a.partials)
+    return Jet(a.value * b, a.partials * b)
+
+
+def _true_divide(a, b):
+    if not isinstance(b, Jet):
+        return Jet(a.value / b, a.partials / b)
+    inv = 1.0 / b.value
+    if not isinstance(a, Jet):
+        return Jet(a / b.value, -(a * inv * inv) * b.partials)
+    return Jet(a.value / b.value, (a.partials - (a.value * inv) * b.partials) * inv)
+
+
+def _sqrt(x):
+    r = np.sqrt(x.value)
+    return Jet(r, x.partials / (2.0 * r))
+
+
+def _arctan2(y, x):
+    yv, xv = jval(y), jval(x)
+    num = 0.0
+    if isinstance(y, Jet):
+        num = num + xv * y.partials
+    if isinstance(x, Jet):
+        num = num - yv * x.partials
+    return Jet(np.arctan2(yv, xv), num / (xv * xv + yv * yv))
+
+
+# numpy ufunc -> its rule, from the raw operands (each a jet or a plain value)
+# to a Jet.  np.remainder differentiates its dividend only, as the sawtooth's
+# derivative is 1 a.e.: a jet modulus gets NotImplemented, so a TypeError.
+_RULES = {
+    np.add: _add, np.subtract: _subtract, np.multiply: _multiply, np.true_divide: _true_divide,
+    np.negative: lambda x: Jet(-x.value, -x.partials),
+    np.sin: lambda x: Jet(np.sin(x.value), np.cos(x.value) * x.partials),
+    np.cos: lambda x: Jet(np.cos(x.value), -np.sin(x.value) * x.partials),
+    np.sqrt: _sqrt, np.arctan2: _arctan2,
+    np.log: lambda x: Jet(np.log(x.value), x.partials / x.value),
+    np.remainder: lambda x, m: (NotImplemented if isinstance(m, Jet)
+                                else Jet(np.mod(x.value, m), x.partials)),
+}
+for _op, _rule in (("add", _add), ("sub", _subtract), ("mul", _multiply), ("truediv", _true_divide)):
+    setattr(Jet, f"__{_op}__", _rule)
+    setattr(Jet, f"__r{_op}__", lambda self, other, rule=_rule: rule(other, self))
+Jet.__neg__ = _RULES[np.negative]
+
+
+def jval(x):
+    """Plain value of a jet or pass-through for non-jets."""
+    return x.value if isinstance(x, Jet) else x
 
 
 def seed_jets(values: Sequence) -> list[Jet]:
@@ -93,8 +196,9 @@ def hamiltonian_gradients(ham, p, q):
 
 def reference_flow(flow: ContactFlow, u: list, q: list):
     """``ContactFlow.transform`` as a component-list RK4 loop over
-    ``hamiltonian_gradients``, one jet or array per component, in the same
-    association orders: the oracle for the stacked loop."""
+    ``hamiltonian_gradients``, one jet, real or complex array per
+    component, in the same association orders: the oracle for the stacked
+    in-place loop and, on complex points, for ``push_frame``'s complex step."""
     n, h = flow.n, flow.t / flow.steps
 
     def rhs(z):
@@ -140,21 +244,36 @@ def full_grid(n, grid):
     return grid_points(sphere_grid_array(n, grid.fiber_res), qs)
 
 
+def jet_transform(prim, u: list, q: list):
+    """A primitive's transform on jets: ``reference_flow`` for a contact
+    flow, whose in-place loop takes no jets, else its own ``transform``."""
+    if isinstance(prim, ContactFlow):
+        return reference_flow(prim, u, q)
+    return prim.transform(u, q)
+
+
 def conformal_factor_batch(
     f: ContactMap, form: ContactForm, u_arr: np.ndarray, q_arr: np.ndarray
 ):
     """Conformal factors at (n, N) component arrays, extracted with jets.
 
-    Returns (c, u_image, q_image).  One jet per point is seeded with the
-    Reeb vector (0, u) of the round form alpha_0 = u . dq, on which alpha_0
-    reads 1; f^* alpha_0 reads u' . dq' on it, so the factor of F alpha_0
-    is c = (F(y) / F(x)) u' . dq'.  This is the oracle for the closed-form
-    factors that ``apply_batch`` returns.
+    Returns (c, u_image, q_image), q wrapped as ``apply_batch`` wraps it.
+    One jet per point is seeded with the Reeb vector (0, u) of the round
+    form alpha_0 = u . dq, on which alpha_0 reads 1, and pushed through
+    every primitive (``jet_transform``); f^* alpha_0 reads u' . dq' on it,
+    so the factor of F alpha_0 is c = (F(y) / F(x)) u' . dq'.  This is the
+    oracle for the closed-form factors that ``apply_batch`` returns, and it
+    does not run ``push_frame``'s complex step.
     """
-    reeb = np.concatenate([np.zeros_like(u_arr), u_arr])[:, None, :]
-    u2, q2, pushed = f.push_frame(u_arr, q_arr, reeb)
+    zero = np.zeros((1, u_arr.shape[1]))
+    u = [Jet(v, zero) for v in u_arr]
+    q = [Jet(v, d[None]) for v, d in zip(q_arr, u_arr)]
+    for prim in f.primitives:
+        u, q, _ = jet_transform(prim, u, q)
+    u2, q2 = np.array([c.value for c in u]), np.array([c.value for c in q])
+    q2 -= np.floor(q2)
     ratio = profile_values(form, u2, q2, MapError) / profile_values(form, u_arr, q_arr, MapError)
-    return ratio * (u2 * pushed[f.n:, 0]).sum(axis=0), u2, q2
+    return ratio * (u2 * np.array([c.partials[0] for c in q])).sum(axis=0), u2, q2
 
 
 def frame_lyapunov(f: ContactMap, K: int, grid, rng=None, per_step_svd=False) -> float:

@@ -4,8 +4,8 @@ import pytest
 from contactlab import algebra as A
 from contactlab.geometry import (
     FORMS,
+    TWO_PI,
     GeometryError,
-    Jet,
     MetricForm,
     RoundForm,
     TrigForm,
@@ -13,12 +13,12 @@ from contactlab.geometry import (
     buffers,
     build,
     build_form,
-    stacked,
     tangent_frame,
 )
 from contactlab.maps import (
     HAMILTONIANS,
     PRIMITIVES,
+    STEP,
     CanonicalLift,
     ContactFlow,
     MapError,
@@ -31,10 +31,13 @@ from contactlab.maps import (
     build_primitive,
     identity_map,
     make_composite,
+    turns,
 )
 from conftest import (
+    Jet,
     conformal_factor_batch,
     fd_frame,
+    jet_transform,
     random_point,
     random_points,
     reference_flow,
@@ -362,6 +365,80 @@ def test_frame_partials_match_finite_differences(rng, n):
             assert np.abs(pushed - fd).max() / scale < 1e-5
 
 
+# Bounds fixed before the first comparison.  The complex step takes no
+# difference, so on the closed forms it meets the jets to a few ulps of the
+# frame's scale; through 16 RK4 steps rounding may add up along the loop.
+CLOSED_FORM_FRAME_TOL = 1e-15  # times max(1, largest |jet partial|)
+FLOW_FRAME_TOL = 1e-13  # absolute
+
+
+def jet_frame(f, u, q, frame):
+    """``frame`` pushed through f as row jets, one primitive at a time
+    (``jet_transform``): the (2n, m, N) partials of the image."""
+    comps = [Jet(v, d) for v, d in zip((*u, *q), frame)]
+    uu, qq = comps[:f.n], comps[f.n:]
+    for prim in f.primitives:
+        uu, qq, _ = jet_transform(prim, uu, qq)
+    return np.array([np.broadcast_to(c.partials, frame.shape[1:]) for c in uu + qq])
+
+
+def frame_catalog(n):
+    """Every closed-form primitive of dimension n, inverses included, then
+    a composite of lifts, shears and Reeb translations."""
+    prims = [p for p in EXACT_PRIMITIVES.values() if p.n == n]
+    if n == 2:
+        return [[p] for p in prims] + [[CanonicalLift(CAT), Shear(0), ReebTranslation(0.2), Shear(1, -1)]]
+    return [[p] for p in prims] + [[CanonicalLift(N3_LIFT), ReebTranslation(0.3, n=3),
+                                    CanonicalLift([[2, 1, 0], [1, 1, 0], [0, 0, 1]]).inverse()]]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_complex_step_frames_match_jets_on_closed_forms(rng, n):
+    u, q = flow_points(rng, n)
+    frame = tangent_frame(u)
+    for prims in frame_catalog(n):
+        f = make_composite(prims)
+        pushed, jets = f.push_frame(u, q, frame)[2], jet_frame(f, u, q, frame)
+        scale = max(1.0, np.abs(jets).max())
+        assert np.abs(pushed - jets).max() <= CLOSED_FORM_FRAME_TOL * scale, f.describe()
+    # With no primitive the complex step hands the frame back bit for bit.
+    assert same_bits(identity_map(n).push_frame(u, q, frame)[2], frame)
+
+
+@pytest.mark.parametrize("t", [0.5, -0.5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_complex_step_frames_match_jets_on_flows(rng, n, t):
+    u, q = flow_points(rng, n)
+    frame = tangent_frame(u)
+    for ham in flow_hamiltonians(n):
+        f = make_composite([ContactFlow(ham, t, steps=16)])
+        pushed, jets = f.push_frame(u, q, frame)[2], jet_frame(f, u, q, frame)
+        assert np.abs(pushed - jets).max() <= FLOW_FRAME_TOL, ham.describe()
+
+
+def test_turns_keeps_the_real_bits_and_steps_across_the_cut_and_the_wrap(rng):
+    # Points on arctan2's branch cut (x < 0, y = +-0.0), at the [0, 1) wrap
+    # (x > 0, y = +-0.0), near both, and at random.
+    x = np.concatenate([[-1.0, -0.3, -1.0, -0.3, 1.0, 0.3, 1.0, 0.3, -1.0, 1.0, -1.0, 1.0],
+                        rng.normal(size=40)])
+    y = np.concatenate([[0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 1e-9, 1e-9, -1e-9, -1e-9],
+                        rng.normal(size=40)])
+    dx, dy = rng.normal(size=(2, x.size))
+    real = turns(x, y)
+    assert same_bits(real, np.mod(np.arctan2(y, x) / TWO_PI, 1.0))
+    assert np.all((real >= 0.0) & (real < 1.0))
+    jx, jy = Jet(x, dx[None]), Jet(y, dy[None])
+    jet = turns(jx, jy)
+    assert same_bits(jet.value, real)
+    step = turns(x + 1j * STEP * dx, y + 1j * STEP * dy)
+    assert same_bits(step.real, real)
+    np.testing.assert_allclose(step.imag / STEP, jet.partials[0], rtol=1e-15, atol=0)
+    h = 1e-6
+    diff = turns(x + h * dx, y + h * dy) - turns(x - h * dx, y - h * dy)
+    central = ((diff + 0.5) % 1.0 - 0.5) / (2.0 * h)  # across the wrap, on the circle
+    np.testing.assert_allclose(step.imag / STEP, central, rtol=1e-6, atol=1e-9)
+
+
 def contact_catalog(n):
     """Every catalog kind in dimension n, each alone, then all composed."""
     extra = [] if n == 2 else [ContactFlow(MetricHamiltonian(np.diag([4.0, 1.0, 2.0])), 0.4, steps=32)]
@@ -419,46 +496,50 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def jet_transform(flow, u, q):
-    """The flow through its jet loop, as plain values."""
-    n = len(u)
-    jets = seed_jets([*u, *q])
-    u2, q2, log_c = flow.transform(jets[:n], jets[n:])
-    return [np.asarray(c.value) for c in u2], [np.asarray(c.value) for c in q2], log_c
+def complex_points(u, q, frame):
+    """The (2n, m N) complex state ``push_frame`` runs: x + i STEP v for
+    each frame column v at each point x."""
+    z = np.empty(frame.shape, complex)
+    z.real, z.imag = np.concatenate([u, q])[:, None, :], STEP * frame
+    return z.reshape(frame.shape[0], -1)
 
 
 @pytest.mark.parametrize("t", [0.5, -0.5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_contact_flow_value_path_matches_the_jet_path_bit_for_bit(rng, n, t):
+    # The stacked in-place loop on arrays against the component-list loop
+    # over the closed-form gradients on jets (the oracle): values and log
+    # factors bit for bit.
     u, q = flow_points(rng, n)
     for ham in flow_hamiltonians(n):
         flow = ContactFlow(ham, t, steps=16)
         u2, q2, log_c = flow.transform(list(u), list(q))
-        ju, jq, jlog = jet_transform(flow, u, q)
-        assert all(same_bits(a, b) for a, b in zip(u2 + q2, ju + jq)), ham.describe()
+        jets = seed_jets([*u, *q])
+        ju, jq, jlog = reference_flow(flow, jets[:n], jets[n:])
+        assert all(same_bits(a, b.value) for a, b in zip(u2 + q2, ju + jq)), ham.describe()
         assert same_bits(log_c, jlog), ham.describe()
 
 
 @pytest.mark.parametrize("t", [0.5, -0.5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_contact_flow_push_frame_matches_the_reference_flow(rng, n, t):
-    # The stacked jet loop against the component-list loop over the
-    # closed-form gradients: values bit for bit, partials equal as numbers.
-    # Only a zero partial's sign may differ: a constant rate row adds -0.0
-    # or 0.0 partials where the reference adds a float, and the modulated
-    # pdot is written directly where the reference negates -dH/dq.
+    # push_frame's image is apply_batch's, bit for bit, and its frame is
+    # the reference loop's run on the same complex points, as numbers (a
+    # zero's sign may differ: a constant rate row adds -0.0 where the
+    # reference adds a float, and the modulated pdot is written directly
+    # where the reference negates -dH/dq).
     u, q = flow_points(rng, n)
     frame = tangent_frame(u)
+    z = complex_points(u, q, frame)
     for ham in flow_hamiltonians(n):
         flow = ContactFlow(ham, t, steps=16)
-        u2, q2, pushed = make_composite([flow]).push_frame(u, q, frame)
-        jets = [Jet(v, d) for v, d in zip((*u, *q), frame)]
-        ru, rq, _ = reference_flow(flow, jets[:n], jets[n:])
-        ref = stacked(ru + rq)
-        ref_q = ref.value[n:]
-        assert same_bits(u2, ref.value[:n]), ham.describe()
-        assert same_bits(q2, ref_q - np.floor(ref_q)), ham.describe()
-        assert np.array_equal(pushed, ref.partials), ham.describe()
+        f = make_composite([flow])
+        u2, q2, pushed = f.push_frame(u, q, frame)
+        u1, q1, _ = f.apply_batch(u, q)
+        assert same_bits(u2, u1) and same_bits(q2, q1), ham.describe()
+        ru, rq, _ = reference_flow(flow, list(z[:n]), list(z[n:]))
+        ref = np.array(ru + rq).imag.reshape(frame.shape) / STEP
+        assert np.array_equal(pushed, ref), ham.describe()
 
 
 def test_contact_flow_batch_of_one_matches_its_column():
@@ -499,14 +580,14 @@ def _bad_inputs(ham):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_contact_flow_divergence_is_caught_on_both_paths(n):
+    # On real points and on the complex points of a frame push alike.
     for ham in flow_hamiltonians(n):
         flow = ContactFlow(ham, 0.5, steps=4)
         for u, q in _bad_inputs(ham):
-            with np.errstate(invalid="ignore", over="ignore"):
-                with pytest.raises(MapError, match="diverged"):
-                    flow.transform(list(u), list(q))
-                with pytest.raises(MapError, match="diverged"):
-                    jet_transform(flow, u, q)
+            for step in (0.0, 1j * STEP):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    with pytest.raises(MapError, match="diverged"):
+                        flow.transform(list(u + step), list(q + step))
 
 
 # ---------------------------------------------------------------------------
