@@ -1,11 +1,12 @@
 """Exact integer-matrix spectral invariants and word growth in groups.
 
-Matrices are tuples of tuples of Python ints so that characteristic
-polynomials, inverses and powers stay exact. Spectra are asked only of
-unimodular matrices of size <= 3 (I_f on H^1 = Z^3, its 2x2 base block). A
-repeated root of their characteristic polynomial p has a minimal polynomial
-whose square divides p, so of degree 1: the root is an integer dividing
-det = +-1. Eigenvalue moduli divide 1 and -1 out of p before ``np.roots``;
+Matrices are tuples of tuples of Python ints, so everything here is exact.
+One Faddeev-LeVerrier pass gives the characteristic polynomial, the
+determinant and the exact inverse of a unimodular matrix. Spectra are asked
+only of unimodular matrices of size <= 3 (I_f on H^1 = Z^3, its 2x2 base
+block). A repeated root of their characteristic polynomial p has a minimal
+polynomial whose square divides p, so of degree 1: the root is an integer
+dividing det = +-1. Eigenvalue moduli divide 1 and -1 out of p before ``np.roots``;
 periodicity tries the powers up to the largest finite order in GL(k, Z).
 Also the number checks for config values: ``is_int``, ``is_real``, ``as_ints``.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -70,74 +72,26 @@ def identity_matrix(k: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    k = len(a)
-    return tuple(
-        tuple(sum(a[i][l] * b[l][j] for l in range(k)) for j in range(k))
-        for i in range(k)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(row[j] * int(v[j]) for j in range(len(row))) for row in a)
-
-
-def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
-    if n < 0:
-        return mat_pow(mat_inverse(a), -n)
-    result = identity_matrix(len(a))
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
+    return tuple(sum(map(operator.mul, row, v)) for row in a)
 
 
 def determinant(a: IntMatrix) -> int:
-    """Fraction-free (Bareiss) determinant."""
-    k = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for i in range(k - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, k):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, k):
-            for c in range(i + 1, k):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[k - 1][k - 1]
-
-
-def _minor(a: IntMatrix, i: int, j: int) -> IntMatrix:
-    return tuple(
-        tuple(a[r][c] for c in range(len(a)) if c != j)
-        for r in range(len(a))
-        if r != i
-    )
+    """det A = (-1)^k c_k, from the characteristic polynomial's constant term."""
+    return (-1) ** len(a) * _leverrier(a)[0][-1]
 
 
 def mat_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix (adjugate over det = +-1)."""
-    det = determinant(a)
-    if det not in (1, -1):
-        raise AlgebraError(f"matrix is not unimodular (det {det})")
-    k = len(a)
-    if k == 1:
-        return ((det,),)
-    adj = tuple(
-        tuple((-1) ** (i + j) * determinant(_minor(a, j, i)) for j in range(k))
-        for i in range(k)
-    )
-    return tuple(tuple(det * e for e in row) for row in adj)
+    """Exact inverse of a unimodular matrix: A^-1 = -M_k / c_k = -c_k M_k."""
+    coeffs, m = _leverrier(a)
+    c = coeffs[-1]
+    if c not in (1, -1):
+        raise AlgebraError(f"matrix is not unimodular (det {(-1) ** len(a) * c})")
+    return tuple(tuple(-c * e for e in row) for row in m)
 
 
 def mat_transpose(a: IntMatrix) -> IntMatrix:
@@ -152,22 +106,27 @@ def trace(a: IntMatrix) -> int:
 # Spectral invariants
 # ---------------------------------------------------------------------------
 
+def _leverrier(a: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """One Faddeev-LeVerrier pass: the monic characteristic coefficients
+    c_0 = 1, ..., c_k (highest degree first) and the last matrix of the
+    recursion M_1 = I, M_{i+1} = A M_i + c_i I, for which A M_k = -c_k I."""
+    k = len(a)
+    coeffs, m = [1], identity_matrix(k)
+    for i in range(1, k + 1):
+        am = mat_mul(a, m)
+        c, rest = divmod(-trace(am), i)
+        if rest:
+            raise AlgebraError("Faddeev-LeVerrier division not exact")
+        coeffs.append(c)
+        if i < k:
+            m = tuple(tuple(x + c * (r == s) for s, x in enumerate(row))
+                      for r, row in enumerate(am))
+    return coeffs, m
+
+
 def charpoly(a: IntMatrix) -> list[int]:
     """Monic characteristic polynomial, highest degree first (Faddeev-LeVerrier)."""
-    k = len(a)
-    coeffs = [1]
-    m = identity_matrix(k)
-    for i in range(1, k + 1):
-        m = mat_mul(a, m)
-        t = trace(m)
-        if t % i != 0:
-            raise AlgebraError("Faddeev-LeVerrier division not exact")
-        c = -(t // i)
-        coeffs.append(c)
-        m = tuple(
-            tuple(m[r][s] + (c if r == s else 0) for s in range(k)) for r in range(k)
-        )
-    return coeffs
+    return _leverrier(a)[0]
 
 
 def eigen_moduli(m: IntMatrix) -> list[float]:
@@ -279,10 +238,10 @@ def abelian_lengths(m: IntMatrix, gamma: Sequence[int], n_steps: int, cap=math.i
     v = tuple(int(c) for c in gamma)
     if not any(v):
         raise AlgebraError("trivial class")
-    lengths = [sum(abs(c) for c in v)]
+    lengths = [sum(map(abs, v))]
     for _ in range(n_steps):
         v = mat_vec(m, v)
-        lengths.append(sum(abs(c) for c in v))
+        lengths.append(sum(map(abs, v)))
         if lengths[-1] > cap:
             break
     return lengths

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import as_matrix, determinant, is_int, is_real
+from .algebra import as_matrix, determinant, is_int, is_real, mat_inverse, mat_transpose
 
 TWO_PI = 2.0 * math.pi
 
@@ -299,7 +299,7 @@ class PullbackForm(ContactForm):
         if determinant(m) not in (1, -1):
             raise GeometryError("lift matrix must be unimodular")
         self.matrix = np.array(m, dtype=int)
-        self._m_inv_t = matvec(np.linalg.inv(np.array(m, dtype=float)).T)
+        self._m_inv_t = matvec(mat_transpose(mat_inverse(m)))
         self._m = matvec(self.matrix)
         self.base = base if isinstance(base, ContactForm) else build_at(
             "base", base, FORMS, "form", GeometryError

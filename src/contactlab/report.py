@@ -13,7 +13,6 @@ fit and verdict per K, computed by whichever task asks first.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -520,10 +519,8 @@ def emit_plot_data(document: dict, task_id: str, path) -> Path:
 
 
 def _write_csv(path: Path, header, rows):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """csv's bytes for fields that need no quoting (numbers, fixed headers)."""
+    path.write_text("".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows]), newline="")
 
 
 def _write_json(path: Path, payload):

@@ -29,8 +29,65 @@ def test_determinant_and_inverse():
         A.mat_inverse(((2, 0), (0, 2)))
 
 
-def test_mat_pow_negative():
-    assert A.mat_pow(CAT, -2) == A.mat_inverse(A.mat_mul(CAT, CAT))
+def leibniz(m) -> int:
+    """det m as the sum over permutations, each signed by its inversions."""
+    k = len(m)
+    return sum(
+        (-1) ** sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k))
+        * math.prod(m[i][p[i]] for i in range(k))
+        for p in itertools.permutations(range(k))
+    )
+
+
+def square(k):
+    """k x k integer matrices with entries in [-3, 3]."""
+    return st.tuples(*[st.tuples(*[st.integers(-3, 3)] * k)] * k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(square))
+@example(((0, 0), (0, 0)))  # singular
+@example(((1, 2, 3), (2, 4, 6), (0, 1, -1)))  # singular, nonzero
+@example(((-1,),))  # 1x1 unimodular
+@example(((3,),))  # 1x1 not unimodular
+@example(CAT)
+def test_kernel_against_the_leibniz_oracle(m):
+    # determinant is Leibniz's sum; charpoly(t) is det(tI - A) at k + 1 integers;
+    # mat_inverse is a two-sided inverse exactly when det = +-1.
+    k, det = len(m), leibniz(m)
+    assert A.determinant(m) == det
+    p = A.charpoly(m)
+    assert len(p) == k + 1 and p[0] == 1
+    for t in range(-1, k):
+        shifted = tuple(tuple(t * (i == j) - x for j, x in enumerate(row)) for i, row in enumerate(m))
+        assert sum(c * t ** (k - d) for d, c in enumerate(p)) == leibniz(shifted)
+    if det in (1, -1):
+        inv = A.mat_inverse(m)
+        assert A.mat_mul(m, inv) == A.mat_mul(inv, m) == A.identity_matrix(k)
+    else:
+        with pytest.raises(A.AlgebraError, match=rf"^matrix is not unimodular \(det {det}\)$"):
+            A.mat_inverse(m)
+
+
+@st.composite
+def unimodular(draw):
+    """L D U: unit lower and upper triangles with entries in [-3, 3], D = diag(+-1)."""
+    k = draw(st.integers(1, 6))
+    entries = st.integers(-3, 3)
+    low = tuple(tuple(draw(entries) if j < i else int(i == j) for j in range(k)) for i in range(k))
+    up = tuple(tuple(draw(entries) if j > i else int(i == j) for j in range(k)) for i in range(k))
+    signs = [draw(st.sampled_from((1, -1))) for _ in range(k)]
+    return A.mat_mul(low, tuple(tuple(s * e for e in row) for s, row in zip(signs, up)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unimodular())
+def test_mat_inverse_of_unimodular_matrices(m):
+    k = len(m)
+    inv = A.mat_inverse(m)
+    assert A.mat_mul(m, inv) == A.mat_mul(inv, m) == A.identity_matrix(k)
+    assert A.determinant(inv) == A.determinant(m) == leibniz(m) in (1, -1)
+    assert all(type(e) is int for row in inv for e in row)
 
 
 def test_charpoly_matches_numpy(rng):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactlab.algebra import mat_inverse, mat_transpose
 from contactlab.dissipation import DissipationError
 from contactlab.geometry import (
     FORMS,
@@ -19,6 +20,7 @@ from contactlab.geometry import (
     buffers,
     build_form,
     grid_points,
+    jsum,
     matvec,
     profile_values,
     q_lattice,
@@ -399,13 +401,19 @@ def test_matvec_is_the_written_out_product_bit_for_bit(rng):
         assert out[4] is b  # a single coefficient 1 returns the component itself
 
 
-def test_pullback_form_round_is_stretch():
-    m = [[2, 1], [1, 1]]
-    form = PullbackForm(m, RoundForm())
-    u = np.array([1.0, 0.0])
-    w = np.linalg.inv(np.array(m, float)).T @ u
-    expected = 1.0 / np.linalg.norm(w)
-    assert float(jval(form.profile(list(u), [0.0, 0.0]))) == pytest.approx(expected)
+def test_pullback_form_round_is_stretch(rng):
+    # 1/|w| with w = M^-T u from the exact integer inverse, bit for bit, and
+    # close to the float inverse's; the 3x3's float inverse is off the integers.
+    for m in (((2, 1), (1, 1)), ((-1, 2, -2), (0, -2, 1), (1, 1, 1))):
+        form = PullbackForm(m, RoundForm())
+        u, q = random_points(rng, len(m), 2000)
+        w = matvec(mat_transpose(mat_inverse(m)))(list(u))
+        expected = 1.0 / np.sqrt(jsum([wi * wi for wi in w]))
+        assert np.array_equal(form.profile(list(u), list(q)), expected)
+        float_inv = np.linalg.inv(np.array(m, float))
+        assert np.array_equal(float_inv, np.rint(float_inv)) == (len(m) == 2)
+        approx = 1.0 / np.linalg.norm(float_inv.T @ u, axis=0)
+        assert expected == pytest.approx(approx, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
