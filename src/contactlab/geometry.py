@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import as_matrix, determinant, is_int, is_real, mat_inverse, mat_transpose
+from .algebra import AlgebraError, as_matrix, is_int, is_real, mat_inverse, mat_transpose
 
 TWO_PI = 2.0 * math.pi
 
@@ -296,10 +296,11 @@ class PullbackForm(ContactForm):
 
     def __init__(self, matrix, base):
         m = as_matrix(matrix)
-        if determinant(m) not in (1, -1):
-            raise GeometryError("lift matrix must be unimodular")
+        try:
+            self._m_inv_t = matvec(mat_transpose(mat_inverse(m)))
+        except AlgebraError as exc:
+            raise GeometryError("lift matrix must be unimodular") from exc
         self.matrix = np.array(m, dtype=int)
-        self._m_inv_t = matvec(mat_transpose(mat_inverse(m)))
         self._m = matvec(self.matrix)
         self.base = base if isinstance(base, ContactForm) else build_at(
             "base", base, FORMS, "form", GeometryError

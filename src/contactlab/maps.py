@@ -105,14 +105,16 @@ class CanonicalLift(Primitive):
 
     def __init__(self, matrix):
         m = algebra.as_matrix(matrix)
-        if algebra.determinant(m) not in (1, -1):
-            raise MapError("canonical lift needs a unimodular matrix")
+        try:
+            self._inverse = algebra.mat_inverse(m)
+        except algebra.AlgebraError as exc:
+            raise MapError("canonical lift needs a unimodular matrix") from exc
         if len(m) not in (2, 3):
             raise MapError("canonical lift supports 2x2 or 3x3 matrices")
         self.matrix = m
         self.n = len(m)
         self.base_action = (np.array(m, dtype=int), frozenset(range(self.n)))
-        self._minv_t = matvec(algebra.mat_transpose(algebra.mat_inverse(m)))
+        self._minv_t = matvec(algebra.mat_transpose(self._inverse))
         self._m = matvec(m)
 
     def transform(self, u, q):
@@ -122,14 +124,11 @@ class CanonicalLift(Primitive):
         return [wi / norm for wi in w], self._m(q), -np.log(norm)
 
     def inverse(self):
-        return CanonicalLift(algebra.mat_inverse(self.matrix))
+        return CanonicalLift(self._inverse)
 
     def homology(self):
-        minv_t = algebra.mat_transpose(algebra.mat_inverse(self.matrix))
-        if self.n == 3:
-            return minv_t
-        a, b = minv_t
-        return ((1, 0, 0), (0, a[0], a[1]), (0, b[0], b[1]))
+        minv_t = algebra.mat_transpose(self._inverse)
+        return minv_t if self.n == 3 else ((1, 0, 0), (0, *minv_t[0]), (0, *minv_t[1]))
 
 
 def turns(x, y):

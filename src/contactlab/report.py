@@ -2,8 +2,9 @@
 
 A config is a JSON document declaring a dimension, a contact form, a map as a
 list of primitive descriptors, and an ordered task list.  Runs are
-deterministic given the config (randomness flows from the single seed); every
-emitted number is reproducible from the config alone.
+deterministic given the config: sampled classes come from one
+``random.Random(seed)`` per run, whose ``random()`` sequence Python keeps for
+a given seed, so every emitted number is reproducible from the config alone.
 
 Validation builds the form, each primitive and the grid each task samples;
 the config keeps the form and the composite map, and every ``run`` of it
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
 import time
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -330,8 +332,7 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
     f, form = config.contact_map, config.form
     grid = (config.grid or dissipation.default_grid(config.n)).refined(refine)
     lyap_grid = (config.lyap_grid or dissipation.default_lyapunov_grid(config.n)).refined(refine)
-    # Built on first use: numpy.random's first generator adds about 5 MB of RSS.
-    rng = functools.cache(lambda: np.random.default_rng(config.seed))
+    rng = random.Random(config.seed)
 
     @functools.cache
     def series(K):
@@ -434,7 +435,7 @@ def _run_task(name, task, config, f, form, lyap_grid, rng, series, artifact):
         res = {"mode": task["mode"]}
         if task["mode"] == "abelian":
             i_mat = task["matrix"] or dissipation.cohomology_block(f)[0]
-            classes = _sampled_classes(task, len(i_mat), 5, rng)
+            classes = task["classes"] or _sampled_classes(len(i_mat), 5, rng)
             per_class = [algebra.abelian_lengths(i_mat, g, task["N"]) for g in classes]
             res["rate"] = algebra.length_growth_rate(*per_class)
             res["classes"] = [list(g) for g in classes]
@@ -449,7 +450,7 @@ def _run_task(name, task, config, f, form, lyap_grid, rng, series, artifact):
 
     if name == "duality":
         g = task["metric"]
-        classes = _sampled_classes(task, g.shape[0], 8, rng)
+        classes = task["classes"] or _sampled_classes(g.shape[0], 8, rng)
         dirs = shapes.direction_grid(g.shape[0], task["dir_res"])
         res = shapes.duality_check(g, classes, dirs)
         _write_json(artifact.with_suffix(".json"), res)
@@ -462,11 +463,9 @@ def _run_task(name, task, config, f, form, lyap_grid, rng, series, artifact):
     raise ValueError(f"unknown task {name!r}")
 
 
-def _sampled_classes(task: dict, k: int, count: int, rng):
-    """The task's classes, or ``count`` nonzero classes of length k from rng()."""
-    if task["classes"]:
-        return task["classes"]
-    classes = [tuple(int(c) for c in rng().integers(-3, 4, size=k)) for _ in range(count)]
+def _sampled_classes(k: int, count: int, rng: random.Random):
+    """``count`` nonzero classes of length k, entries uniform on -3..3, row by row."""
+    classes = [tuple(int(7 * rng.random()) - 3 for _ in range(k)) for _ in range(count)]
     return [g if any(g) else (1,) + (0,) * (k - 1) for g in classes]
 
 

@@ -4,6 +4,9 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -188,6 +191,47 @@ def test_emit_plot_data(tmp_path):
         emit_plot_data(doc, "homology", tmp_path / "h.dat")
 
 
+# An n=3 config whose growth and duality tasks both sample their classes.
+SAMPLED_N3 = {
+    "dimension": 3,
+    "seed": 0,
+    "map": [{"kind": "canonical_lift", "matrix": [[1, 1, 0], [1, 2, 1], [0, 1, 2]]}],
+    "grid": {"q_res": 2, "fiber_res": 16},
+    "tasks": [
+        {"task": "growth", "mode": "abelian", "N": 10},
+        {"task": "duality", "metric": [[2, 0.5, 0], [0.5, 1, 0.2], [0, 0.2, 1.5]], "dir_res": 4},
+    ],
+}
+
+
+def test_sampled_classes_are_the_stdlib_stream_of_the_seed(tmp_path, capsys):
+    """Entries int(7 * Random(seed).random()) - 3 in task order, row by row:
+    a sequence Python keeps for a given seed on every version."""
+    doc = run(validate_config(SAMPLED_N3), out_dir=tmp_path / "out")
+    assert doc["results"]["growth"]["classes"] == [
+        [2, 2, -1], [-2, 0, -1], [2, -1, 0], [1, 3, 0], [-2, 2, 1]
+    ]
+    assert run_exit(dict(SAMPLED_N3, seed=10**30)) in (0, 1)
+    assert main(["validate", str(write_config(tmp_path, dict(SAMPLED_N3, seed=-1)))]) == 2
+    assert "seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_a_run_that_samples_classes_never_loads_numpy_random(tmp_path):
+    """numpy.random costs about 5 MB of RSS on import; the stdlib generator
+    is already loaded by numpy."""
+    script = (
+        "import json, sys\n"
+        "from contactlab import report\n"
+        "report.run(report.validate_config(json.loads(sys.argv[1])), out_dir=sys.argv[2])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(SAMPLED_N3), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")), capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 # ---------------------------------------------------------------------------
 # CLI exit codes
 # ---------------------------------------------------------------------------
@@ -350,11 +394,20 @@ MOMENTUM = {"kind": "momentum", "c": [0.2, 0.5]}
 TRIG_Q = {"kind": "trig", "c0": 2.0, "terms": [{"amp": 0.5, "q_freq": [1, 0]}]}  # reads q
 
 # A fractional integer or a string or bool number, with the text its error
-# must carry; once these were truncated or converted silently.
+# must carry; once these were truncated or converted silently.  Lift matrices
+# that are not unimodular carry ``mat_inverse``'s error, re-raised by the kind.
 NUMBER_FIELD_CASES = {
     "lift_fractional_matrix": (
         dict(MINIMAL, map=[{"kind": "canonical_lift", "matrix": [[2.7, 1], [1, 1.9]]}]),
         "map[0]: matrix entries must be integers",
+    ),
+    "lift_non_unimodular_matrix": (
+        dict(MINIMAL, map=[{"kind": "canonical_lift", "matrix": [[2, 1], [1, 2]]}]),
+        "map[0]: canonical lift needs a unimodular matrix",
+    ),
+    "pullback_non_unimodular_matrix": (
+        dict(MINIMAL, form={"kind": "linear_pullback", "matrix": [[1, 1], [1, 1]], "base": {"kind": "round"}}),
+        "form: lift matrix must be unimodular",
     ),
     "displacement_fractional_matrix": (
         dict(MINIMAL, tasks=[{"task": "displacement", "matrix": [[2.5, 1], [1, 1]]}]),
