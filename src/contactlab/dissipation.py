@@ -227,10 +227,10 @@ def verify_bound(
     ``est`` and ``verdict`` are the ``chi_estimate`` and ``classify`` of f's
     r_k series; the check compares that fit with s and computes no r_k.
     For maps over the 2-torus the bound is taken on the base block of the
-    3x3 action; for the 3-torus on the full action.
+    3x3 action; for the 3-torus on the full action.  s is the map's cached
+    ``block_s_value``.
     """
-    block, block_info = cohomology_block(f)
-    s_target = algebra.s_value(block)
+    s_target = f.block_s_value
     contradiction = declared_conservative and verdict == "Hyperbolic"
     return {
         "s_target": s_target,
@@ -245,21 +245,17 @@ def verify_bound(
             if contradiction
             else ""
         ),
-        **block_info,
+        **block_fields(f),
     }
 
 
-def cohomology_block(f: ContactMap) -> tuple[algebra.IntMatrix, dict]:
-    """The map's action on the first cohomology of the base torus.
-
-    For n = 2 it is the base block of the 3x3 action, returned with the
-    JSON fields of the split (the block and the fiber shears l, m); for
-    n = 3 it is the full action, with no fields.
-    """
-    if f.n == 3:
-        return f.homology_matrix, {}
-    block, shear_l, shear_m = algebra.a_block(f.homology_matrix)
-    return block, {"a_block": [list(r) for r in block], "l": shear_l, "m": shear_m}
+def block_fields(f: ContactMap) -> dict:
+    """The JSON fields of the map's ``cohomology_block``, built afresh: for
+    n = 2 the base block and the fiber shears l, m; for n = 3 none."""
+    block, shears = f.cohomology_block
+    if not shears:
+        return {}
+    return {"a_block": [list(r) for r in block], "l": shears[0], "m": shears[1]}
 
 
 def refinement_delta(

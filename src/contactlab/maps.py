@@ -6,7 +6,8 @@ form.  Every primitive also returns the log of its conformal factor for the
 round form in closed form, and ``ContactMap.apply_batch`` sums these along
 the composition; this is the factor the dissipation sequence accumulates.
 ``apply_batch`` wraps q as q - floor(q), which is np.mod(q, 1.0) bit for bit
-without its fmod, and a map builds its inverse once, on the first call.
+without its fmod, and a map builds its inverse and its cohomology
+invariants once each, on the first call.
 ``ContactMap.push_frame`` pushes ambient tangent vectors (du, dq) through
 the same plain-numpy transforms by a complex step, a contact flow's one RK4
 loop included: each point enters as x + i STEP v, and the frame is read off
@@ -368,7 +369,13 @@ class ContactFlow(Primitive):
 
 @dataclass(frozen=True)
 class ContactMap:
-    """Invertible composition of primitives, applied left to right."""
+    """Invertible composition of primitives, applied left to right.
+
+    Its inverse and the cohomology invariants the runner reports
+    (``cohomology_block``, ``s_value``, ``block_s_value``, ``periodicity``)
+    are computed on first use and kept on the map: once per map, however
+    many tasks and runs read them.
+    """
 
     primitives: tuple[Primitive, ...]
     n: int
@@ -438,6 +445,33 @@ class ContactMap:
     def _inverse(self) -> "ContactMap":  # built once per map
         prims = tuple(p.inverse() for p in reversed(self.primitives))
         return ContactMap(prims, self.n, algebra.mat_inverse(self.homology_matrix))
+
+    @cached_property
+    def cohomology_block(self) -> tuple[IntMatrix, tuple[int, ...]]:
+        """The action on the first cohomology of the base torus, and the
+        fiber shears: for n = 2 the base block of the 3x3 action and its
+        shears (l, m) (``algebra.a_block``), for n = 3 the full action and
+        no shears."""
+        if self.n == 3:
+            return self.homology_matrix, ()
+        block, *shears = algebra.a_block(self.homology_matrix)
+        return block, tuple(shears)
+
+    @cached_property
+    def s_value(self) -> float:
+        """``algebra.s_value`` of the homology action."""
+        return algebra.s_value(self.homology_matrix)
+
+    @cached_property
+    def block_s_value(self) -> float:
+        """``algebra.s_value`` of the cohomology block, the spectral bound's target."""
+        block = self.cohomology_block[0]
+        return self.s_value if block is self.homology_matrix else algebra.s_value(block)
+
+    @cached_property
+    def periodicity(self) -> tuple[bool, int | None]:
+        """``algebra.is_periodic`` of the homology action."""
+        return algebra.is_periodic(self.homology_matrix)
 
     def describe(self) -> list[dict]:
         return [p.describe() for p in self.primitives]

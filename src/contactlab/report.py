@@ -8,9 +8,12 @@ a given seed, so every emitted number is reproducible from the config alone.
 
 Validation builds the form, each primitive and the grid each task samples;
 the config keeps the form and the composite map, and every ``run`` of it
-uses those two objects, so a map's inverse is built once per config.  Within
-a run, the ``r_sequence`` and ``verify_bound`` tasks read one r_k series, chi
-fit and verdict per K, computed by whichever task asks first.
+uses those two objects, so a map's inverse and the cohomology invariants
+the tasks read (``ContactMap.cohomology_block`` and the rest) are computed
+once per config, on first use, and never by validation.  Within a run, the
+``r_sequence`` and ``verify_bound`` tasks read one r_k series, chi fit and
+verdict per K, computed by whichever task asks first.  Each task's wall
+seconds go under ``provenance.timestamp.tasks``.
 """
 from __future__ import annotations
 
@@ -236,8 +239,8 @@ def _grid_fits(task: dict, config: ExperimentConfig) -> bool:
         axes = geometry.read_axes(config.form, range(n))
         return _fits(n, shapes.direction_count(n, task["dir_res"]), task["q_res"], axes)
     if name in ("displacement", "duality"):
-        dim = len(task["metric"] if name == "duality"
-                  else task["matrix"] or dissipation.cohomology_block(config.contact_map)[0])
+        # A displacement task with no matrix reads the map's n x n cohomology block.
+        dim = len(task["metric"] if name == "duality" else task["matrix"] or range(n))
         return _fits(dim, shapes.direction_count(dim, task["dir_res"]))
     return True
 
@@ -301,6 +304,8 @@ def _build_task_objects(name: str, task: dict, out: dict, n: int) -> None:
         sigma = out["rules"] = algebra.FreeAutomorphism.from_strings(task["rules"])
         out["word"] = algebra.parse_word(task["word"])
         sigma.encode(out["word"])  # raises if a generator has no rule
+        if not algebra.cyclic_reduce(out["word"]):
+            raise ValueError(f"word {task['word']!r} reduces to the empty word (trivial class)")
 
 
 def _parse_classes(value, k: int):
@@ -342,15 +347,18 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
         return r, est, dissipation.classify(r, est, config.thresholds)
 
     results: dict[str, dict] = {}
+    seconds: dict[str, float] = {}
     all_pass = True
 
     for i, task in enumerate(config.tasks):
         name = task["task"]
         task_id = name if name not in results else f"{name}_{i}"
+        task_started = time.perf_counter()
         try:
             res = _run_task(name, task, config, f, form, lyap_grid, rng, series, out / task_id)
         except Exception as exc:
             raise TaskError(task_id, exc) from exc
+        seconds[task_id] = time.perf_counter() - task_started
         if res.get("pass") is False:
             all_pass = False
         results[task_id] = res
@@ -366,6 +374,7 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
             "timestamp": {
                 "when": datetime.now(timezone.utc).isoformat(),
                 "runtime_seconds": time.perf_counter() - started,
+                "tasks": seconds,
             },
         },
     }
@@ -396,18 +405,16 @@ def _run_task(name, task, config, f, form, lyap_grid, rng, series, artifact):
         return {"K": task["K"], "lyap_hat": value}
 
     if name == "homology":
-        i_mat = f.homology_matrix
-        periodic, order = algebra.is_periodic(i_mat)
-        block, block_info = dissipation.cohomology_block(f)
+        periodic, order = f.periodicity
         res = {
-            "matrix": [list(r) for r in i_mat],
-            "s_value": algebra.s_value(i_mat),
+            "matrix": [list(r) for r in f.homology_matrix],
+            "s_value": f.s_value,
             "periodic": periodic,
             "order": order,
-            **block_info,
+            **dissipation.block_fields(f),
         }
-        if block_info:
-            res["a_block_s_value"] = algebra.s_value(block)
+        if f.n == 2:
+            res["a_block_s_value"] = f.block_s_value
         return res
 
     if name == "shape":
@@ -419,7 +426,7 @@ def _run_task(name, task, config, f, form, lyap_grid, rng, series, artifact):
         return {"directions": len(rho), "rho_min": float(rho.min()), "rho_max": float(rho.max())}
 
     if name == "displacement":
-        i_mat = task["matrix"] or dissipation.cohomology_block(f)[0]
+        i_mat = task["matrix"] or f.cohomology_block[0]
         dirs = shapes.direction_grid(len(i_mat), task["dir_res"])
         deltas = shapes.displacement_series(i_mat, shapes.ball(len(i_mat)), task["k_max"], dirs)
         series = [[k + 1, float(d)] for k, d in enumerate(deltas)]
@@ -434,7 +441,7 @@ def _run_task(name, task, config, f, form, lyap_grid, rng, series, artifact):
     if name == "growth":
         res = {"mode": task["mode"]}
         if task["mode"] == "abelian":
-            i_mat = task["matrix"] or dissipation.cohomology_block(f)[0]
+            i_mat = task["matrix"] or f.cohomology_block[0]
             classes = task["classes"] or _sampled_classes(len(i_mat), 5, rng)
             per_class = [algebra.abelian_lengths(i_mat, g, task["N"]) for g in classes]
             res["rate"] = algebra.length_growth_rate(*per_class)

@@ -76,6 +76,14 @@ def flat_shape(form: ContactForm, n: int, q_res: int) -> StarDomain:
     return StarDomain(n, rho)
 
 
+def _log_radii(rho: np.ndarray) -> np.ndarray:
+    """log rho; raises ShapeError unless every radius is positive and finite."""
+    low, high = float(rho.min()), float(rho.max())
+    if not (low > 0.0 and math.isfinite(high)):
+        raise ShapeError(f"radii must be positive and finite (sampled min {low}, max {high})")
+    return np.log(rho)
+
+
 def delta(a: StarDomain, b: StarDomain, dirs: np.ndarray) -> float:
     """Log of the best mutual-containment scaling factor, read on dirs.
 
@@ -83,12 +91,27 @@ def delta(a: StarDomain, b: StarDomain, dirs: np.ndarray) -> float:
     log max(sup rho_A/rho_B, sup rho_B/rho_A) and is exactly symmetric.
     Raises ShapeError unless both radius arrays are positive and finite.
     """
-    radii = a.rho(dirs), b.rho(dirs)
-    for rho in radii:
-        low, high = float(rho.min()), float(rho.max())
-        if not (low > 0.0 and math.isfinite(high)):
-            raise ShapeError(f"radii must be positive and finite (sampled min {low}, max {high})")
-    return float(np.max(np.abs(np.log(radii[0]) - np.log(radii[1]))))
+    log_a = _log_radii(a.rho(dirs))
+    return float(np.max(np.abs(log_a - _log_radii(b.rho(dirs)))))
+
+
+def norms(w: np.ndarray) -> np.ndarray:
+    """|w| over the last axis: the squared components summed left to right.
+
+    This is np.linalg.norm(w, axis=-1) bit for bit, without its slow
+    reduction over a short axis.
+    """
+    total = w[..., 0] * w[..., 0]
+    for i in range(1, w.shape[-1]):
+        total += w[..., i] * w[..., i]
+    return np.sqrt(total, out=total)
+
+
+def _image_rho(rho, inv_t: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The radii of the image domain: rho(w/|w|)/|w| with w = dirs @ inv_t."""
+    w = dirs @ inv_t
+    w_norms = norms(w)
+    return rho(w / w_norms[:, None]) / w_norms
 
 
 def act(i_mat: IntMatrix, a: StarDomain, inverse: IntMatrix | None = None) -> StarDomain:
@@ -102,26 +125,27 @@ def act(i_mat: IntMatrix, a: StarDomain, inverse: IntMatrix | None = None) -> St
     if len(i_mat) != a.n:
         raise ShapeError("matrix and domain dimensions disagree")
     inv_t = np.array(algebra.mat_inverse(i_mat) if inverse is None else inverse, dtype=float).T
-
-    def rho(dirs: np.ndarray) -> np.ndarray:
-        w = dirs @ inv_t
-        norms = np.linalg.norm(w, axis=1)
-        return a.rho(w / norms[:, None]) / norms
-
-    return StarDomain(a.n, rho)
+    return StarDomain(a.n, lambda dirs: _image_rho(a.rho, inv_t, dirs))
 
 
 def displacement_series(i_mat: IntMatrix, a: StarDomain, k_max: int, dirs: np.ndarray) -> list[float]:
-    """delta(A, I^k A) on dirs for k = 1..k_max."""
-    i_mat = algebra.as_matrix(i_mat)
-    i_inv = algebra.mat_inverse(i_mat)
-    power = inv_power = algebra.identity_matrix(len(i_mat))
+    """delta(A, act(I^k, A)) on dirs for k = 1..k_max, bit for bit.
+
+    I is inverted once, and the loop carries only the exact (big-int)
+    power (I^-1)^k: step k reads A's radii at the directions of
+    (I^-1)^k u, by ``act``'s image-radius formula, and compares them with
+    A's radii on dirs, which are read and checked once, before the loop.
+    """
+    i_inv = algebra.mat_inverse(algebra.as_matrix(i_mat))
+    if len(i_inv) != a.n:
+        raise ShapeError("matrix and domain dimensions disagree")
+    inv_power = algebra.identity_matrix(a.n)
+    log_a = _log_radii(a.rho(dirs))
     deltas = []
     for _ in range(k_max):
-        # exact, big ints included: (I^-1)^k is the inverse of I^k
-        power = algebra.mat_mul(i_mat, power)
-        inv_power = algebra.mat_mul(inv_power, i_inv)
-        deltas.append(delta(a, act(power, a, inv_power), dirs))
+        inv_power = algebra.mat_mul(inv_power, i_inv)  # exact, big ints included
+        image = _image_rho(a.rho, np.array(inv_power, dtype=float).T, dirs)
+        deltas.append(float(np.max(np.abs(log_a - _log_radii(image)))))
     return deltas
 
 

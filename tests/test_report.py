@@ -181,6 +181,45 @@ def test_determinism_excluding_timestamp(tmp_path):
         assert t1 == t2
 
 
+INVARIANT_TASKS = [
+    {"task": "r_sequence", "K": 10},
+    {"task": "homology"},
+    {"task": "verify_bound", "K": 10},
+    {"task": "displacement", "k_max": 8},
+    {"task": "growth", "N": 10},
+]
+
+
+@pytest.mark.parametrize("n, lift, distinct", [
+    (2, [[2, 1], [1, 1]], 2),  # the 3x3 action and its 2x2 base block
+    (3, [[1, 1, 0], [1, 2, 1], [0, 1, 2]], 1),  # the block is the action
+], ids=["n2", "n3"])
+def test_a_map_computes_its_cohomology_invariants_once(tmp_path, monkeypatch, n, lift, distinct):
+    data = dict(MINIMAL, dimension=n, map=[{"kind": "canonical_lift", "matrix": lift}],
+                grid={"q_res": 2, "fiber_res": 16}, tasks=INVARIANT_TASKS)
+    config = validate_config(data)
+    calls = {"s_value": [], "is_periodic": []}
+    for name, seen in calls.items():
+        func = getattr(A, name)
+        monkeypatch.setattr(A, name, lambda m, func=func, seen=seen: seen.append(m) or func(m))
+    first = run(config, out_dir=tmp_path / "a")
+    assert len(calls["s_value"]) == len(set(calls["s_value"])) == distinct
+    assert len(calls["is_periodic"]) == 1
+    second = run(config, out_dir=tmp_path / "b")
+    assert len(calls["s_value"]) == distinct and len(calls["is_periodic"]) == 1
+    assert first["results"] == second["results"]
+
+
+def test_task_seconds_are_recorded_under_the_timestamp(tmp_path):
+    data = dict(MINIMAL, tasks=[*INVARIANT_TASKS, {"task": "homology"}])
+    doc = run(validate_config(data), out_dir=tmp_path)
+    seconds = doc["provenance"]["timestamp"]["tasks"]
+    assert list(seconds) == list(doc["results"]) and "homology_5" in seconds
+    assert all(math.isfinite(v) and v >= 0.0 for v in seconds.values())
+    on_disk = json.loads((tmp_path / "document.json").read_text())
+    assert on_disk["provenance"]["timestamp"]["tasks"] == seconds
+
+
 def test_emit_plot_data(tmp_path):
     data = dict(MINIMAL, tasks=[{"task": "r_sequence", "K": 10}, {"task": "homology"}])
     doc = run(validate_config(data), out_dir=tmp_path)
@@ -261,14 +300,17 @@ def test_cli_check_failure_exit_1(tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
-def test_cli_runtime_error_exit_3(tmp_path):
-    # a trivial free-group class passes validation but fails at run time
+def test_cli_runtime_error_exit_3(tmp_path, capsys):
+    # a word that becomes trivial only under iteration passes validation but
+    # fails at run time
     data = dict(
         MINIMAL,
-        tasks=[{"task": "growth", "mode": "free", "rules": ["ab", "a"], "word": "abBA", "N": 10}],
+        tasks=[{"task": "growth", "mode": "free", "rules": ["", "b"], "word": "a", "N": 10}],
     )
     path = write_config(tmp_path, data)
+    assert main(["validate", str(path)]) == 0
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "trivial class reached under iteration" in capsys.readouterr().err
 
 
 def test_cli_catalog_and_plot(tmp_path, capsys):
@@ -465,11 +507,19 @@ NUMBER_FIELD_CASES = {
 }
 BAD_CONFIGS.update({name: data for name, (data, _) in NUMBER_FIELD_CASES.items()})
 
-# Configs that once validated and then failed at run time (exit 3; a negative
-# seed and a NUL in out_dir ended in a traceback) or wrote elsewhere (a null or
+# Configs that once validated and then failed at run time (exit 3, as a free
+# growth word that reduces to the empty word did; a negative seed and a NUL in
+# out_dir ended in a traceback) or wrote elsewhere (a null or
 # numeric out_dir into a directory named after it, an empty one into the
 # working directory), with the text their config error must carry.
 RUN_TIME_CASES = {
+    **{
+        f"growth_free_trivial_word_{word or 'empty'}": (
+            dict(MINIMAL, tasks=[{"task": "growth", "mode": "free", "rules": ["ab", "a"], "word": word}]),
+            f"tasks[0]: growth: word {word!r} reduces to the empty word (trivial class)",
+        )
+        for word in ("", "aA", "abBA")
+    },
     "seed_negative": (dict(MINIMAL, seed=-1), "seed: must be a non-negative integer, got -1"),
     "out_dir_null": (dict(MINIMAL, out_dir=None), "out_dir: must be a non-empty path string"),
     "out_dir_number": (dict(MINIMAL, out_dir=5), "out_dir: must be a non-empty path string"),

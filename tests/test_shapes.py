@@ -308,7 +308,8 @@ def test_displacement_series_on_a_ball_is_the_written_out_log_norm(i_mat):
 
 @pytest.mark.parametrize("i_mat", [CAT, CAT3], ids=["n2", "n3"])
 def test_displacement_series_inverts_once_and_matches_act(monkeypatch, i_mat):
-    # Carrying (I^-1)^k gives the series that re-inverting each I^k gives.
+    # Carrying (I^-1)^k gives the series that re-inverting each I^k gives,
+    # and A's radii on dirs are read once: one rho call per step besides.
     n = len(i_mat)
     dirs = S.direction_grid(n)
     k_max = 30
@@ -316,12 +317,23 @@ def test_displacement_series_inverts_once_and_matches_act(monkeypatch, i_mat):
         expected = [
             S.delta(a, S.act(power, a), dirs) for power in powers(i_mat, k_max)
         ]
-        calls = []
+        calls, reads = [], []
         inverse = A.mat_inverse
         monkeypatch.setattr(A, "mat_inverse", lambda m: calls.append(1) or inverse(m))
-        assert S.displacement_series(i_mat, a, k_max, dirs) == expected
+        counted = S.StarDomain(n, lambda d, rho=a.rho: reads.append(d is dirs) or rho(d))
+        assert S.displacement_series(i_mat, counted, k_max, dirs) == expected
         monkeypatch.setattr(A, "mat_inverse", inverse)
         assert len(calls) == 1
+        assert reads.count(True) == 1 and len(reads) == k_max + 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_norms_are_np_linalg_norm_bit_for_bit(n):
+    dirs = S.direction_grid(n)
+    i_inv = A.mat_inverse(CAT if n == 2 else CAT3)
+    stack = np.stack([dirs @ np.array(p, dtype=float).T for p in powers(i_inv, 30)])
+    for w in (dirs, stack[4], stack):  # (N, n) and (k, N, n)
+        assert np.array_equal(S.norms(w), np.linalg.norm(w, axis=-1))
 
 
 def test_act_takes_the_inverse_it_is_given():
