@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .geometry import FORMS
 from .maps import HAMILTONIANS, PRIMITIVES
-from .report import TASK_NAMES, ConfigError, TaskError, emit_plot_data, load_config, run
+from .report import TASKS, ConfigError, TaskError, emit_plot_data, load_config, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
             print("primitives: " + ", ".join(PRIMITIVES))
             print("hamiltonians: " + ", ".join(HAMILTONIANS))
             print("forms: " + ", ".join(FORMS))
-            print("tasks: " + ", ".join(TASK_NAMES))
+            print("tasks: " + ", ".join(TASKS))
             return 0
         if args.command == "run":
             config = load_config(args.config)
@@ -65,11 +65,7 @@ def main(argv=None) -> int:
             document = run(config, out_dir=args.out, refine=args.refine)
             for task_id, res in document["results"].items():
                 verdict = res.get("verdict", "")
-                check = (
-                    ""
-                    if "pass" not in res
-                    else (" PASS" if res["pass"] else " FAIL")
-                )
+                check = "" if "pass" not in res else (" PASS" if res["pass"] else " FAIL")
                 print(f"{task_id}: {verdict}{check}".rstrip(": "))
             if not document["all_checks_pass"]:
                 print("one or more checks FAILED")

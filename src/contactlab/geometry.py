@@ -126,17 +126,17 @@ def plain(value):
     return value
 
 
-def build(spec, kinds: dict, what: str, error: type[Exception], **context):
-    """The object a descriptor names; ``kinds[kind]`` is (class, fixed args).
-    An absent or keyword-only parameter takes ``context`` (the config's ``n``),
-    else its default; an unknown key or missing field raises ``error``."""
-    kind = spec.get("kind") if isinstance(spec, dict) else None
+def build(spec, kinds, what: str, error: type[Exception], key: str = "kind", **context):
+    """The object a descriptor names in its field ``key``; ``kinds[name]`` is (class, fixed
+    args).  An absent or keyword-only parameter takes ``context`` (the config's ``n``), else its
+    default; an unknown ``what`` ("form kind", "task"), key or missing field raises ``error``."""
+    kind = spec.get(key) if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in kinds:
-        raise error(f"unknown {what} kind {kind!r}")
+        raise error(f"unknown {what} {kind!r}")
     cls, fixed = kinds[kind]
-    for key in spec:
-        if key != "kind" and (key not in descriptor_fields(cls) or key in fixed):
-            raise error(f"{kind}: unknown key {key!r}")
+    for name in spec:
+        if name != key and (name not in descriptor_fields(cls) or name in fixed):
+            raise error(f"{kind}: unknown key {name!r}" if key == "kind" else f"unknown key {name!r}")
     args = {k: spec.get(k, context.get(k, p.default)) for k, p in parameters(cls).items()}
     args.update(fixed)
     missing = [name for name, value in args.items() if value is inspect.Parameter.empty]
@@ -243,7 +243,7 @@ class TrigForm(ContactForm):
         self.c0 = float(c0)
         self.terms = tuple(t if isinstance(t, TrigTerm) else build_at(
             f"terms[{i}]", {"kind": "term", **t} if isinstance(t, dict) else t,
-            {"term": (TrigTerm, {})}, "term", GeometryError,
+            {"term": (TrigTerm, {})}, "term kind", GeometryError,
         ) for i, t in enumerate(terms))
         if any(len(t.q_freq) == 3 or len(t.u_powers) == 3 for t in self.terms):
             self.n = 3
@@ -303,7 +303,7 @@ class PullbackForm(ContactForm):
         self.matrix = np.array(m, dtype=int)
         self._m = matvec(self.matrix)
         self.base = base if isinstance(base, ContactForm) else build_at(
-            "base", base, FORMS, "form", GeometryError
+            "base", base, FORMS, "form kind", GeometryError
         )
         self.n = len(m)
         self.q_free = self.base.q_free
@@ -319,7 +319,7 @@ FORMS = {cls.kind: (cls, {}) for cls in (RoundForm, ConstantForm, TrigForm, Metr
 
 
 def build_form(spec: dict) -> ContactForm:
-    return build(spec, FORMS, "form", GeometryError)
+    return build(spec, FORMS, "form kind", GeometryError)
 
 
 def profile_values(form: ContactForm, u, q, error: type[Exception] = GeometryError):

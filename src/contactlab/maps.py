@@ -322,7 +322,7 @@ class ContactFlow(Primitive):
             raise MapError(f"flow t must be a finite number, got {t!r}")
         if not isinstance(hamiltonian, Hamiltonian):
             hamiltonian = build_at(
-                f"{self.kind}: hamiltonian", hamiltonian, HAMILTONIANS, "hamiltonian", MapError, n=n
+                f"{self.kind}: hamiltonian", hamiltonian, HAMILTONIANS, "hamiltonian kind", MapError, n=n
             )
         self.hamiltonian = hamiltonian
         self.t = float(t)
@@ -517,4 +517,4 @@ PRIMITIVES = {
 
 
 def build_primitive(spec: dict, n: int) -> Primitive:
-    return build(spec, PRIMITIVES, "primitive", MapError, n=n)
+    return build(spec, PRIMITIVES, "primitive kind", MapError, n=n)

@@ -6,18 +6,16 @@ deterministic given the config: sampled classes come from one
 ``random.Random(seed)`` per run, whose ``random()`` sequence Python keeps for
 a given seed, so every emitted number is reproducible from the config alone.
 
-Validation builds the form, each primitive and the grid each task samples;
-the config keeps the form and the composite map, and every ``run`` of it
-uses those two objects, so a map's inverse and the cohomology invariants
-the tasks read (``ContactMap.cohomology_block`` and the rest) are computed
-once per config, on first use, and never by validation.  Within a run, the
-``r_sequence`` and ``verify_bound`` tasks read one r_k series, chi fit and
-verdict per K, computed by whichever task asks first.  Each task's wall
-seconds go under ``provenance.timestamp.tasks``.
+Validation builds the form, each primitive and each task: a ``Task`` subclass
+registered in ``TASKS``, which is all a new task needs.  Every ``run`` of a
+config uses its form and map, so a map's inverse and cohomology invariants
+(``ContactMap.cohomology_block`` and the rest) are computed once per config,
+on first use, never by validation.  Within a run, the ``r_sequence`` and
+``verify_bound`` tasks read one r_k series, chi fit and verdict per K
+(``RunContext.series``); each task's wall seconds go under ``provenance.timestamp.tasks``.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import random
@@ -28,32 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, dissipation, geometry, shapes
+from . import __version__, algebra, dissipation, geometry, shapes
 from .algebra import is_int, is_real
 from .dissipation import GridSpec, Thresholds
-from .geometry import ContactForm, build_form, metric_matrix
+from .geometry import ContactForm, Described, build, build_form, metric_matrix
 from .maps import ContactMap, MapError, build_primitive, make_composite
 
-# Numeric task parameters: name -> (default, minimum).  A minimum of None
-# admits any finite number; otherwise the value must be an integer at least
-# the minimum: the guard of the library function the task calls, and for the
-# growth N and the displacement k_max the only guard.  A default of None
-# leaves the choice to the library.  Growth has one table per mode.
-TASK_PARAMS = {
-    "r_sequence": {"K": (30, 8)},
-    "lyapunov": {"K": (20, 8)},
-    "homology": {},
-    "shape": {"q_res": (64, 1), "dir_res": (None, 4)},
-    "displacement": {"k_max": (20, 8), "dir_res": (None, 4)},
-    "growth": {"abelian": {"N": (40, 10)}, "free": {"N": (40, 5), "cap": (10**6, 1)}},
-    "duality": {"dir_res": (None, 4)},
-    "verify_bound": {"K": (30, 8), "tol": (0.05, None)},
-}
-TASK_NAMES = tuple(TASK_PARAMS)
-# Known config keys; a task knows its name, TASK_PARAMS and the objects it builds.
+# Known config keys; a task knows its own (its constructor parameters).
 CONFIG_KEYS = "dimension seed form map tasks grid lyapunov_grid thresholds conservative out_dir"
-TASK_OBJECTS = {"displacement": "matrix", "abelian": "mode matrix classes",
-                "free": "mode rules word", "duality": "metric classes"}
 
 # What building a form, primitive or task object can raise on a bad JSON value.
 SPEC_ERRORS = (ArithmeticError, AttributeError, LookupError, MapError, TypeError, ValueError)
@@ -82,7 +62,7 @@ class ExperimentConfig:
     seed: int
     form_spec: dict
     map_spec: list
-    tasks: list  # normalised by validate_config; ``raw`` keeps the input
+    tasks: list  # Task objects built by validate_config; ``raw`` keeps the input
     conservative: bool = False
     grid: GridSpec | None = None
     lyap_grid: GridSpec | None = None
@@ -100,13 +80,10 @@ def _parse_grid(data, errors, label) -> GridSpec | None:
         errors.append(f"{label}: must be an object with q_res and fiber_res")
         return None
     errors.extend(f"{label}: unknown key {k!r}" for k in data if k not in ("q_res", "fiber_res"))
-    q_res = data.get("q_res", 0)
-    fiber_res = data.get("fiber_res", 0)
+    q_res, fiber_res = data.get("q_res", 0), data.get("fiber_res", 0)
     if not (is_int(q_res) and is_int(fiber_res) and q_res > 0 and fiber_res >= 4):
-        errors.append(
-            f"{label}: q_res must be a positive integer and fiber_res an integer >= 4, "
-            f"got q_res={q_res!r}, fiber_res={fiber_res!r}"
-        )
+        errors.append(f"{label}: q_res must be a positive integer and fiber_res an integer >= 4, "
+                      f"got q_res={q_res!r}, fiber_res={fiber_res!r}")
         return None
     return GridSpec(int(q_res), int(fiber_res))
 
@@ -176,21 +153,21 @@ def validate_config(data: dict) -> ExperimentConfig:
     if not isinstance(tasks, list) or not tasks:
         errors.append("tasks: need a non-empty list of tasks")
         tasks = []
-    tasks = [_normalise_task(task, n, errors, f"tasks[{i}]") for i, task in enumerate(tasks)]
+    built = []
+    for i, spec in enumerate(tasks):
+        try:
+            built.append(build_task(spec, n))
+        except FieldError as exc:
+            errors.append(f"tasks[{i}]: {exc}")
 
     thr = data.get("thresholds", {})
     if not isinstance(thr, dict):
         errors.append("thresholds: must be an object")
         thr = {}
-    known = [fld.name for fld in fields(Thresholds)]
-    errors.extend(f"thresholds: unknown key {k!r}" for k in thr if k not in known)
-    values = {}
-    for fld in fields(Thresholds):
-        value = thr.get(fld.name, fld.default)
-        if is_real(value):
-            values[fld.name] = float(value)
-        else:
-            errors.append(f"thresholds.{fld.name}: must be a finite number, got {value!r}")
+    values = {fld.name: thr.get(fld.name, fld.default) for fld in fields(Thresholds)}
+    errors.extend(f"thresholds: unknown key {k!r}" for k in thr if k not in values)
+    errors.extend(f"thresholds.{k}: must be a finite number, got {v!r}"
+                  for k, v in values.items() if not is_real(v))
 
     seed = data.get("seed", 0)
     if not (is_int(seed) and seed >= 0):
@@ -205,17 +182,18 @@ def validate_config(data: dict) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
     config = ExperimentConfig(
-        n=n, seed=int(seed), form_spec=form_spec, map_spec=map_spec, tasks=tasks,
-        conservative=conservative, grid=grid, lyap_grid=lyap_grid, thresholds=Thresholds(**values),
-        out_dir=out_dir, raw=data, form=form, contact_map=make_composite(prims, n=n),
+        n=n, seed=int(seed), form_spec=form_spec, map_spec=map_spec, tasks=built,
+        conservative=conservative, grid=grid, lyap_grid=lyap_grid, out_dir=out_dir, raw=data,
+        thresholds=Thresholds(**{k: float(v) for k, v in values.items()}),
+        form=form, contact_map=make_composite(prims, n=n),
     )
-    if any(task["task"] == "lyapunov" for task in tasks):
+    if any(isinstance(task, Lyapunov) for task in built):
         lyap = config.lyap_grid or dissipation.default_lyapunov_grid(n)
         rows = frozenset(range(n)) - config.contact_map.base_action[1]  # as orbit_starts reads
         if not _fits(n, lyap.fiber_res, lyap.q_res, rows):
             raise ConfigError(["lyapunov_grid: too many points to sample in memory"])
-    errors = [f"tasks[{i}]: {task['task']} grid: too many points to sample in memory"
-              for i, task in enumerate(tasks) if not _grid_fits(task, config)]
+    errors = [f"tasks[{i}]: {task.kind} grid: too many points to sample in memory"
+              for i, task in enumerate(built) if not _fits(*task.grid(config.form))]
     if errors:
         raise ConfigError(errors)
     return config
@@ -232,80 +210,211 @@ def _fits(n: int, dirs: int, q_res: int = 1, axes=()) -> bool:
     return True
 
 
-def _grid_fits(task: dict, config: ExperimentConfig) -> bool:
-    """Whether the grid a shape, displacement or duality task samples fits in memory."""
-    name, n = task["task"], config.n
-    if name == "shape":
-        axes = geometry.read_axes(config.form, range(n))
-        return _fits(n, shapes.direction_count(n, task["dir_res"]), task["q_res"], axes)
-    if name in ("displacement", "duality"):
-        # A displacement task with no matrix reads the map's n x n cohomology block.
-        dim = len(task["metric"] if name == "duality" else task["matrix"] or range(n))
-        return _fits(dim, shapes.direction_count(dim, task["dir_res"]))
-    return True
+# ---------------------------------------------------------------------------
+# Tasks
+# ---------------------------------------------------------------------------
+
+class FieldError(Exception):
+    """A bad task entry; the message names the task and the key or field."""
 
 
-def _normalise_task(task, n: int, errors: list, label: str) -> dict:
-    """A new dict with the task's parameters checked against TASK_PARAMS,
-    defaults filled in, and its matrix, classes, metric, rules and word
-    built; problems are appended to ``errors``."""
-    name = task.get("task") if isinstance(task, dict) else None
-    if not isinstance(name, str) or name not in TASK_PARAMS:
-        errors.append(f"{label}: unknown task {name!r}")
-        return {}
-    out = {"task": name}
-    table = TASK_PARAMS[name]
-    if name == "growth":
-        mode = out["mode"] = task.get("mode", "abelian")
-        if not isinstance(mode, str) or mode not in table:
-            errors.append(f"{label}: growth mode must be one of {', '.join(table)}, got {mode!r}")
-            return out
-        table = table[mode]
-    known = ["task", *table, *TASK_OBJECTS.get(out.get("mode", name), "").split()]
-    errors.extend(f"{label}: unknown key {k!r}" for k in task if k not in known)
-    for key, (default, low) in table.items():
-        value = task.get(key, default)
-        if value is None and default is None:
-            out[key] = None
-        elif low is None and is_real(value):
-            out[key] = float(value)
-        elif low is not None and is_int(value) and value >= low:
-            out[key] = int(value)
-        else:
-            need = "a finite number" if low is None else f"an integer >= {low}"
-            errors.append(f"{label}: {name} {key} must be {need}, got {value!r}")
-    try:
-        _build_task_objects(name, task, out, n)
-    except KeyError as exc:
-        errors.append(f"{label}: {name} needs a {exc.args[0]!r} parameter")
-    except SPEC_ERRORS as exc:
-        errors.append(f"{label}: {name}: {exc}")
-    return out
+class Task(Described):
+    """A runner task: its fields are its positional constructor parameters, defaults
+    included, and a keyword-only ``n`` takes the config's dimension.  ``__init__`` checks
+    the fields and builds the task's objects, ``grid`` gives the grid it samples, and
+    ``run(context, artifact)`` returns its result and writes its file at ``artifact`` + suffix."""
+
+    dim = dir_res = 0  # a task that samples dir_res directions in dimension dim sets them
+
+    def __getitem__(self, key):
+        # perfbench/workloads.py reads a task's name and K by subscript; this
+        # serves it until the benchmark reads attributes.
+        return self.kind if key == "task" else getattr(self, key)
+
+    def integer(self, name: str, value, low: int) -> int:
+        """An integer of at least ``low``: the guard of the function the task calls."""
+        if not (is_int(value) and value >= low):
+            raise FieldError(f"{self.kind} {name} must be an integer >= {low}, got {value!r}")
+        return int(value)
+
+    def grid(self, form: ContactForm) -> tuple:
+        """The grid ``run`` samples, as ``_fits`` reads it."""
+        return self.dim, shapes.direction_count(self.dim, self.dir_res)
 
 
-def _build_task_objects(name: str, task: dict, out: dict, n: int) -> None:
-    """Build with the constructors the runner uses; raises on a bad value."""
-    if name == "displacement" or out.get("mode") == "abelian":
-        matrix = task.get("matrix")
-        out["matrix"] = None if matrix is None else algebra.as_matrix(matrix)
-        k = n if matrix is None else len(out["matrix"])
-        if name == "growth":
-            out["classes"] = _parse_classes(task.get("classes"), k)
-        elif matrix is not None:
-            if k not in (2, 3):
+class RSequence(Task):
+    kind = "r_sequence"
+
+    def __init__(self, K: int = 30):
+        self.K = self.integer("K", K, 8)
+
+    def run(self, context, artifact):
+        r, est, verdict = context.series(self.K)
+        rows = [[k + 1, float(v)] for k, v in enumerate(r)]
+        _write_csv(artifact.with_suffix(".csv"), ["k", "r_k"], rows)
+        return {"K": self.K, "r_series": [v for _, v in rows], "chi_hat": est.chi_hat,
+                "chi_last": est.chi_last, "verdict": verdict, "series": rows}
+
+
+class Lyapunov(Task):
+    kind = "lyapunov"
+
+    def __init__(self, K: int = 20):
+        self.K = self.integer("K", K, 8)
+
+    def run(self, context, artifact):
+        value = dissipation.lyapunov_estimate(context.f, self.K, context.lyap_grid)
+        return {"K": self.K, "lyap_hat": value}
+
+
+class Homology(Task):
+    kind = "homology"
+
+    def run(self, context, artifact):
+        f = context.f
+        periodic, order = f.periodicity
+        res = {"matrix": [list(r) for r in f.homology_matrix], "s_value": f.s_value,
+               "periodic": periodic, "order": order, **dissipation.block_fields(f)}
+        if f.n == 2:
+            res["a_block_s_value"] = f.block_s_value
+        return res
+
+
+class Shape(Task):
+    kind = "shape"
+
+    def __init__(self, q_res: int = 64, dir_res: int | None = None, *, n: int):
+        self.q_res, self.dim = self.integer("q_res", q_res, 1), n
+        self.dir_res = None if dir_res is None else self.integer("dir_res", dir_res, 4)
+
+    def grid(self, form):
+        return *super().grid(form), self.q_res, geometry.read_axes(form, range(self.dim))
+
+    def run(self, context, artifact):
+        dirs = shapes.direction_grid(self.dim, self.dir_res)
+        rho = shapes.flat_shape(context.form, self.dim, self.q_res).rho(dirs)
+        header = [f"u{i+1}" for i in range(self.dim)] + ["rho"]
+        rows = [d + [r] for d, r in zip(dirs.tolist(), rho.tolist())]
+        _write_csv(artifact.with_suffix(".csv"), header, rows)
+        return {"directions": len(rho), "rho_min": float(rho.min()), "rho_max": float(rho.max())}
+
+
+class Displacement(Task):
+    kind = "displacement"
+
+    def __init__(self, k_max: int = 20, dir_res: int | None = None, matrix=None, *, n: int):
+        self.k_max = self.integer("k_max", k_max, 8)
+        self.dir_res = None if dir_res is None else self.integer("dir_res", dir_res, 4)
+        self.matrix = None if matrix is None else algebra.as_matrix(matrix)
+        if matrix is not None:
+            if len(self.matrix) not in (2, 3):
                 raise ValueError("matrix must be 2x2 or 3x3")
-            algebra.mat_inverse(out["matrix"])  # shapes.act inverts it
-    elif name == "duality":
-        out["metric"] = metric_matrix(task["metric"])
-        if out["metric"].shape[0] not in (2, 3):
+            algebra.mat_inverse(self.matrix)  # shapes.act inverts it
+        self.dim = len(self.matrix or range(n))  # the map's block is n x n
+
+    def run(self, context, artifact):
+        i_mat = self.matrix or context.f.cohomology_block[0]
+        dirs = shapes.direction_grid(self.dim, self.dir_res)
+        deltas = shapes.displacement_series(i_mat, shapes.ball(self.dim), self.k_max, dirs)
+        series = [[k + 1, float(d)] for k, d in enumerate(deltas)]
+        _write_csv(artifact.with_suffix(".csv"), ["k", "delta_k"], series)
+        return {"matrix": [list(r) for r in i_mat], "k_max": self.k_max,
+                "displacement": max(algebra.growth_slope(deltas), 0.0), "series": series}
+
+
+class Growth(Task):
+    """Length growth; ``lengths(context)`` gives the result's fields and the lengths."""
+
+    kind = "growth"
+
+    def run(self, context, artifact):
+        res, lengths = self.lengths(context)
+        series = [[step, x, math.log(x)] for step, x in enumerate(lengths)]
+        _write_csv(artifact.with_suffix(".csv"), ["n", "length", "log_length"], series)
+        return {"mode": self.mode, **res, "series": [[row[0], row[2]] for row in series]}
+
+
+class AbelianGrowth(Growth):
+    def __init__(self, N: int = 40, matrix=None, classes=None, mode: str = "abelian", *, n: int):
+        self.N, self.mode = self.integer("N", N, 10), mode
+        self.matrix = None if matrix is None else algebra.as_matrix(matrix)
+        if matrix is not None:  # as the map's block is; a singular one sends a class to 0
+            algebra.mat_inverse(self.matrix)
+        self.classes = _parse_classes(classes, len(self.matrix or range(n)))
+
+    def lengths(self, context):
+        i_mat = self.matrix or context.f.cohomology_block[0]
+        classes = self.classes or _sampled_classes(len(i_mat), 5, context.rng)
+        per_class = [algebra.abelian_lengths(i_mat, g, self.N) for g in classes]
+        rate = algebra.length_growth_rate(*per_class)
+        return {"rate": rate, "classes": [list(g) for g in classes]}, per_class[0]
+
+
+class FreeGrowth(Growth):
+    def __init__(self, rules, word, N: int = 40, cap: int = 10**6, mode: str = "free"):
+        self.N, self.cap, self.mode = self.integer("N", N, 5), self.integer("cap", cap, 1), mode
+        self.rules, self.word = algebra.FreeAutomorphism.from_strings(rules), algebra.parse_word(word)
+        self.rules.encode(self.word)  # raises if a generator has no rule
+        if not algebra.cyclic_reduce(self.word):
+            raise ValueError(f"word {word!r} reduces to the empty word (trivial class)")
+
+    def lengths(self, context):
+        lengths = algebra.free_lengths(self.rules, self.word, self.N, self.cap)
+        return {"rate": algebra.length_growth_rate(lengths)}, lengths
+
+
+class Duality(Task):
+    kind = "duality"
+
+    def __init__(self, metric, classes=None, dir_res: int | None = None):
+        self.dir_res = None if dir_res is None else self.integer("dir_res", dir_res, 4)
+        self.metric = metric_matrix(metric)
+        self.dim = len(self.metric)
+        if self.dim not in (2, 3):
             raise ValueError("metric must be 2x2 or 3x3")
-        out["classes"] = _parse_classes(task.get("classes"), out["metric"].shape[0])
-    elif name == "growth":
-        sigma = out["rules"] = algebra.FreeAutomorphism.from_strings(task["rules"])
-        out["word"] = algebra.parse_word(task["word"])
-        sigma.encode(out["word"])  # raises if a generator has no rule
-        if not algebra.cyclic_reduce(out["word"]):
-            raise ValueError(f"word {task['word']!r} reduces to the empty word (trivial class)")
+        self.classes = _parse_classes(classes, self.dim)
+
+    def run(self, context, artifact):
+        classes = self.classes or _sampled_classes(self.dim, 8, context.rng)
+        dirs = shapes.direction_grid(self.dim, self.dir_res)
+        res = shapes.duality_check(self.metric, classes, dirs)
+        _write_json(artifact.with_suffix(".json"), res)
+        return res
+
+
+class VerifyBound(Task):
+    kind = "verify_bound"
+
+    def __init__(self, K: int = 30, tol: float = 0.05):
+        self.K = self.integer("K", K, 8)
+        if not is_real(tol):
+            raise FieldError(f"verify_bound tol must be a finite number, got {tol!r}")
+        self.tol = float(tol)
+
+    def run(self, context, artifact):
+        _, est, verdict = context.series(self.K)
+        return dissipation.verify_bound(context.f, est, verdict, context.conservative, self.tol)
+
+
+# Task name -> (class, fixed arguments) for ``geometry.build``; growth's ``mode`` picks its class.
+GROWTH = {"abelian": (AbelianGrowth, {}), "free": (FreeGrowth, {})}
+TASKS = {cls.kind: GROWTH if cls is Growth else (cls, {})
+         for cls in (RSequence, Lyapunov, Homology, Shape, Displacement, Growth, Duality, VerifyBound)}
+TASK_NAMES = tuple(TASKS)
+
+
+def build_task(spec, n: int) -> Task:
+    """The task a config entry names, in dimension n; an error building its objects names it."""
+    kinds = TASKS
+    if isinstance(spec, dict) and spec.get("task") == "growth":
+        mode = spec.get("mode", "abelian")
+        if not (isinstance(mode, str) and mode in GROWTH):
+            raise FieldError(f"growth mode must be one of {', '.join(GROWTH)}, got {mode!r}")
+        kinds = {"growth": GROWTH[mode]}
+    try:
+        return build(spec, kinds, "task", FieldError, key="task", n=n)
+    except SPEC_ERRORS as exc:
+        raise FieldError(f"{spec['task']}: {exc}") from None
 
 
 def _parse_classes(value, k: int):
@@ -320,9 +429,35 @@ def _parse_classes(value, k: int):
     return classes
 
 
+def _sampled_classes(k: int, count: int, rng: random.Random):
+    """``count`` nonzero classes of length k, entries uniform on -3..3, row by row."""
+    classes = [tuple(int(7 * rng.random()) - 3 for _ in range(k)) for _ in range(count)]
+    return [g if any(g) else (1,) + (0,) * (k - 1) for g in classes]
+
+
 # ---------------------------------------------------------------------------
 # Running
 # ---------------------------------------------------------------------------
+
+class RunContext:
+    """What a run's tasks read: the config's map ``f``, ``form`` and ``conservative``,
+    its grids refined for the run, the run's one ``random.Random``, and ``series(K)``:
+    the map's r_k series, chi fit and verdict under the config's thresholds, once per K."""
+
+    def __init__(self, config: ExperimentConfig, refine: int):
+        self.f, self.form, self.conservative = config.contact_map, config.form, config.conservative
+        self.thresholds, self.rng, self.memo = config.thresholds, random.Random(config.seed), {}
+        self.grid = (config.grid or dissipation.default_grid(config.n)).refined(refine)
+        lyap_grid = config.lyap_grid or dissipation.default_lyapunov_grid(config.n)
+        self.lyap_grid = lyap_grid.refined(refine)
+
+    def series(self, K: int) -> tuple:
+        if K not in self.memo:
+            r = dissipation.r_sequence(self.f, self.form, K, self.grid)
+            est = dissipation.chi_estimate(r)
+            self.memo[K] = r, est, dissipation.classify(r, est, self.thresholds)
+        return self.memo[K]
+
 
 def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
     """Execute the task list in order and write CSV/JSON artifacts.
@@ -333,167 +468,45 @@ def run(config: ExperimentConfig, out_dir=None, refine: int = 1) -> dict:
     started = time.perf_counter()
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    context = RunContext(config, refine)
 
-    f, form = config.contact_map, config.form
-    grid = (config.grid or dissipation.default_grid(config.n)).refined(refine)
-    lyap_grid = (config.lyap_grid or dissipation.default_lyapunov_grid(config.n)).refined(refine)
-    rng = random.Random(config.seed)
-
-    @functools.cache
-    def series(K):
-        """The r_k series of f, its chi fit and its verdict, once per K."""
-        r = dissipation.r_sequence(f, form, K, grid)
-        est = dissipation.chi_estimate(r)
-        return r, est, dissipation.classify(r, est, config.thresholds)
-
-    results: dict[str, dict] = {}
-    seconds: dict[str, float] = {}
-    all_pass = True
-
+    results, seconds = {}, {}
     for i, task in enumerate(config.tasks):
-        name = task["task"]
-        task_id = name if name not in results else f"{name}_{i}"
+        task_id = task.kind if task.kind not in results else f"{task.kind}_{i}"
         task_started = time.perf_counter()
         try:
-            res = _run_task(name, task, config, f, form, lyap_grid, rng, series, out / task_id)
+            results[task_id] = task.run(context, out / task_id)
         except Exception as exc:
             raise TaskError(task_id, exc) from exc
         seconds[task_id] = time.perf_counter() - task_started
-        if res.get("pass") is False:
-            all_pass = False
-        results[task_id] = res
 
-    document = {
-        "config": config.raw,
-        "results": results,
-        "all_checks_pass": all_pass,
-        "provenance": {
-            "tool_version": _tool_version(),
-            "grid": {"q_res": grid.q_res, "fiber_res": grid.fiber_res},
-            "refine": refine,
-            "timestamp": {
-                "when": datetime.now(timezone.utc).isoformat(),
-                "runtime_seconds": time.perf_counter() - started,
-                "tasks": seconds,
-            },
-        },
-    }
+    grid = {"q_res": context.grid.q_res, "fiber_res": context.grid.fiber_res}
+    timestamp = {"when": datetime.now(timezone.utc).isoformat(),
+                 "runtime_seconds": time.perf_counter() - started, "tasks": seconds}
+    document = {"config": config.raw, "results": results,
+                "all_checks_pass": all(res.get("pass") is not False for res in results.values()),
+                "provenance": {"tool_version": __version__, "grid": grid, "refine": refine,
+                               "timestamp": timestamp}}
     _write_json(out / "document.json", document)
-    _write_report_json(out, config, f, results, grid)
+    _write_report_json(out, config, results, grid)
     return document
 
 
-def _run_task(name, task, config, f, form, lyap_grid, rng, series, artifact):
-    """One task's result; its file, if any, is ``artifact`` (out dir / task id) + suffix.
+def _write_report_json(out, config, results, grid):
+    """The fixed-schema summary document for the dissipation pipeline: the
+    first r_sequence, lyapunov and verify_bound results' fields, or null."""
+    def first(key):
+        return next((res for res in results.values() if key in res), {})
 
-    ``series(K)`` is the run's (r, ChiEstimate, verdict) for K."""
-    if name == "r_sequence":
-        r, est, verdict = series(task["K"])
-        rows = [[k + 1, float(v)] for k, v in enumerate(r)]
-        _write_csv(artifact.with_suffix(".csv"), ["k", "r_k"], rows)
-        return {
-            "K": task["K"],
-            "r_series": [float(v) for v in r],
-            "chi_hat": est.chi_hat,
-            "chi_last": est.chi_last,
-            "verdict": verdict,
-            "series": rows,
-        }
-
-    if name == "lyapunov":
-        value = dissipation.lyapunov_estimate(f, task["K"], lyap_grid)
-        return {"K": task["K"], "lyap_hat": value}
-
-    if name == "homology":
-        periodic, order = f.periodicity
-        res = {
-            "matrix": [list(r) for r in f.homology_matrix],
-            "s_value": f.s_value,
-            "periodic": periodic,
-            "order": order,
-            **dissipation.block_fields(f),
-        }
-        if f.n == 2:
-            res["a_block_s_value"] = f.block_s_value
-        return res
-
-    if name == "shape":
-        dirs = shapes.direction_grid(config.n, task["dir_res"])
-        rho = shapes.flat_shape(form, config.n, task["q_res"]).rho(dirs)
-        header = [f"u{i+1}" for i in range(config.n)] + ["rho"]
-        rows = [d + [r] for d, r in zip(dirs.tolist(), rho.tolist())]
-        _write_csv(artifact.with_suffix(".csv"), header, rows)
-        return {"directions": len(rho), "rho_min": float(rho.min()), "rho_max": float(rho.max())}
-
-    if name == "displacement":
-        i_mat = task["matrix"] or f.cohomology_block[0]
-        dirs = shapes.direction_grid(len(i_mat), task["dir_res"])
-        deltas = shapes.displacement_series(i_mat, shapes.ball(len(i_mat)), task["k_max"], dirs)
-        series = [[k + 1, float(d)] for k, d in enumerate(deltas)]
-        _write_csv(artifact.with_suffix(".csv"), ["k", "delta_k"], series)
-        return {
-            "matrix": [list(r) for r in i_mat],
-            "k_max": task["k_max"],
-            "displacement": max(algebra.growth_slope(deltas), 0.0),
-            "series": series,
-        }
-
-    if name == "growth":
-        res = {"mode": task["mode"]}
-        if task["mode"] == "abelian":
-            i_mat = task["matrix"] or f.cohomology_block[0]
-            classes = task["classes"] or _sampled_classes(len(i_mat), 5, rng)
-            per_class = [algebra.abelian_lengths(i_mat, g, task["N"]) for g in classes]
-            res["rate"] = algebra.length_growth_rate(*per_class)
-            res["classes"] = [list(g) for g in classes]
-            lengths = per_class[0]
-        else:
-            lengths = algebra.free_lengths(task["rules"], task["word"], task["N"], task["cap"])
-            res["rate"] = algebra.length_growth_rate(lengths)
-        series = [[step, x, math.log(x)] for step, x in enumerate(lengths)]
-        _write_csv(artifact.with_suffix(".csv"), ["n", "length", "log_length"], series)
-        res["series"] = [[row[0], row[2]] for row in series]
-        return res
-
-    if name == "duality":
-        g = task["metric"]
-        classes = task["classes"] or _sampled_classes(g.shape[0], 8, rng)
-        dirs = shapes.direction_grid(g.shape[0], task["dir_res"])
-        res = shapes.duality_check(g, classes, dirs)
-        _write_json(artifact.with_suffix(".json"), res)
-        return res
-
-    if name == "verify_bound":
-        _, est, verdict = series(task["K"])
-        return dissipation.verify_bound(f, est, verdict, config.conservative, task["tol"])
-
-    raise ValueError(f"unknown task {name!r}")
-
-
-def _sampled_classes(k: int, count: int, rng: random.Random):
-    """``count`` nonzero classes of length k, entries uniform on -3..3, row by row."""
-    classes = [tuple(int(7 * rng.random()) - 3 for _ in range(k)) for _ in range(count)]
-    return [g if any(g) else (1,) + (0,) * (k - 1) for g in classes]
-
-
-def _write_report_json(out, config, f, results, grid):
-    """The fixed-schema summary document for the dissipation pipeline."""
-    r_res = next((v for v in results.values() if "r_series" in v), None)
-    lyap_res = next((v for v in results.values() if "lyap_hat" in v), None)
-    bound_res = next((v for v in results.values() if "s_target" in v), None)
-    report = {
-        "map_id": json.dumps(f.describe(), sort_keys=True),
+    r_res = first("r_series")
+    _write_json(out / "report.json", {
+        "map_id": json.dumps(config.contact_map.describe(), sort_keys=True),
         "lambda_id": json.dumps(config.form_spec, sort_keys=True),
-        "K": r_res["K"] if r_res else None,
-        "grid": {"q_res": grid.q_res, "fiber_res": grid.fiber_res},
-        "r_series": r_res["r_series"] if r_res else None,
-        "chi_hat": r_res["chi_hat"] if r_res else None,
-        "chi_last": r_res["chi_last"] if r_res else None,
-        "lyap_hat": lyap_res["lyap_hat"] if lyap_res else None,
-        "verdict": r_res["verdict"] if r_res else None,
-        "bound_check": bound_res,
-    }
-    _write_json(out / "report.json", report)
+        "grid": grid,
+        **{key: r_res.get(key) for key in ("K", "r_series", "chi_hat", "chi_last", "verdict")},
+        "lyap_hat": first("lyap_hat").get("lyap_hat"),
+        "bound_check": first("s_target") or None,
+    })
 
 
 def emit_plot_data(document: dict, task_id: str, path) -> Path:
@@ -512,15 +525,10 @@ def emit_plot_data(document: dict, task_id: str, path) -> Path:
     series = res.get("series")
     if not series:
         raise TaskError(task_id, ValueError("no series"))
-    if not (
-        isinstance(series, list)
-        and all(isinstance(row, list) and len(row) == 2 for row in series)
-    ):
+    if not (isinstance(series, list) and all(isinstance(row, list) and len(row) == 2 for row in series)):
         raise TaskError(task_id, ValueError("series is not a list of pairs"))
     path = Path(path)
-    with path.open("w") as fh:
-        for row in series:
-            fh.write(f"{row[0]} {row[1]}\n")
+    path.write_text("".join(f"{row[0]} {row[1]}\n" for row in series))
     return path
 
 
@@ -531,9 +539,3 @@ def _write_csv(path: Path, header, rows):
 
 def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__

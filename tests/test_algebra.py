@@ -295,7 +295,7 @@ def test_abelian_bar_s_big_integers():
 
 
 def test_abelian_bar_s_errors():
-    # Fewer than 10 iterates is a config error, through TASK_PARAMS.
+    # Fewer than 10 iterates is a config error, through the growth task.
     task = {"task": "growth", "matrix": [list(r) for r in CAT], "classes": [[1, 0]], "N": 9}
     with pytest.raises(ConfigError, match="growth N must be an integer >= 10"):
         validate_config({"tasks": [task]})

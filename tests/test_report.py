@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -21,7 +22,9 @@ from contactlab.geometry import FORMS, TrigTerm, descriptor_fields
 from contactlab.maps import HAMILTONIANS, PRIMITIVES, CanonicalLift
 from contactlab.report import (
     TASK_NAMES,
+    TASKS,
     ConfigError,
+    Task,
     TaskError,
     emit_plot_data,
     load_config,
@@ -519,6 +522,19 @@ RUN_TIME_CASES = {
             f"tasks[0]: growth: word {word!r} reduces to the empty word (trivial class)",
         )
         for word in ("", "aA", "abBA")
+    },
+    # An abelian growth matrix that is not unimodular sends a class to 0,
+    # whose log length failed the run.
+    **{
+        f"growth_singular_matrix_{name}": (
+            dict(MINIMAL, tasks=[dict({"task": "growth", "matrix": matrix}, **classes)]),
+            "tasks[0]: growth: matrix is not unimodular (det 0)",
+        )
+        for name, matrix, classes in (
+            ("zero", [[0]], {}),
+            ("rank_1", [[1, 1], [1, 1]], {"classes": [[1, -1]]}),
+            ("nilpotent", [[0, 1], [0, 0]], {"classes": [[1, 0]]}),
+        )
     },
     "seed_negative": (dict(MINIMAL, seed=-1), "seed: must be a non-negative integer, got -1"),
     "out_dir_null": (dict(MINIMAL, out_dir=None), "out_dir: must be a non-empty path string"),
@@ -1106,7 +1122,7 @@ def test_tasks_are_normalised_and_config_stays_raw(tmp_path):
     tasks = [{"task": "growth"}, {"task": "verify_bound", "K": 10.0}]
     data = dict(MINIMAL, tasks=tasks)
     cfg = validate_config(data)
-    assert cfg.tasks == [
+    assert [{key: task[key] for key in ("task", *descriptor_fields(type(task)))} for task in cfg.tasks] == [
         {"task": "growth", "mode": "abelian", "N": 40, "matrix": None, "classes": None},
         {"task": "verify_bound", "K": 10, "tol": 0.05},
     ]
@@ -1125,6 +1141,81 @@ def test_cli_catalog_lists_the_registries(capsys):
         "forms": list(FORMS),
         "tasks": list(TASK_NAMES),
     }
+
+
+class Probe(Task):
+    """A task registered by the test alone: it samples ``dir_res`` directions
+    in dimension n, as ``Task.grid`` reads them, and writes their count
+    ``count`` times."""
+
+    kind = "probe"
+
+    def __init__(self, count: int = 3, dir_res: int = 4, *, n: int):
+        self.count, self.dim = self.integer("count", count, 2), n
+        self.dir_res = self.integer("dir_res", dir_res, 4)
+
+    def run(self, context, artifact):
+        artifact.with_suffix(".txt").write_text(f"{self.dir_res}\n" * self.count)
+        return {"count": self.count, "n": self.dim}
+
+
+def test_a_new_task_is_one_class(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(TASKS, Probe.kind, (Probe, {}))
+    for task, message in (
+        ({"task": "probe", "cuont": 3}, "tasks[0]: unknown key 'cuont'"),
+        ({"task": "probe", "count": 1}, "tasks[0]: probe count must be an integer >= 2, got 1"),
+        ({"task": "probe", "dir_res": 10**20}, "tasks[0]: probe grid: too many points to sample in memory"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            validate_config(dict(MINIMAL, tasks=[task]))
+        assert err.value.errors == [message]
+    tasks = [{"task": "probe"}, {"task": "homology"}, {"task": "probe", "count": 2, "dir_res": 5}]
+    doc = run(validate_config(dict(MINIMAL, tasks=tasks)), out_dir=tmp_path)
+    assert doc["results"] == {"probe": {"count": 3, "n": 2}, "homology": doc["results"]["homology"],
+                              "probe_2": {"count": 2, "n": 2}}
+    assert (tmp_path / "probe.txt").read_text() == "4\n" * 3
+    assert (tmp_path / "probe_2.txt").read_text() == "5\n" * 2
+    assert list(doc["provenance"]["timestamp"]["tasks"]) == ["probe", "homology", "probe_2"]
+    assert main(["catalog"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(", verify_bound, probe")
+
+
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its path as the benchmark loads it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up here
+    spec.loader.exec_module(module)
+    return module
+
+
+# What the benchmark reads of each config: the grid points x orbit steps it
+# credits to an op, whether the map holds a flow, and the task ids whose
+# failure ``tasks_started`` counts back to their place in the task list.
+BENCHMARK_VIEW = {
+    "catmap": (253440, False, ["r_sequence", "lyapunov", "homology", "displacement", "growth", "verify_bound"]),
+    "identity": (20480, False, ["r_sequence", "homology", "shape", "verify_bound"]),
+    "shear": (327680, False, ["r_sequence", "homology", "verify_bound"]),
+    "flow2_trig": (131072, True, ["r_sequence", "verify_bound"]),
+    "lift2_round": (15728640, False, ["r_sequence", "verify_bound"]),
+    "n3_metric_lift": (974592, False, ["r_sequence", "lyapunov", "homology", "shape", "displacement",
+                                       "duality", "verify_bound", "growth", "growth_8"]),
+}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(REPO.glob("configs/*.json")) + sorted(REPO.glob("perfbench/inputs/*.json")),
+    ids=lambda path: path.stem,
+)
+def test_the_benchmark_reads_each_config_as_before(monkeypatch, path):
+    workloads = load_workloads(monkeypatch)
+    cfg = load_config(path)
+    point_steps, has_flow, task_ids = BENCHMARK_VIEW[path.stem]
+    assert workloads.nominal_point_steps(cfg) == point_steps
+    assert workloads.has_flow(cfg) is has_flow
+    assert [workloads.tasks_started(cfg, task_id) for task_id in task_ids] == list(range(1, len(task_ids) + 1))
+    assert workloads.tasks_started(cfg, None) == len(task_ids)
 
 
 # ---------------------------------------------------------------------------

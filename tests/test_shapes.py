@@ -344,7 +344,7 @@ def test_act_takes_the_inverse_it_is_given():
 
 
 def test_displacement_needs_enough_iterates():
-    # Fewer than 8 iterates is a config error, through TASK_PARAMS.
+    # Fewer than 8 iterates is a config error, through the displacement task.
     task = {"task": "displacement", "matrix": [list(r) for r in CAT], "k_max": 7}
     with pytest.raises(ConfigError, match="displacement k_max must be an integer >= 8"):
         validate_config({"tasks": [task]})
